@@ -62,6 +62,7 @@ from .qift import (
     build_h_topo_dense,
     commutator_norm,
     complete_coupling,
+    effective_hamiltonian,
     evolve_vacuum,
     exact_unitary,
     information_curvature,
@@ -72,7 +73,6 @@ from .spectral import (
     ResonanceVerdict,
     SpectralProfile,
     ZeemanTrace,
-    effective_hamiltonian,
     overlap_similarity,
     resonance_similarity,
     spectral_profile,

@@ -1,19 +1,9 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels, vectorized with numpy.
 
 Three inner loops dominate runtime at larger qubit counts: applying a
 per-qubit y-rotation layer to a state, tabulating the diagonal of the
-pairwise z-z coupling, and the O(N^2) interference pair sum. Each exists
-twice: a numba ``@njit`` kernel and a vectorized numpy fallback.
-
-Backend selection happens once at import from the environment variable
-``STATEKIT_KERNELS``:
-
-    auto   (default) use numba when importable, else numpy
-    numba  require numba, raise if unavailable
-    numpy  force the pure-numpy path
-
-Both backends agree to floating-point accuracy (see tests/test_kernels.py);
-``benchmarks/bench_kernels.py`` times them against each other.
+pairwise z-z coupling, and the O(N^2) interference pair sum. Each is
+checked against a dense or plain-python oracle in tests/test_kernels.py.
 
 Index convention (package-wide): qubit 0 is the most significant bit of the
 basis-state index, so qubit ``q`` of an ``n``-qubit register lives at bit
@@ -21,59 +11,29 @@ position ``n - 1 - q``.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-ENV_VAR = "STATEKIT_KERNELS"
-
-
-def _resolve_backend(requested: str, have_numba: bool) -> str:
-    requested = (requested or "auto").strip().lower()
-    if requested not in ("auto", "numba", "numpy"):
-        raise ValueError(
-            f"{ENV_VAR} must be one of auto|numba|numpy, got {requested!r}"
-        )
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not have_numba:
-            raise ImportError(f"{ENV_VAR}=numba but numba is not importable")
-        return "numba"
-    return "numba" if have_numba else "numpy"
-
-
-BACKEND = _resolve_backend(os.environ.get(ENV_VAR, "auto"), HAVE_NUMBA)
 
 
 def backend() -> str:
-    """Active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return BACKEND
+    """Kernel implementation in use; always ``"numpy"``."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
+def ry_layer(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """Apply the commuting layer of per-qubit y-rotations exp(-i*angle_q*sigma_y).
 
-def ry_layer_numpy(amps: np.ndarray, cosines: np.ndarray, sines: np.ndarray) -> np.ndarray:
-    """Apply exp(-i*theta_q*sigma_y) on every qubit q of a state.
-
-    ``cosines``/``sines`` hold cos(theta_q), sin(theta_q) per qubit. The
-    rotations act on distinct qubits, hence commute; application order is
-    irrelevant. Returns a new array.
+    ``amps`` is one state of length 2^n or a (2^n, k) stack of k column
+    states, and ``angles`` holds one angle per qubit. The rotations act on
+    distinct qubits, hence commute; application order is irrelevant.
+    Returns a new array.
     """
-    n = cosines.size
-    out = amps.astype(np.complex128, copy=True)
-    for q in range(n):
-        # qubit q is the middle axis of shape (2^q, 2, 2^(n-1-q))
-        v = out.reshape(1 << q, 2, 1 << (n - 1 - q))
+    angles = np.ascontiguousarray(angles, dtype=np.float64)
+    cosines = np.cos(angles)
+    sines = np.sin(angles)
+    out = np.array(amps, dtype=np.complex128, order="C")
+    for q in range(angles.size):
+        # qubit q is the middle axis of shape (2^q, 2, 2^(n-1-q) * k)
+        v = out.reshape(1 << q, 2, -1)
         a0 = v[:, 0, :].copy()
         a1 = v[:, 1, :].copy()
         v[:, 0, :] = cosines[q] * a0 - sines[q] * a1
@@ -81,8 +41,9 @@ def ry_layer_numpy(amps: np.ndarray, cosines: np.ndarray, sines: np.ndarray) -> 
     return out
 
 
-def zz_diagonal_numpy(coupling: np.ndarray) -> np.ndarray:
-    """Diagonal of sum_{j<k} J_jk Z_j Z_k over all 2^n basis states."""
+def zz_diagonal(coupling: np.ndarray) -> np.ndarray:
+    """Diagonal energies of sum_{j<k} J_jk Z_j Z_k over all 2^n basis states."""
+    coupling = np.ascontiguousarray(coupling, dtype=np.float64)
     n = coupling.shape[0]
     idx = np.arange(1 << n)
     bits = (idx[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
@@ -91,95 +52,14 @@ def zz_diagonal_numpy(coupling: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("ij,jk,ik->i", z, coupling, z)
 
 
-def pair_sum_numpy(t: np.ndarray) -> float:
-    """Sum of t_x * conj(t_x') over all ordered pairs x != x'.
+def pair_sum(t: np.ndarray) -> float:
+    """Real-valued cross-term sum over all pairs x != x' of t_x conj(t_x').
 
     Terms are combined as conjugate pairs (x < x' plus its mirror), so the
     imaginary parts cancel exactly and the result is real.
     """
+    t = np.ascontiguousarray(t, dtype=np.complex128)
     m = np.outer(t, t.conj())
     iu, ju = np.triu_indices(t.size, k=1)
     upper = m[iu, ju]
     return float((upper + upper.conj()).sum().real)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def ry_layer_numba(amps, cosines, sines):  # pragma: no cover - jitted
-        n = cosines.size
-        out = amps.copy()
-        for q in range(n):
-            b = n - 1 - q
-            step = 1 << b
-            half = out.size >> 1
-            c = cosines[q]
-            s = sines[q]
-            for g in range(half):
-                i0 = ((g >> b) << (b + 1)) | (g & (step - 1))
-                i1 = i0 | step
-                a0 = out[i0]
-                a1 = out[i1]
-                out[i0] = c * a0 - s * a1
-                out[i1] = s * a0 + c * a1
-        return out
-
-    @njit(cache=True)
-    def zz_diagonal_numba(coupling):  # pragma: no cover - jitted
-        n = coupling.shape[0]
-        dim = 1 << n
-        energies = np.zeros(dim)
-        z = np.empty(n)
-        for i in range(dim):
-            for j in range(n):
-                z[j] = 1.0 - 2.0 * ((i >> (n - 1 - j)) & 1)
-            acc = 0.0
-            for j in range(n):
-                for k in range(j + 1, n):
-                    acc += coupling[j, k] * z[j] * z[k]
-            energies[i] = acc
-        return energies
-
-    @njit(cache=True)
-    def pair_sum_numba(t):  # pragma: no cover - jitted
-        acc = 0.0
-        for x in range(t.size):
-            for xp in range(x + 1, t.size):
-                p = t[x] * np.conj(t[xp])
-                acc += 2.0 * p.real
-        return acc
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
-
-def ry_layer(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Apply the commuting layer of per-qubit y-rotations exp(-i*angle_q*sigma_y)."""
-    amps = np.ascontiguousarray(amps, dtype=np.complex128)
-    angles = np.ascontiguousarray(angles, dtype=np.float64)
-    c = np.cos(angles)
-    s = np.sin(angles)
-    if BACKEND == "numba":
-        return ry_layer_numba(amps, c, s)
-    return ry_layer_numpy(amps, c, s)
-
-
-def zz_diagonal(coupling: np.ndarray) -> np.ndarray:
-    """Diagonal energies of the pairwise z-z coupling term (unit strength)."""
-    coupling = np.ascontiguousarray(coupling, dtype=np.float64)
-    if BACKEND == "numba":
-        return zz_diagonal_numba(coupling)
-    return zz_diagonal_numpy(coupling)
-
-
-def pair_sum(t: np.ndarray) -> float:
-    """Real-valued cross-term sum over all pairs x != x' of t_x conj(t_x')."""
-    t = np.ascontiguousarray(t, dtype=np.complex128)
-    if BACKEND == "numba":
-        return float(pair_sum_numba(t))
-    return pair_sum_numpy(t)

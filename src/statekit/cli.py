@@ -11,30 +11,26 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .encoders import amplitude_encoding, in_positive_orthant, phase_encoding, probability_loading
+from .encoders import in_positive_orthant
 from .errors import ConfigError, StatekitError
 from .experiments import (
     ENCODER_IDS,
+    ENCODERS,
     ExperimentConfig,
     QiftParams,
     Table,
     compute_experiment,
+    dumps,
     render_csv,
     run_experiment,
-    write_csv,
+    write_outputs,
 )
 from .interference import interference_decomposition
-from .qift import (
-    HamiltonianSpec,
-    coupling_preset,
-    evolve_vacuum,
-    information_curvature,
-)
+from .qift import HamiltonianSpec, coupling_preset, information_curvature
 from .spectral import resonance_similarity, spectral_profile, zeeman_sweep
 from .statevec import DenseOperator, Distribution, as_rng, haar_random_unitary
 from .tolerances import TOLS
@@ -83,33 +79,9 @@ def _hadamard_layer(dim: int) -> np.ndarray:
     return u.astype(np.complex128)
 
 
-def _jsonify(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
 def _emit(args, summary: dict, tables: list[Table]) -> None:
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        written = []
-        for table in tables:
-            path = outdir / f"{table.name}.csv"
-            write_csv(table, path)
-            written.append(str(path))
-        spath = outdir / "summary.json"
-        with open(spath, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, default=_jsonify)
-            fh.write("\n")
-        written.append(str(spath))
-        for path in written:
+        for path in write_outputs(args.out, tables, "summary.json", summary):
             print(path)
         return
     if args.format == "json":
@@ -117,21 +89,14 @@ def _emit(args, summary: dict, tables: list[Table]) -> None:
             "summary": summary,
             "tables": {t.name: {"header": list(t.header), "rows": [list(r) for r in t.rows]} for t in tables},
         }
-        print(json.dumps(payload, indent=2, default=_jsonify))
+        print(dumps(payload, indent=2))
         return
     for key, value in summary.items():
         if isinstance(value, (dict, list)):
-            value = json.dumps(value, default=_jsonify)
+            value = dumps(value)
         print(f"# {key}: {value}")
     for table in tables:
         sys.stdout.write(render_csv(table))
-
-
-def _qift_params(args, n: int) -> QiftParams:
-    topology = getattr(args, "topology", "ring")
-    params = QiftParams(mu=args.mu, tau=args.tau, topology=topology)
-    params.coupling_for(n)  # validate early
-    return params
 
 
 def _seed(args) -> int:
@@ -151,19 +116,8 @@ def _cmd_encode(args) -> int:
                 row = np.asarray(json.load(fh), dtype=np.float64).ravel()
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read input vector: {exc}") from exc
-    if args.encoder == "probability_loading":
-        state = probability_loading(row**2 / np.sum(row**2))
-    elif args.encoder == "amplitude":
-        state = amplitude_encoding(row)
-    elif args.encoder == "phase":
-        dim = 1 << max(1, (row.size - 1).bit_length())
-        padded = np.concatenate([row, np.zeros(dim - row.size)])
-        state = phase_encoding(np.full(dim, 1.0 / dim), padded)
-    else:
-        params = _qift_params(args, row.size)
-        state = evolve_vacuum(
-            HamiltonianSpec(row, params.coupling_for(row.size), mu=params.mu, tau=params.tau)
-        )
+    params = QiftParams(mu=args.mu, tau=args.tau, topology=args.topology)  # read by qift only
+    state = ENCODERS[args.encoder](row, params)
     amps = state.amplitudes
     rows = [
         (i, amps[i].real, amps[i].imag, float(np.abs(amps[i]) ** 2))
@@ -340,7 +294,7 @@ def _cmd_run(args) -> int:
         raw["output_dir"] = args.out
     config = ExperimentConfig.from_dict(raw)
     report = run_experiment(config, resonance_tolerance=args.tol)
-    print(json.dumps({"results": report.results, "written": list(report.written)}, indent=2, default=_jsonify))
+    print(dumps({"results": report.results, "written": list(report.written)}, indent=2))
     return 0
 
 

@@ -17,10 +17,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -36,12 +36,12 @@ from .statevec import (
     StateVector,
     _freeze,
     _is_pow2,
+    _next_pow2,
     as_rng,
     haar_random_unitary,
 )
 from .tolerances import TOLS
 
-ENCODER_IDS = ("probability_loading", "amplitude", "phase", "qift")
 EXPERIMENT_IDS = ("parity", "curvature-scan", "resonance", "interference-audit")
 TOPOLOGY_PRESETS = ("ring", "complete")
 
@@ -116,6 +116,44 @@ class QiftParams:
         if isinstance(self.topology, str):
             return self.topology
         return np.asarray(self.topology).tolist()
+
+
+def _probability_loading_state(row: np.ndarray, params: QiftParams | None) -> StateVector:
+    return probability_loading(row**2 / np.sum(row**2))
+
+
+def _amplitude_state(row: np.ndarray, params: QiftParams | None) -> StateVector:
+    return amplitude_encoding(row)
+
+
+def _phase_state(row: np.ndarray, params: QiftParams | None) -> StateVector:
+    dim = _next_pow2(max(row.size, 2))
+    padded = np.concatenate([row, np.zeros(dim - row.size)])
+    return phase_encoding(np.full(dim, 1.0 / dim), padded)
+
+
+def _qift_state(row: np.ndarray, params: QiftParams | None) -> StateVector:
+    params = params if params is not None else QiftParams()
+    spec = HamiltonianSpec(row, params.coupling_for(row.size), mu=params.mu, tau=params.tau)
+    return evolve_vacuum(spec)
+
+
+# encoder id -> state of one feature row v, shared by the CLI and the experiments:
+#   probability_loading  v induces p_i = v_i^2 / |v|^2
+#   amplitude            v normalized directly, signs kept
+#   phase                uniform distribution over the next power of 2 >= len(v),
+#                        dressed with phases phi_i = v_i (zero-padded)
+#   qift                 v feeds the local fields of a Hamiltonian spec; the
+#                        state is the evolved vacuum (default QiftParams)
+# The entries call the encoders by their module-level names at call time, so
+# a rebinding of this module's attributes (as a call tracer does) is honoured.
+ENCODERS: dict[str, Callable[[np.ndarray, QiftParams | None], StateVector]] = {
+    "probability_loading": _probability_loading_state,
+    "amplitude": _amplitude_state,
+    "phase": _phase_state,
+    "qift": _qift_state,
+}
+ENCODER_IDS = tuple(ENCODERS)
 
 
 @dataclass(frozen=True)
@@ -309,33 +347,16 @@ def encode_dataset(
     encoder_id: str,
     qift_params: QiftParams | None = None,
 ) -> list[StateVector]:
-    """Encode every dataset row into a state with one named encoder.
+    """Encode every dataset row into a state with one named encoder of ``ENCODERS``.
 
-    probability_loading  row v induces p_i = v_i^2 / |v|^2
-    amplitude            row normalized directly, signs kept
-    phase                uniform distribution dressed with phases phi_i = v_i
-    qift                 row feeds the local fields of a Hamiltonian spec;
-                         the state is the evolved vacuum (needs qift_params)
+    ``qift_params`` applies to the ``qift`` encoder only.
     """
-    if encoder_id not in ENCODER_IDS:
+    if encoder_id not in ENCODERS:
         raise StatekitError(f"unknown encoder {encoder_id!r}; expected one of {ENCODER_IDS}")
     if encoder_id != "qift" and qift_params is not None:
         raise StatekitError(f"qift parameters are not valid for encoder {encoder_id!r}")
-    rows = ds.vectors
-    if encoder_id == "probability_loading":
-        return [probability_loading(row**2 / np.sum(row**2)) for row in rows]
-    if encoder_id == "amplitude":
-        return [amplitude_encoding(row) for row in rows]
-    if encoder_id == "phase":
-        uniform = np.full(rows.shape[1], 1.0 / rows.shape[1])
-        return [phase_encoding(uniform, row) for row in rows]
-    params = qift_params if qift_params is not None else QiftParams()
-    n = rows.shape[1]
-    coupling = params.coupling_for(n)
-    return [
-        evolve_vacuum(HamiltonianSpec(row, coupling, mu=params.mu, tau=params.tau))
-        for row in rows
-    ]
+    encode = ENCODERS[encoder_id]
+    return [encode(row, qift_params) for row in ds.vectors]
 
 
 def fidelity_gram(states: Sequence[StateVector], encoder_id: str = "custom") -> GramMatrix:
@@ -544,42 +565,71 @@ def run_experiment(
         "seed": config.seed,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    outdir = Path(config.output_dir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
-    written = []
     report = ExperimentReport(
         config=config.to_jsonable(),
         results=results,
         provenance=provenance,
         tables=tuple(tables),
     )
+    written = write_outputs(config.output_dir, tables, "report.json", report.to_jsonable())
+    return replace(report, written=written)
+
+
+# ---------------------------------------------------------------------------
+# CSV and JSON emission
+# ---------------------------------------------------------------------------
+
+def write_outputs(
+    outdir: Union[str, Path],
+    tables: Sequence[Table],
+    json_name: str,
+    payload: dict,
+) -> tuple[str, ...]:
+    """Write each table as ``<name>.csv`` and ``payload`` as ``json_name`` into ``outdir``.
+
+    Creates the directory as needed and returns the written paths in order;
+    a filesystem failure is raised as ``ConfigError``.
+    """
+    outdir = Path(outdir)
+    written = []
     try:
+        outdir.mkdir(parents=True, exist_ok=True)
         for table in tables:
             path = outdir / f"{table.name}.csv"
-            write_csv(table, path)
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(render_csv(table))
             written.append(str(path))
-        report_path = outdir / "report.json"
-        with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_jsonable(), fh, indent=2)
-            fh.write("\n")
-        written.append(str(report_path))
+        path = outdir / json_name
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps(payload, indent=2) + "\n")
+        written.append(str(path))
     except OSError as exc:
         raise ConfigError(f"cannot write into {outdir}: {exc}") from exc
-    return ExperimentReport(
-        config=report.config,
-        results=report.results,
-        provenance=report.provenance,
-        tables=report.tables,
-        written=tuple(written),
-    )
+    return tuple(written)
 
 
-# ---------------------------------------------------------------------------
-# CSV emission
-# ---------------------------------------------------------------------------
+def _jsonify(value):
+    """Plain-Python copy of ``value`` for JSON: numpy scalars and arrays are
+    converted, tuples become lists, and non-finite floats become None."""
+    if isinstance(value, dict):
+        return {key: _jsonify(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return _jsonify(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
+    return value
+
+
+def dumps(payload, indent: int | None = None) -> str:
+    """Strict JSON text of ``payload`` (NaN and infinities are written as null)."""
+    return json.dumps(_jsonify(payload), indent=indent, allow_nan=False)
+
 
 def format_cell(value) -> str:
     """Canonical cell text: 17 significant digits for floats (round-trip exact)."""
@@ -592,16 +642,8 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(table: Table, path: Union[str, Path]) -> None:
-    """RFC-4180-style CSV: header row, CRLF line endings, '.' decimals."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(table.header)
-        for row in table.rows:
-            writer.writerow([format_cell(v) for v in row])
-
-
 def render_csv(table: Table) -> str:
+    """RFC-4180-style CSV: header row, CRLF line endings, '.' decimals."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(table.header)

@@ -175,13 +175,11 @@ def build_h_topo_dense(coupling: np.ndarray, mu: float) -> HermitianOperator:
     return HermitianOperator(h)
 
 
-def _rotation_layer_matrix(half_angles: np.ndarray) -> np.ndarray:
-    """Kronecker product of per-qubit rotations exp(-i a_q sigma_y)."""
-    rot = np.ones((1, 1))
-    for a in half_angles:
-        c, s = math.cos(a), math.sin(a)
-        rot = np.kron(rot, np.array([[c, -s], [s, c]]))
-    return rot.astype(np.complex128)
+def effective_hamiltonian(spec: HamiltonianSpec) -> HermitianOperator:
+    """H_data + H_topo for one spec."""
+    return HermitianOperator(
+        build_h_data(spec.fields).matrix + build_h_topo(spec.coupling, spec.mu).matrix
+    )
 
 
 def sandwich_unitary(spec: HamiltonianSpec, steps: int = 1, method: str = "factorized") -> DenseOperator:
@@ -195,7 +193,8 @@ def sandwich_unitary(spec: HamiltonianSpec, steps: int = 1, method: str = "facto
         raise StatekitError("steps must be >= 1")
     tau_s = spec.tau / steps
     if method == "factorized":
-        rot = _rotation_layer_matrix((tau_s / 2.0) * spec.fields)
+        # the rotation layer applied to every basis column is its dense matrix
+        rot = _kernels.ry_layer(np.eye(spec.dim), (tau_s / 2.0) * spec.fields)
         dphase = np.exp(-1j * tau_s * spec.mu * _kernels.zz_diagonal(spec.coupling))
         step = rot @ (dphase[:, None] * rot)
     elif method == "dense":
@@ -212,10 +211,7 @@ def sandwich_unitary(spec: HamiltonianSpec, steps: int = 1, method: str = "facto
 
 def exact_unitary(spec: HamiltonianSpec) -> DenseOperator:
     """Reference evolution exp(-i tau (H_data + H_topo))."""
-    h = HermitianOperator(
-        build_h_data(spec.fields).matrix + build_h_topo(spec.coupling, spec.mu).matrix
-    )
-    return evolve(h, spec.tau)
+    return evolve(effective_hamiltonian(spec), spec.tau)
 
 
 def commutator_norm(spec: HamiltonianSpec) -> float:

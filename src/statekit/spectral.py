@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, StatekitError
-from .qift import HamiltonianSpec, build_h_data, build_h_topo
+from .qift import HamiltonianSpec, effective_hamiltonian
 from .statevec import (
     HermitianOperator,
     StateVector,
@@ -72,13 +72,6 @@ class ResonanceVerdict:
     resonant: bool
     tolerance: float
     spectrum_distance: float
-
-
-def effective_hamiltonian(spec: HamiltonianSpec) -> HermitianOperator:
-    """H_data + H_topo for one spec."""
-    return HermitianOperator(
-        build_h_data(spec.fields).matrix + build_h_topo(spec.coupling, spec.mu).matrix
-    )
 
 
 def _profile_of(h: HermitianOperator, degeneracy_tol: float) -> SpectralProfile:

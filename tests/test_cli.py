@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from statekit.cli import main
+from statekit.experiments import ENCODER_IDS, LabeledDataset, encode_dataset
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +69,21 @@ class TestEncode:
         assert summary["positive_orthant"] == "False"
         total = sum(float(r[3]) for r in rows[1:])
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("encoder", ENCODER_IDS)
+    @pytest.mark.parametrize("values", ["0.5,-1.25,2.0", "0.3,-0.7,1.1,0.25"])
+    def test_matches_encode_dataset(self, capsys, encoder, values):
+        code, out, _ = run_cli(
+            capsys, "encode", "--encoder", encoder, "--values", values, "--format", "json"
+        )
+        assert code == 0
+        rows = json.loads(out)["tables"]["state"]["rows"]
+        row = np.array([float(v) for v in values.split(",")])
+        ds = LabeledDataset(vectors=row[None, :], labels=[1], seed=0)
+        (state,) = encode_dataset(ds, encoder)
+        # JSON floats are shortest round-trip reprs, so the bytes must survive
+        cli_amps = np.array([complex(r[1], r[2]) for r in rows])
+        assert cli_amps.tobytes() == state.amplitudes.tobytes()
 
     def test_zero_vector_fails_cleanly(self, capsys):
         code, _, err = run_cli(capsys, "encode", "--encoder", "amplitude", "--values", "0,0")
@@ -144,6 +160,14 @@ class TestSpectrum:
         assert "stability_score" in summary
         assert sum(r[0] == "epsilon" for r in rows) == 1
 
+    def test_out_under_a_file_fails_cleanly(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(capsys, "spectrum", "--x", "1,0.2", "--out", str(blocker / "sub"))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""
+
     def test_zeeman_without_reference_fails(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--x", "1", "--zeeman", "0.1:0.2:3")
         assert code == 2
@@ -156,6 +180,18 @@ class TestResonance:
         assert code == 0
         summary, _ = parse_csv_tables(out)
         assert summary["resonant"] == "True"
+
+    def test_json_is_strict_for_mismatched_sizes(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "resonance", "--x-a", "1,0.2", "--x-b", "0.9,0.3,0.1", "--format", "json"
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["summary"]["spectrum_distance"] is None
 
     def test_tolerance_flag(self, capsys):
         code, out, _ = run_cli(
