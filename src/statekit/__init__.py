@@ -46,7 +46,6 @@ from .experiments import (
 from .interference import (
     InterferenceReport,
     PairSignReport,
-    PairTerm,
     SignLockReport,
     commutator,
     diagonal_trap_residual,

@@ -2,7 +2,7 @@
 
 Three inner loops dominate runtime at larger qubit counts: applying a
 per-qubit y-rotation layer to a state, tabulating the diagonal of the
-pairwise z-z coupling, and the O(N^2) interference pair sum. Each is
+pairwise z-z coupling, and the O(N^2) interference cross terms. Each is
 checked against a dense or plain-python oracle in tests/test_kernels.py.
 
 Index convention (package-wide): qubit 0 is the most significant bit of the
@@ -52,14 +52,16 @@ def zz_diagonal(coupling: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("ij,jk,ik->i", z, coupling, z)
 
 
-def pair_sum(t: np.ndarray) -> float:
-    """Real-valued cross-term sum over all pairs x != x' of t_x conj(t_x').
+def pair_terms(t: np.ndarray) -> np.ndarray:
+    """One-sided cross terms t_x conj(t_x') for all pairs x < x', in np.triu_indices order."""
+    t = np.ascontiguousarray(t, dtype=np.complex128)
+    return np.outer(t, t.conj())[np.triu_indices(t.size, 1)]
 
-    Terms are combined as conjugate pairs (x < x' plus its mirror), so the
+
+def pair_sum(terms: np.ndarray) -> float:
+    """Real-valued cross-term sum over all pairs x != x' from the ``pair_terms`` array.
+
+    Each term is combined with its mirror, the complex conjugate, so the
     imaginary parts cancel exactly and the result is real.
     """
-    t = np.ascontiguousarray(t, dtype=np.complex128)
-    m = np.outer(t, t.conj())
-    iu, ju = np.triu_indices(t.size, k=1)
-    upper = m[iu, ju]
-    return float((upper + upper.conj()).sum().real)
+    return float((terms + terms.conj()).sum().real)

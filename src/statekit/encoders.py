@@ -14,7 +14,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, StatekitError
-from .statevec import Distribution, StateVector, _freeze, _next_pow2
+from .statevec import Distribution, StateVector, _freeze, _pad_pow2, _require_finite
 from .tolerances import TOLS
 
 
@@ -29,12 +29,11 @@ class DataVector:
         v = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
         if v.size == 0:
             raise StatekitError("empty data vector")
+        _require_finite("data vector", v)
         if np.linalg.norm(v) == 0.0:
             raise StatekitError("data vector has zero norm")
         orig = self.original_length or v.size
-        target = _next_pow2(max(v.size, 2))
-        if v.size != target:
-            v = np.concatenate([v, np.zeros(target - v.size)])
+        v = _pad_pow2(v)
         object.__setattr__(self, "values", _freeze(v))
         object.__setattr__(self, "original_length", orig)
 
@@ -54,10 +53,9 @@ class PhaseProfile:
         p = np.ascontiguousarray(self.phases, dtype=np.float64).ravel()
         if p.size == 0:
             raise StatekitError("empty phase profile")
+        _require_finite("phase profile", p)
         orig = self.original_length or p.size
-        target = _next_pow2(max(p.size, 2))
-        if p.size != target:
-            p = np.concatenate([p, np.zeros(target - p.size)])
+        p = _pad_pow2(p)
         object.__setattr__(self, "phases", _freeze(p))
         object.__setattr__(self, "original_length", orig)
 

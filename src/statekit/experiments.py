@@ -36,7 +36,8 @@ from .statevec import (
     StateVector,
     _freeze,
     _is_pow2,
-    _next_pow2,
+    _pad_pow2,
+    _require_finite,
     as_rng,
     haar_random_unitary,
 )
@@ -63,6 +64,7 @@ class LabeledDataset:
         l = np.ascontiguousarray(self.labels, dtype=np.int64).ravel()
         if v.ndim != 2 or v.shape[0] != l.size:
             raise StatekitError("vectors and labels must have matching first dimension")
+        _require_finite("dataset vectors", v)
         if not np.all(np.isin(l, (-1, 1))):
             raise StatekitError("labels must be +1 or -1")
         object.__setattr__(self, "vectors", _freeze(v))
@@ -83,6 +85,7 @@ class GramMatrix:
         k = np.ascontiguousarray(self.entries, dtype=np.float64)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise StatekitError(f"Gram matrix must be square, got {k.shape}")
+        _require_finite("Gram matrix", k)
         if np.abs(k - k.T).max() > TOLS.gram_symmetry:
             raise StatekitError(f"Gram matrix is not symmetric within {TOLS.gram_symmetry}")
         if np.abs(np.diagonal(k) - 1.0).max() > TOLS.gram_diagonal:
@@ -127,9 +130,8 @@ def _amplitude_state(row: np.ndarray, params: QiftParams | None) -> StateVector:
 
 
 def _phase_state(row: np.ndarray, params: QiftParams | None) -> StateVector:
-    dim = _next_pow2(max(row.size, 2))
-    padded = np.concatenate([row, np.zeros(dim - row.size)])
-    return phase_encoding(np.full(dim, 1.0 / dim), padded)
+    padded = _pad_pow2(row)
+    return phase_encoding(np.full(padded.size, 1.0 / padded.size), padded)
 
 
 def _qift_state(row: np.ndarray, params: QiftParams | None) -> StateVector:
@@ -388,20 +390,13 @@ def nn_classify_loo(gram: Union[GramMatrix, np.ndarray], labels: Sequence[int]) 
         raise StatekitError("need at least 2 samples for leave-one-out classification")
     if np.unique(labels).size < 2:
         raise StatekitError("degenerate single-class input: both classes are required")
-    correct = 0
-    for i in range(m):
-        row = k[i]
-        best = -np.inf
-        for j in range(m):
-            if j != i and row[j] > best:
-                best = row[j]
-        tied = [j for j in range(m) if j != i and row[j] == best]
-        if len(tied) > 1 and len(tied) == m - 1:
-            pred = labels[0]
-        else:
-            pred = labels[tied[0]]
-        correct += int(pred == labels[i])
-    return correct / m
+    _require_finite("similarity matrix", k)
+    sim = np.array(k, dtype=np.float64)
+    np.fill_diagonal(sim, -np.inf)
+    nearest = sim.argmax(axis=1)  # the lowest index among tied maxima
+    ties = (sim == sim[np.arange(m), nearest][:, None]).sum(axis=1)
+    pred = np.where((ties > 1) & (ties == m - 1), labels[0], labels[nearest])
+    return int((pred == labels).sum()) / m
 
 
 def distinguishability(states: Sequence[StateVector], labels: Sequence[int]) -> float:

@@ -16,40 +16,26 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .encoders import DistributionLike, PhaseLike, _as_distribution, _as_phases, phase_encoding
+from .encoders import DistributionLike, PhaseLike, _as_distribution, _as_phases
 from .errors import DimensionMismatchError, NotDiagonalError, NotUnitaryError, StatekitError
-from .statevec import DenseOperator, is_unitary
+from .statevec import DenseOperator, _freeze, is_unitary
 from .tolerances import TOLS
-
-
-@dataclass(frozen=True)
-class PairTerm:
-    """One-sided cross term for basis pair (x, x_prime), x < x_prime.
-
-    ``value`` is sqrt(p_x p_x') e^{i(phi_x - phi_x')} U_yx conj(U_yx');
-    the mirrored pair contributes the complex conjugate, so the pair's
-    total contribution ``summed`` is real.
-    """
-
-    x: int
-    x_prime: int
-    value: complex
-
-    @property
-    def summed(self) -> float:
-        return 2.0 * self.value.real
 
 
 @dataclass(frozen=True, eq=False)
 class InterferenceReport:
-    """Split of one outcome's Born probability into its two mechanisms."""
+    """Split of one outcome's Born probability into its two mechanisms.
+
+    ``pairs`` holds the one-sided cross terms t_x conj(t_x') for x < x', in
+    ``np.triu_indices`` order, so ``interference_term`` is 2 Re sum(pairs).
+    """
 
     outcome: int
     classical_term: float
     interference_term: float
     total: float
     born_probability: float
-    pairs: tuple[PairTerm, ...]
+    pairs: np.ndarray
 
     def __post_init__(self):
         if abs(self.total - (self.classical_term + self.interference_term)) > TOLS.decomposition:
@@ -132,13 +118,9 @@ def interference_decomposition(
     prof = _as_phases(phi) if phi is not None else None
     c, t = _weights(u, dist, prof, outcome)
     classical = float(dist.probabilities @ (np.abs(u.matrix[outcome, :]) ** 2))
-    interference = _kernels.pair_sum(t)
+    pairs = _freeze(_kernels.pair_terms(t))
+    interference = _kernels.pair_sum(pairs)
     born = float(np.abs(u.matrix @ c)[outcome] ** 2)
-    pairs = tuple(
-        PairTerm(x, xp, complex(t[x] * np.conj(t[xp])))
-        for x in range(u.dim)
-        for xp in range(x + 1, u.dim)
-    )
     return InterferenceReport(
         outcome=outcome,
         classical_term=classical,
@@ -238,13 +220,10 @@ def pairwise_term_signs(u: DenseOperator, p: DistributionLike, outcome: int) -> 
     _check_unitary(u)
     dist = _as_distribution(p)
     _, t = _weights(u, dist, None, outcome)
-    terms = tuple(
-        (x, xp, float(2.0 * (t[x] * np.conj(t[xp])).real))
-        for x in range(u.dim)
-        for xp in range(x + 1, u.dim)
-    )
+    values = 2.0 * _kernels.pair_terms(t).real
+    xs, xps = np.triu_indices(u.dim, 1)
     return PairSignReport(
         outcome=outcome,
-        terms=terms,
-        any_negative=any(v < 0.0 for _, _, v in terms),
+        terms=tuple(zip(xs.tolist(), xps.tolist(), values.tolist())),
+        any_negative=bool((values < 0.0).any()),
     )

@@ -30,6 +30,7 @@ from .statevec import (
     HermitianOperator,
     StateVector,
     _freeze,
+    _require_finite,
     evolve,
     operator_distance,
     pauli_string,
@@ -60,12 +61,8 @@ class HamiltonianSpec:
         j = np.ascontiguousarray(self.coupling, dtype=np.float64)
         if x.size < 1:
             raise StatekitError("at least one field strength is required")
-        if j.shape != (x.size, x.size):
-            raise StatekitError(f"coupling shape {j.shape} does not match {x.size} fields")
-        if not np.array_equal(j, j.T):
-            raise StatekitError("coupling matrix must be exactly symmetric")
-        if np.any(np.diagonal(j) != 0):
-            raise StatekitError("coupling matrix must have zero diagonal")
+        _require_finite("fields, mu or tau", x, np.asarray([self.mu, self.tau], dtype=np.float64))
+        _check_coupling(j, x.size)
         if not self.tau > 0:
             raise StatekitError(f"tau must be > 0, got {self.tau}")
         object.__setattr__(self, "fields", _freeze(x))
@@ -110,13 +107,25 @@ class CurvatureScan:
         object.__setattr__(self, "errors", _freeze(errors))
 
 
+def _check_coupling(j: np.ndarray, n_fields: int | None = None) -> None:
+    """Raise unless ``j`` is a finite, exactly symmetric, zero-diagonal square
+    matrix, n_fields x n_fields when ``n_fields`` is given."""
+    if n_fields is not None and j.shape != (n_fields, n_fields):
+        raise StatekitError(f"coupling shape {j.shape} does not match {n_fields} fields")
+    if j.ndim != 2 or j.shape[0] != j.shape[1]:
+        raise StatekitError(f"coupling must be square, got shape {j.shape}")
+    _require_finite("coupling matrix", j)
+    if not np.array_equal(j, j.T):
+        raise StatekitError("coupling matrix must be exactly symmetric")
+    if np.any(np.diagonal(j) != 0):
+        raise StatekitError("coupling matrix must have zero diagonal")
+
+
 def ring_coupling(n: int) -> np.ndarray:
     """Nearest-neighbour ring: J_{j,j+1 mod n} = 1."""
-    j = np.zeros((n, n))
-    for a in range(n):
-        b = (a + 1) % n
-        if b != a:
-            j[a, b] = j[b, a] = 1.0
+    j = np.roll(np.eye(n), 1, axis=1)
+    j = np.maximum(j, j.T)
+    np.fill_diagonal(j, 0.0)  # n = 1: a site is not its own neighbour
     return j
 
 
@@ -153,12 +162,7 @@ def build_h_topo(coupling: np.ndarray, mu: float) -> HermitianOperator:
     Pauli-string oracle for cross-checks.
     """
     j = np.asarray(coupling, dtype=np.float64)
-    if j.ndim != 2 or j.shape[0] != j.shape[1]:
-        raise StatekitError(f"coupling must be square, got shape {j.shape}")
-    if not np.array_equal(j, j.T):
-        raise StatekitError("coupling matrix must be exactly symmetric")
-    if np.any(np.diagonal(j) != 0):
-        raise StatekitError("coupling matrix must have zero diagonal")
+    _check_coupling(j)
     diag = mu * _kernels.zz_diagonal(j)
     return HermitianOperator(np.diag(diag.astype(np.complex128)))
 

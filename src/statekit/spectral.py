@@ -20,7 +20,6 @@ from .statevec import (
     StateVector,
     _freeze,
     hermitian_spectral_decomposition,
-    pauli_string,
 )
 from .tolerances import TOLS
 
@@ -92,11 +91,10 @@ def spectral_profile(spec: HamiltonianSpec, degeneracy_tol: float = TOLS.degener
 
 
 def zeeman_operator(n_qubits: int) -> HermitianOperator:
-    """Uniform longitudinal field sum_j Z_j (diagonal)."""
-    h = np.zeros((1 << n_qubits, 1 << n_qubits), dtype=np.complex128)
-    for q in range(n_qubits):
-        h += pauli_string(n_qubits, {q: "Z"}).matrix
-    return HermitianOperator(h)
+    """Uniform longitudinal field sum_j Z_j, built as its diagonal n - 2 popcount(i)."""
+    idx = np.arange(1 << n_qubits)
+    popcount = ((idx[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
+    return HermitianOperator(np.diag((n_qubits - 2 * popcount).astype(np.complex128)))
 
 
 def zeeman_sweep(

@@ -37,16 +37,21 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p <<= 1
-    return p
+def _pad_pow2(v: np.ndarray) -> np.ndarray:
+    """Zero-pad a 1-D array to the next power of two, at least 2."""
+    target = 1 << max(v.size - 1, 1).bit_length()
+    return v if v.size == target else np.concatenate([v, np.zeros(target - v.size)])
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _require_finite(what: str, *arrays, error: type[StatekitError] = StatekitError) -> None:
+    """Raise ``error`` when any of ``arrays`` holds a NaN or an infinity."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise error(f"non-finite value in {what}")
 
 
 def as_rng(seed_or_rng: Union[int, np.random.Generator]) -> np.random.Generator:
@@ -77,6 +82,7 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128).ravel()
+        _require_finite("state", amps)
         if not _is_pow2(amps.size) or amps.size < 2:
             raise StatekitError(f"state length {amps.size} is not 2^n with n >= 1")
         norm = np.linalg.norm(amps)
@@ -103,6 +109,7 @@ class DenseOperator:
         m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StatekitError(f"operator must be square, got shape {m.shape}")
+        _require_finite("operator", m)
         if not _is_pow2(m.shape[0]):
             raise StatekitError(f"operator dimension {m.shape[0]} is not a power of 2")
         object.__setattr__(self, "matrix", _freeze(m))
@@ -133,6 +140,7 @@ class SpectralDecomposition:
     def __post_init__(self):
         vals = np.ascontiguousarray(self.eigenvalues, dtype=np.float64).ravel()
         vecs = np.ascontiguousarray(self.eigenvectors, dtype=np.complex128)
+        _require_finite("eigenpairs", vals, vecs, error=EigensolverError)
         if np.any(np.diff(vals) < 0):
             raise EigensolverError("eigenvalues are not sorted ascending")
         gram = vecs.conj().T @ vecs
@@ -158,12 +166,11 @@ class Distribution:
         p = np.ascontiguousarray(self.probabilities, dtype=np.float64).ravel()
         if p.size == 0:
             raise InvalidDistributionError("empty probability vector")
+        _require_finite("distribution", p, error=InvalidDistributionError)
         if np.any(p < 0):
             raise InvalidDistributionError(f"negative entry {p.min()!r} in distribution")
         orig = self.original_length or p.size
-        target = _next_pow2(max(p.size, 2))
-        if p.size != target:
-            p = np.concatenate([p, np.zeros(target - p.size)])
+        p = _pad_pow2(p)
         total = p.sum()
         if abs(total - 1.0) > TOLS.distribution_sum:
             raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")

@@ -132,6 +132,25 @@ class TestFidelityGram:
             sk.fidelity_gram([sk.basis_state(1), sk.basis_state(2)])
 
 
+def loo_oracle(k, labels):
+    """The plain-python leave-one-out double loop, under the documented tie rule."""
+    m = len(labels)
+    correct = 0
+    for i in range(m):
+        row = k[i]
+        best = -np.inf
+        for j in range(m):
+            if j != i and row[j] > best:
+                best = row[j]
+        tied = [j for j in range(m) if j != i and row[j] == best]
+        if len(tied) > 1 and len(tied) == m - 1:
+            pred = labels[0]
+        else:
+            pred = labels[tied[0]]
+        correct += int(pred == labels[i])
+    return correct / m
+
+
 class TestNNClassifyLOO:
     def test_identity_gram_predicts_first_label(self):
         labels = [1, -1, -1, 1]
@@ -179,6 +198,27 @@ class TestNNClassifyLOO:
         # neighbour of 0 -> 1 (label +1, correct); of 1 -> 0 (+1, correct);
         # of 2 -> 0 (+1, wrong); of 3 -> 1 and 2 tie -> 1 (+1, wrong)
         assert sk.nn_classify_loo(k, labels) == 0.5
+
+    def test_matches_python_loop_on_tie_heavy_grams(self, rng):
+        cases = 0
+        for m in range(2, 13):
+            for trial in range(18 if m > 2 else 20):
+                k = rng.integers(0, 3, (m, m)).astype(np.float64)
+                k = np.maximum(k, k.T)
+                if trial % 6 == 0:
+                    k[int(rng.integers(m))] = 1.0  # one all-ones row
+                labels = rng.choice([-1, 1], m)
+                labels[:2] = (-1, 1)
+                assert sk.nn_classify_loo(k, labels) == loo_oracle(k, labels), (m, trial)
+                cases += 1
+        assert cases == 200
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gram_rejected(self, bad):
+        k = np.eye(3)
+        k[0, 1] = k[1, 0] = bad
+        with pytest.raises(StatekitError, match="non-finite"):
+            sk.nn_classify_loo(k, [1, -1, 1])
 
     def test_single_class_flagged(self):
         with pytest.raises(StatekitError):

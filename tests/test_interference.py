@@ -61,11 +61,13 @@ class TestDecomposition:
         u = haar(4, rng)
         p = rng.dirichlet(np.ones(4))
         rep = sk.interference_decomposition(u, p, None, 1)
-        assert len(rep.pairs) == 6
-        total_from_pairs = sum(t.summed for t in rep.pairs)
+        assert rep.pairs.shape == (6,)
+        assert not rep.pairs.flags.writeable
+        t = np.sqrt(p) * u.matrix[1, :]
+        for value, x, xp in zip(rep.pairs, *np.triu_indices(4, 1)):
+            assert value == pytest.approx(t[x] * np.conj(t[xp]), abs=1e-15)
+        total_from_pairs = 2.0 * rep.pairs.sum().real
         assert total_from_pairs == pytest.approx(rep.interference_term, abs=1e-12)
-        for term in rep.pairs:
-            assert term.x < term.x_prime
 
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):

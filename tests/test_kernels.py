@@ -63,10 +63,20 @@ class TestPairSum:
     @pytest.mark.parametrize("dim", [2, 4, 8, 32])
     def test_numpy_matches_ordered_oracle(self, dim, rng):
         t = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        assert _kernels.pair_sum(t) == pytest.approx(self.pair_sum_oracle(t), abs=1e-11)
+        got = _kernels.pair_sum(_kernels.pair_terms(t))
+        assert got == pytest.approx(self.pair_sum_oracle(t), abs=1e-11)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    def test_pair_terms_match_python_loop(self, dim, rng):
+        t = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        expected = [t[x] * np.conj(t[xp]) for x in range(dim) for xp in range(x + 1, dim)]
+        # vectorized complex products may differ from scalar ones in the last bit
+        assert _kernels.pair_terms(t) == pytest.approx(expected, rel=8 * np.finfo(np.float64).eps)
 
     def test_single_element_no_pairs(self):
-        assert _kernels.pair_sum(np.array([1.0 + 2.0j])) == 0.0
+        terms = _kernels.pair_terms(np.array([1.0 + 2.0j]))
+        assert terms.shape == (0,)
+        assert _kernels.pair_sum(terms) == 0.0
 
 
 def test_dispatchers_accept_loose_dtypes():

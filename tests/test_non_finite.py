@@ -1,0 +1,100 @@
+"""Every domain type rejects NaN and infinite input with its own error class."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import statekit as sk
+from statekit.errors import EigensolverError, InvalidDistributionError, StatekitError
+
+NAN, INF = float("nan"), float("inf")
+
+
+def spec_with_fields(x):
+    return sk.HamiltonianSpec(x, sk.ring_coupling(x.size))
+
+
+def spec_with_coupling(j):
+    return sk.HamiltonianSpec(np.ones(len(j)), j)
+
+
+def spec_with_mu(mu):
+    return sk.HamiltonianSpec([0.5, 0.5], sk.ring_coupling(2), mu=mu[0])
+
+
+def dataset(v):
+    return sk.LabeledDataset(v, np.ones(len(v)), seed=0)
+
+
+# type -> (valid input for dimension d, constructor, error class)
+CASES = {
+    "StateVector": (lambda d: np.full(d, d**-0.5, dtype=complex), sk.StateVector, StatekitError),
+    "DenseOperator": (lambda d: np.eye(d, dtype=complex), sk.DenseOperator, StatekitError),
+    "HermitianOperator": (lambda d: np.eye(d, dtype=complex), sk.HermitianOperator, StatekitError),
+    "SpectralDecomposition.eigenvalues": (
+        lambda d: np.arange(d, dtype=float),
+        lambda vals: sk.SpectralDecomposition(vals, np.eye(vals.size)),
+        EigensolverError,
+    ),
+    "SpectralDecomposition.eigenvectors": (
+        lambda d: np.eye(d, dtype=complex),
+        lambda vecs: sk.SpectralDecomposition(np.arange(len(vecs)), vecs),
+        EigensolverError,
+    ),
+    "Distribution": (lambda d: np.full(d, 1.0 / d), sk.Distribution, InvalidDistributionError),
+    "DataVector": (lambda d: np.ones(d), sk.DataVector, StatekitError),
+    "PhaseProfile": (lambda d: np.zeros(d), sk.PhaseProfile, StatekitError),
+    "HamiltonianSpec.fields": (lambda d: np.ones(d.bit_length() - 1), spec_with_fields, StatekitError),
+    "HamiltonianSpec.coupling": (lambda d: sk.ring_coupling(d.bit_length() - 1), spec_with_coupling, StatekitError),
+    "HamiltonianSpec.mu": (lambda d: np.ones(1), spec_with_mu, StatekitError),
+    "LabeledDataset": (lambda d: np.ones((d, 3)), dataset, StatekitError),
+    "GramMatrix": (lambda d: np.eye(d), sk.GramMatrix, StatekitError),
+}
+
+# one input per type that passed every check before the non-finite guards
+PASSED_BEFORE = {
+    "StateVector": np.array([NAN, 1.0, 0.0, 0.0]),
+    "DenseOperator": np.array([[NAN, 0.0], [0.0, 1.0]]),
+    "HermitianOperator": np.diag([NAN, 1.0]),
+    "SpectralDecomposition.eigenvalues": np.array([NAN, 1.0]),
+    "SpectralDecomposition.eigenvectors": np.array([[1.0, 0.0], [0.0, NAN]]),
+    "Distribution": np.array([NAN, 0.5, 0.5, 0.0]),
+    "DataVector": np.array([INF, 1.0]),
+    "PhaseProfile": np.array([NAN, 0.0]),
+    "HamiltonianSpec.fields": np.array([NAN, 0.5]),
+    "HamiltonianSpec.coupling": np.array([[0.0, INF], [INF, 0.0]]),
+    "HamiltonianSpec.mu": np.array([NAN]),
+    "LabeledDataset": np.array([[NAN, 1.0], [1.0, 1.0]]),
+    "GramMatrix": np.array([[1.0, NAN], [NAN, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_valid_bases_accepted(name):
+    make, build, _ = CASES[name]
+    for d in (2, 4, 8):
+        build(make(d))
+
+
+@pytest.mark.parametrize("name", sorted(PASSED_BEFORE))
+def test_rejects_non_finite(name):
+    _, build, error = CASES[name]
+    with pytest.raises(error, match="non-finite"):
+        build(PASSED_BEFORE[name])
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_non_finite_entry_rejected(name, data):
+    make, build, error = CASES[name]
+    base = make(data.draw(st.sampled_from([2, 4, 8]), label="dim"))
+    flat = base.ravel().copy()
+    i = data.draw(st.integers(0, flat.size - 1), label="index")
+    bad = data.draw(st.sampled_from([NAN, INF, -INF]), label="value")
+    if np.iscomplexobj(flat) and data.draw(st.booleans(), label="imaginary"):
+        flat[i] = complex(flat[i].real, bad)
+    else:
+        flat[i] = bad
+    with pytest.raises(error):
+        build(flat.reshape(base.shape))

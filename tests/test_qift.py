@@ -93,6 +93,26 @@ class TestBuildHTopo:
         with pytest.raises(StatekitError):
             sk.build_h_topo(np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)
 
+    @pytest.mark.parametrize(
+        "j, message",
+        [
+            ([[0.0, 1.0], [0.5, 0.0]], "exactly symmetric"),
+            ([[1.0, 0.0], [0.0, 0.0]], "zero diagonal"),
+            ([[0.0, np.inf], [np.inf, 0.0]], "non-finite"),
+        ],
+    )
+    def test_spec_and_build_h_topo_share_coupling_checks(self, j, message):
+        with pytest.raises(StatekitError, match=message):
+            sk.build_h_topo(np.array(j), 1.0)
+        with pytest.raises(StatekitError, match=message):
+            sk.HamiltonianSpec([1.0, 1.0], np.array(j))
+
+    def test_coupling_shape_messages(self):
+        with pytest.raises(StatekitError, match="must be square"):
+            sk.build_h_topo(np.zeros((2, 3)), 1.0)
+        with pytest.raises(StatekitError, match="does not match 2 fields"):
+            sk.HamiltonianSpec([1.0, 2.0], np.zeros((3, 3)))
+
 
 class TestSandwichUnitary:
     def test_zero_coupling_merges_half_steps(self, rng):

@@ -3,6 +3,7 @@ import pytest
 
 import statekit as sk
 from statekit.errors import StatekitError
+from statekit.spectral import zeeman_operator
 
 from conftest import pauli_matrix_oracle, qubit_permutation_matrix
 
@@ -47,6 +48,11 @@ class TestSpectralProfile:
 
 
 class TestZeemanSweep:
+    def test_operator_equals_pauli_string_sum(self):
+        for n in range(1, 9):
+            expected = sum(sk.pauli_string(n, {q: "Z"}).matrix for q in range(n))
+            assert np.array_equal(zeeman_operator(n).matrix, expected)
+
     def test_single_point_grid(self, rng):
         trace = sk.zeeman_sweep(ring_spec(rng.uniform(-1, 1, 2)), [0.0])
         assert trace.stability_score == 0.0
