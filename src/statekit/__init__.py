@@ -75,7 +75,6 @@ from .spectral import (
     overlap_similarity,
     resonance_similarity,
     spectral_profile,
-    spectrum_distance,
     zeeman_sweep,
 )
 from .statevec import (

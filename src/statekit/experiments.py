@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -29,7 +30,7 @@ from .encoders import amplitude_encoding, phase_encoding, probability_loading
 from .errors import ConfigError, DimensionMismatchError, StatekitError
 from .interference import diagonal_trap_residual, interference_decomposition
 from .qift import HamiltonianSpec, coupling_preset, evolve_vacuum, information_curvature
-from .spectral import resonance_similarity, spectral_profile
+from .spectral import _verdict, spectral_profile
 from .statevec import (
     DenseOperator,
     Distribution,
@@ -45,6 +46,11 @@ from .tolerances import TOLS
 
 EXPERIMENT_IDS = ("parity", "curvature-scan", "resonance", "interference-audit")
 TOPOLOGY_PRESETS = ("ring", "complete")
+
+# Admission limits of ExperimentConfig.validate; README's config section gives the budget.
+MAX_QUBITS = 12  # dense 2^n x 2^n complex128 operators; also the qift encoder's register
+MAX_PARITY_COMPONENTS = 32  # the largest power of 2 whose 2^n enumeration index fits int64
+MAX_PARITY_SAMPLES = 4096  # the Gram matrix and the leave-one-out pass grow as samples^2
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +233,22 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        n = self.n_features
         if self.experiment == "parity":
             if not self.encoders:
                 raise ConfigError("parity experiment requires a non-empty encoders list")
-            if not _is_pow2(self.n_features) or self.n_features < 2:
+            if not _is_pow2(n) or n < 2:
                 raise ConfigError("parity experiment requires n_features to be a power of 2 (>= 2)")
-        else:
+            if n > MAX_PARITY_COMPONENTS:
+                raise ConfigError(f"parity supports at most {MAX_PARITY_COMPONENTS} components, got {n}")
+            samples = 1 << n if self.count == "all" else int(self.count)
+            if samples > MAX_PARITY_SAMPLES:
+                raise ConfigError(f"parity supports at most {MAX_PARITY_SAMPLES} samples, got {samples}")
+            if "qift" in self.encoders and n > MAX_QUBITS:
+                raise ConfigError(f"the qift encoder supports at most {MAX_QUBITS} qubits, got {n}")
+        elif n > MAX_QUBITS:
             # n_features counts qubits here; the toolkit is dense-only
-            if self.n_features > 14:
-                raise ConfigError(f"{self.experiment} supports at most 14 qubits, got {self.n_features}")
+            raise ConfigError(f"{self.experiment} supports at most {MAX_QUBITS} qubits, got {n}")
         if self.experiment == "resonance":
             if self.count == "all" or int(self.count) < 2:
                 raise ConfigError("resonance experiment requires an integer count >= 2")
@@ -327,8 +340,8 @@ def gen_parity_dataset(
     significant first) is 0. ``count="all"`` enumerates all 2^N vectors in
     index order; an integer count samples that many without replacement.
     """
-    if not _is_pow2(n_components) or n_components < 2:
-        raise StatekitError("n_components must be a power of 2 (>= 2)")
+    if not _is_pow2(n_components) or not 2 <= n_components <= MAX_PARITY_COMPONENTS:
+        raise StatekitError(f"n_components must be a power of 2 in [2, {MAX_PARITY_COMPONENTS}]")
     total = 1 << n_components
     if count == "all":
         indices = np.arange(total)
@@ -475,20 +488,17 @@ def _run_resonance(config: ExperimentConfig, tolerance: float) -> tuple[dict, li
         HamiltonianSpec(rng.uniform(-math.pi, math.pi, n), coupling, mu=params.mu, tau=params.tau)
         for _ in range(int(config.count))
     ]
-    gaps = [spectral_profile(s).mass_gap for s in specs]
+    profiles = [spectral_profile(s) for s in specs]  # one eigendecomposition per spec
     rows = []
-    n_resonant = 0
-    for a in range(len(specs)):
-        for b in range(a + 1, len(specs)):
-            verdict = resonance_similarity(specs[a], specs[b], tolerance)
-            n_resonant += int(verdict.resonant)
-            rows.append((a, b, verdict.gap_a, verdict.gap_b, verdict.delta, verdict.resonant))
+    for a, b in itertools.combinations(range(len(specs)), 2):
+        verdict = _verdict(profiles[a], profiles[b], tolerance)
+        rows.append((a, b, verdict.gap_a, verdict.gap_b, verdict.delta, verdict.resonant))
     results = {
         "tolerance": tolerance,
         "n_specs": len(specs),
         "n_pairs": len(rows),
-        "n_resonant": n_resonant,
-        "gaps": gaps,
+        "n_resonant": sum(row[5] for row in rows),
+        "gaps": [p.mass_gap for p in profiles],
     }
     table = Table(
         name="resonance_pairs",

@@ -32,6 +32,7 @@ from .statevec import (
     _freeze,
     _require_finite,
     evolve,
+    hermitian_spectral_decomposition,
     operator_distance,
     pauli_string,
 )
@@ -148,10 +149,12 @@ def build_h_data(fields: Sequence[float] | np.ndarray) -> HermitianOperator:
     if x.size < 1:
         raise StatekitError("at least one field strength is required")
     n = x.size
+    idx = np.arange(1 << n)
     h = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    for q in range(n):
-        if x[q] != 0.0:
-            h += x[q] * pauli_string(n, {q: "Y"}).matrix
+    for q in np.flatnonzero(x):  # a zero field, -0.0 too, leaves +0.0 entries
+        # sigma_y on qubit q flips bit n-1-q of the index: +i from a 0 bit, -i from a 1
+        bit = (idx >> (n - 1 - q)) & 1
+        h.imag[idx ^ (1 << (n - 1 - q)), idx] = x[q] * (1 - 2 * bit)
     return HermitianOperator(h)
 
 
@@ -247,13 +250,12 @@ def information_curvature(
         raise StatekitError("tau grid must span at least 1.5 decades")
 
     comm = commutator_norm(spec_base)
-    errors = []
-    for t in grid:
-        scan_spec = replace(spec_base, tau=float(t))
-        errors.append(
-            operator_distance(sandwich_unitary(scan_spec), exact_unitary(scan_spec), "spectral")
-        )
-    errors = np.array(errors)
+    # H does not depend on tau: one decomposition gives every exact U(tau)
+    dec = hermitian_spectral_decomposition(effective_hamiltonian(spec_base))
+    errors = np.array([
+        operator_distance(sandwich_unitary(replace(spec_base, tau=t)), dec.evolution(t), "spectral")
+        for t in grid.tolist()
+    ])
     commuting = bool(errors.max() < TOLS.curvature_floor)
     slope = resid = None
     mask = errors > TOLS.curvature_floor

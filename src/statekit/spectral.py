@@ -26,11 +26,11 @@ from .tolerances import TOLS
 
 @dataclass(frozen=True, eq=False)
 class SpectralProfile:
-    """Full ascending spectrum plus the (degeneracy-aware) mass gap."""
+    """Full ascending spectrum plus the mass gap, reported as 0 (and flagged
+    degenerate) below ``TOLS.degeneracy``."""
 
     eigenvalues: np.ndarray
     mass_gap: float
-    degeneracy_tol: float
     degenerate: bool
 
     def __post_init__(self):
@@ -61,8 +61,9 @@ class ZeemanTrace:
 class ResonanceVerdict:
     """Gap-coincidence comparison of two specs.
 
-    ``spectrum_distance`` (max eigenvalue deviation over the whole spectrum)
-    is auxiliary data only; the verdict is decided by the lowest gaps.
+    ``spectrum_distance`` (max eigenvalue deviation over the whole spectrum,
+    NaN for specs of different sizes) is auxiliary data only; the verdict is
+    decided by the lowest gaps.
     """
 
     gap_a: float
@@ -73,21 +74,20 @@ class ResonanceVerdict:
     spectrum_distance: float
 
 
-def _profile_of(h: HermitianOperator, degeneracy_tol: float) -> SpectralProfile:
+def _profile_of(h: HermitianOperator) -> SpectralProfile:
     vals = hermitian_spectral_decomposition(h).eigenvalues
     raw_gap = float(vals[1] - vals[0])
-    degenerate = raw_gap < degeneracy_tol
+    degenerate = raw_gap < TOLS.degeneracy
     return SpectralProfile(
         eigenvalues=vals,
         mass_gap=0.0 if degenerate else raw_gap,
-        degeneracy_tol=degeneracy_tol,
         degenerate=degenerate,
     )
 
 
-def spectral_profile(spec: HamiltonianSpec, degeneracy_tol: float = TOLS.degeneracy) -> SpectralProfile:
+def spectral_profile(spec: HamiltonianSpec) -> SpectralProfile:
     """Spectrum and mass gap of the effective Hamiltonian."""
-    return _profile_of(effective_hamiltonian(spec), degeneracy_tol)
+    return _profile_of(effective_hamiltonian(spec))
 
 
 def zeeman_operator(n_qubits: int) -> HermitianOperator:
@@ -97,11 +97,7 @@ def zeeman_operator(n_qubits: int) -> HermitianOperator:
     return HermitianOperator(np.diag((n_qubits - 2 * popcount).astype(np.complex128)))
 
 
-def zeeman_sweep(
-    spec: HamiltonianSpec,
-    epsilons: Sequence[float] | np.ndarray,
-    degeneracy_tol: float = TOLS.degeneracy,
-) -> ZeemanTrace:
+def zeeman_sweep(spec: HamiltonianSpec, epsilons: Sequence[float] | np.ndarray) -> ZeemanTrace:
     """Mass gap of H_eff + epsilon * sum_j Z_j across a perturbation grid.
 
     The grid must contain 0 (the unperturbed reference); the stability
@@ -114,20 +110,26 @@ def zeeman_sweep(
         raise StatekitError("epsilon grid must contain 0 as the reference point")
     h0 = effective_hamiltonian(spec).matrix
     zee = zeeman_operator(spec.n_qubits).matrix
-    gaps = np.array(
-        [_profile_of(HermitianOperator(h0 + e * zee), degeneracy_tol).mass_gap for e in eps]
-    )
+    gaps = np.array([_profile_of(HermitianOperator(h0 + e * zee)).mass_gap for e in eps])
     ref = gaps[np.flatnonzero(eps == 0.0)[0]]
     return ZeemanTrace(epsilons=eps, gaps=gaps, stability_score=float(np.abs(gaps - ref).max()))
 
 
-def spectrum_distance(spec_a: HamiltonianSpec, spec_b: HamiltonianSpec) -> float:
-    """Max absolute eigenvalue deviation between two full spectra."""
-    va = spectral_profile(spec_a).eigenvalues
-    vb = spectral_profile(spec_b).eigenvalues
-    if va.size != vb.size:
-        raise DimensionMismatchError("specs act on different dimensions")
-    return float(np.abs(va - vb).max())
+def _verdict(a: SpectralProfile, b: SpectralProfile, tolerance: float) -> ResonanceVerdict:
+    """Resonance verdict of two computed profiles; no eigendecomposition."""
+    if tolerance <= 0:
+        raise StatekitError("tolerance must be positive")
+    delta = abs(a.mass_gap - b.mass_gap)
+    same_size = a.eigenvalues.size == b.eigenvalues.size
+    dist = float(np.abs(a.eigenvalues - b.eigenvalues).max()) if same_size else float("nan")
+    return ResonanceVerdict(
+        gap_a=a.mass_gap,
+        gap_b=b.mass_gap,
+        delta=delta,
+        resonant=delta <= tolerance,
+        tolerance=tolerance,
+        spectrum_distance=dist,
+    )
 
 
 def resonance_similarity(
@@ -136,24 +138,7 @@ def resonance_similarity(
     tolerance: float = TOLS.resonance,
 ) -> ResonanceVerdict:
     """Declare two specs resonant when their mass gaps coincide within tolerance."""
-    if tolerance <= 0:
-        raise StatekitError("tolerance must be positive")
-    gap_a = spectral_profile(spec_a).mass_gap
-    gap_b = spectral_profile(spec_b).mass_gap
-    delta = abs(gap_a - gap_b)
-    dist = (
-        spectrum_distance(spec_a, spec_b)
-        if spec_a.n_qubits == spec_b.n_qubits
-        else float("nan")
-    )
-    return ResonanceVerdict(
-        gap_a=gap_a,
-        gap_b=gap_b,
-        delta=delta,
-        resonant=delta <= tolerance,
-        tolerance=tolerance,
-        spectrum_distance=dist,
-    )
+    return _verdict(spectral_profile(spec_a), spectral_profile(spec_b), tolerance)
 
 
 def overlap_similarity(psi_a: StateVector, psi_b: StateVector) -> float:

@@ -150,6 +150,11 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvalues", _freeze(vals))
         object.__setattr__(self, "eigenvectors", _freeze(vecs))
 
+    def evolution(self, t: float) -> DenseOperator:
+        """exp(-i t H) = V exp(-i t Lambda) V^dag for the H decomposed here."""
+        phases = np.exp(-1j * t * self.eigenvalues)
+        return DenseOperator((self.eigenvectors * phases) @ self.eigenvectors.conj().T)
+
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
@@ -263,9 +268,7 @@ def hermitian_spectral_decomposition(h: HermitianOperator) -> SpectralDecomposit
 
 def evolve(h: HermitianOperator, t: float) -> DenseOperator:
     """Unitary exp(-i t H) via the spectral decomposition (exact at desk scale)."""
-    dec = hermitian_spectral_decomposition(h)
-    phases = np.exp(-1j * t * dec.eigenvalues)
-    return DenseOperator((dec.eigenvectors * phases) @ dec.eigenvectors.conj().T)
+    return hermitian_spectral_decomposition(h).evolution(t)
 
 
 def operator_distance(a: DenseOperator, b: DenseOperator, norm: str = "spectral") -> float:

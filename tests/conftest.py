@@ -3,6 +3,8 @@
 These deliberately avoid the package's own construction routes (np.kron
 chains, kernel dispatch) so that agreement is evidence, not tautology.
 """
+import sys
+
 import numpy as np
 import pytest
 
@@ -93,3 +95,24 @@ def qubit_permutation_matrix(perm):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """List of the operators passed to hermitian_spectral_decomposition, through
+    any statekit module's binding of it, while the test runs."""
+    import statekit.statevec
+
+    original = statekit.statevec.hermitian_spectral_decomposition
+    calls = []
+
+    def counting(h):
+        calls.append(h)
+        return original(h)
+
+    for name, module in list(sys.modules.items()):
+        if name == "statekit" or name.startswith("statekit."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls

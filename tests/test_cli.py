@@ -219,6 +219,12 @@ class TestParityExp:
         assert (out_dir / "report.json").exists()
         assert str(out_dir / "report.json") in out
 
+    def test_oversized_components_fail_cleanly(self, capsys):
+        code, out, err = run_cli(capsys, "parity-exp", "--n-components", "64", "--count", "4")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "32 components" in err
+
 
 class TestRun:
     def write_config(self, tmp_path, **overrides):

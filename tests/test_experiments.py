@@ -57,6 +57,11 @@ class TestGenParityDataset:
         with pytest.raises(StatekitError):
             sk.gen_parity_dataset(3, "all", 0)
 
+    def test_components_capped_at_32(self):
+        assert sk.gen_parity_dataset(32, 4, 0).vectors.shape == (4, 32)
+        with pytest.raises(StatekitError, match="power of 2"):
+            sk.gen_parity_dataset(64, 4, 0)
+
 
 class TestEncodeDataset:
     def test_probability_loading_erases_signs(self):
@@ -310,10 +315,33 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="count"):
             sk.ExperimentConfig.from_dict(raw)
 
-    def test_qubit_experiments_capped_at_14(self, tmp_path):
-        raw = parity_config(tmp_path, experiment="curvature-scan", n_features=15, count=1)
-        with pytest.raises(ConfigError, match="14 qubits"):
-            sk.ExperimentConfig.from_dict(raw)
+    @pytest.mark.parametrize("experiment", ["curvature-scan", "resonance", "interference-audit"])
+    def test_qubit_experiments_capped_at_12(self, tmp_path, experiment):
+        raw = parity_config(tmp_path, experiment=experiment, n_features=12, count=2)
+        assert sk.ExperimentConfig.from_dict(raw).n_features == 12
+        for n in (13, 15):
+            with pytest.raises(ConfigError, match="12 qubits"):
+                sk.ExperimentConfig.from_dict(dict(raw, n_features=n))
+
+    def test_parity_components_capped_at_32(self, tmp_path):
+        assert sk.ExperimentConfig.from_dict(parity_config(tmp_path, n_features=32, count=4))
+        with pytest.raises(ConfigError, match="32 components"):
+            sk.ExperimentConfig.from_dict(parity_config(tmp_path, n_features=64, count=4))
+
+    def test_parity_samples_capped(self, tmp_path):
+        limit = sk.experiments.MAX_PARITY_SAMPLES
+        assert limit == 4096
+        for n, count in ((16, limit), (8, "all"), (4, "all")):
+            assert sk.ExperimentConfig.from_dict(parity_config(tmp_path, n_features=n, count=count))
+        for n, count in ((16, limit + 1), (16, "all"), (32, "all")):
+            with pytest.raises(ConfigError, match="4096 samples"):
+                sk.ExperimentConfig.from_dict(parity_config(tmp_path, n_features=n, count=count))
+
+    def test_qift_encoder_capped_at_12_qubits(self, tmp_path):
+        raw = parity_config(tmp_path, n_features=16, count=4, encoders=["amplitude"])
+        assert sk.ExperimentConfig.from_dict(raw)
+        with pytest.raises(ConfigError, match="12 qubits"):
+            sk.ExperimentConfig.from_dict(dict(raw, encoders=["amplitude", "qift"]))
 
 
 class TestRunExperiment:
@@ -389,6 +417,32 @@ class TestRunExperiment:
         assert report.results["n_pairs"] == 6
         assert len(report.results["gaps"]) == 4
         assert report.results["tolerance"] == sk.TOLS.resonance
+
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    def test_resonance_one_eigendecomposition_per_spec(self, tmp_path, eigh_calls, count):
+        raw = {"experiment": "resonance", "n_features": 3, "count": count, "seed": 4,
+               "output_dir": str(tmp_path / "res")}
+        compute_experiment(sk.ExperimentConfig.from_dict(raw))
+        assert len(eigh_calls) == count
+
+    def test_resonance_rows_match_pairwise_verdicts(self, tmp_path):
+        qift = {"mu": 0.8, "tau": 0.1, "topology": "complete"}
+        raw = {"experiment": "resonance", "n_features": 3, "count": 6, "seed": 9, "qift": qift,
+               "output_dir": str(tmp_path / "res")}
+        results, (table,) = compute_experiment(sk.ExperimentConfig.from_dict(raw), 0.5)
+        # the runner draws each spec's fields uniformly from [-pi, pi], in order
+        draws = np.random.default_rng(9)
+        specs = [
+            sk.HamiltonianSpec(draws.uniform(-np.pi, np.pi, 3), sk.complete_coupling(3), mu=0.8)
+            for _ in range(6)
+        ]
+        assert results["gaps"] == [sk.spectral_profile(s).mass_gap for s in specs]
+        assert len(table.rows) == 15
+        for a, b, gap_a, gap_b, delta, resonant in table.rows:
+            v = sk.resonance_similarity(specs[a], specs[b], 0.5)
+            assert (gap_a, gap_b, delta, resonant) == (v.gap_a, v.gap_b, v.delta, v.resonant)
+        assert 0 < results["n_resonant"] < 15
+        assert results["n_resonant"] == sum(row[5] for row in table.rows)
 
     def test_interference_audit_run(self, tmp_path):
         raw = {

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,32 @@ class TestHamiltonianSpec:
         assert spec.dim == 2
 
 
+def h_data_pauli_sum(x):
+    """Kronecker route to sum_q x_q sigma_y_q: the Pauli-string sum, skipping zero fields."""
+    n = len(x)
+    h = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    for q in range(n):
+        if x[q] != 0.0:
+            h += x[q] * sk.pauli_string(n, {q: "Y"}).matrix
+    return h
+
+
 class TestBuildHData:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_pauli_string_sum_bitwise(self, rng, n):
+        mixed = rng.uniform(-np.pi, np.pi, n)
+        mixed[::2] = -0.0
+        mixed[1::3] = 0.0
+        for x in (
+            rng.uniform(-np.pi, np.pi, n),
+            -rng.uniform(0.1, 2.0, n),
+            mixed,
+            np.zeros(n),
+            np.full(n, -0.0),
+        ):
+            built = sk.build_h_data(x).matrix
+            assert np.array_equal(built.view(np.uint64), h_data_pauli_sum(x).view(np.uint64))
+
     def test_zero_field_gives_zero_operator(self):
         assert np.abs(sk.build_h_data([0.0]).matrix).max() == 0.0
 
@@ -231,6 +258,35 @@ class TestInformationCurvature:
         doubled = sk.HamiltonianSpec(2 * x, j, tau=0.05)
         err = lambda s: sk.operator_distance(sk.sandwich_unitary(s), sk.exact_unitary(s))
         assert err(doubled) > err(base)
+
+    def test_one_eigendecomposition_per_scan(self, rng, eigh_calls):
+        sk.information_curvature(seeded_spec(rng, 3))
+        assert len(eigh_calls) == 1
+
+    def test_errors_equal_per_tau_exact_unitary(self, rng):
+        spec = seeded_spec(rng, 4, "complete", mu=0.7)
+        scan = sk.information_curvature(spec)
+        expected = []
+        for t in scan.taus:
+            s = replace(spec, tau=float(t))
+            expected.append(sk.operator_distance(sk.sandwich_unitary(s), sk.exact_unitary(s)))
+        assert np.array_equal(scan.errors, expected)
+
+    @pytest.mark.parametrize("topology", ["ring", "complete"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_errors_within_commutator_bound(self, n, topology):
+        # Childs et al., PRX 11, 011020 (2021), for S2 = e^{-i tau A/2} e^{-i tau B} e^{-i tau A/2}:
+        # ||S2(tau) - e^{-i tau (A+B)}|| <= tau^3/12 ||[B,[B,A]]|| + tau^3/24 ||[A,[A,B]]||
+        rng = np.random.default_rng([n, len(topology)])
+        for _ in range(4):
+            spec = seeded_spec(rng, n, topology, mu=rng.uniform(0.2, 2.0))
+            a = sk.build_h_data(spec.fields)
+            b = sk.build_h_topo(spec.coupling, spec.mu)
+            bba = np.linalg.norm(sk.commutator(b, sk.commutator(b, a)).matrix, 2)
+            aab = np.linalg.norm(sk.commutator(a, sk.commutator(a, b)).matrix, 2)
+            scan = sk.information_curvature(spec)
+            bound = scan.taus**3 / 12 * bba + scan.taus**3 / 24 * aab + sk.TOLS.curvature_floor
+            assert np.all(scan.errors <= bound), (scan.errors / bound).max()
 
     def test_grid_validation(self, rng):
         spec = seeded_spec(rng, 2)
