@@ -27,6 +27,7 @@ from .experiments import (
     dumps,
     render_csv,
     run_experiment,
+    _require_qubits,
     write_outputs,
 )
 from .interference import interference_decomposition
@@ -116,6 +117,8 @@ def _cmd_encode(args) -> int:
                 row = np.asarray(json.load(fh), dtype=np.float64).ravel()
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read input vector: {exc}") from exc
+    if args.encoder == "qift":
+        _require_qubits(row.size, "the qift encoder")
     params = QiftParams(mu=args.mu, tau=args.tau, topology=args.topology)  # read by qift only
     state = ENCODERS[args.encoder](row, params)
     amps = state.amplitudes
@@ -135,9 +138,12 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_interfere(args) -> int:
+    probs = _parse_floats(args.probs, "--probs") if args.probs is not None else None
+    size = args.dim if probs is None else probs.size
+    _require_qubits((size - 1).bit_length(), "interfere")  # qubits of the padded register
     rng = as_rng(_seed(args))
-    if args.probs is not None:
-        dist = Distribution(_parse_floats(args.probs, "--probs"))
+    if probs is not None:
+        dist = Distribution(probs)
     else:
         dist = Distribution(rng.dirichlet(np.ones(args.dim)))
     dim = dist.dim
@@ -169,6 +175,7 @@ def _cmd_interfere(args) -> int:
 
 
 def _cmd_trotter_scan(args) -> int:
+    _require_qubits(args.n, "trotter-scan")
     if args.x is not None:
         x = _parse_floats(args.x, "--x")
         if x.size != args.n:
@@ -201,6 +208,7 @@ def _cmd_trotter_scan(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     x = _parse_floats(args.x, "--x")
+    _require_qubits(x.size, "spectrum")
     coupling = coupling_preset(args.topology, x.size)
     spec = HamiltonianSpec(x, coupling, mu=args.mu, tau=args.tau)
     profile = spectral_profile(spec)
@@ -233,6 +241,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_resonance(args) -> int:
     xa = _parse_floats(args.x_a, "--x-a")
     xb = _parse_floats(args.x_b, "--x-b")
+    _require_qubits(max(xa.size, xb.size), "resonance")
     spec_a = HamiltonianSpec(xa, coupling_preset(args.topology, xa.size), mu=args.mu, tau=args.tau)
     spec_b = HamiltonianSpec(xb, coupling_preset(args.topology, xb.size), mu=args.mu, tau=args.tau)
     tol = args.tol if args.tol is not None else TOLS.resonance

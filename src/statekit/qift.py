@@ -99,6 +99,8 @@ class CurvatureScan:
     def __post_init__(self):
         taus = np.ascontiguousarray(self.taus, dtype=np.float64)
         errors = np.ascontiguousarray(self.errors, dtype=np.float64)
+        scalars = (self.fitted_slope, self.fit_residual, self.commutator_norm)
+        _require_finite("curvature scan", taus, errors, *(v for v in scalars if v is not None))
         d = np.diff(taus)
         if not (np.all(d > 0) or np.all(d < 0)):
             raise StatekitError("tau grid must be strictly monotone")

@@ -19,6 +19,7 @@ from .statevec import (
     HermitianOperator,
     StateVector,
     _freeze,
+    _require_finite,
     hermitian_spectral_decomposition,
 )
 from .tolerances import TOLS
@@ -35,6 +36,7 @@ class SpectralProfile:
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)
+        _require_finite("spectral profile", vals, self.mass_gap)
         if np.any(np.diff(vals) < 0):
             raise StatekitError("eigenvalues must be ascending")
         object.__setattr__(self, "eigenvalues", _freeze(vals))
@@ -51,6 +53,7 @@ class ZeemanTrace:
     def __post_init__(self):
         eps = np.ascontiguousarray(self.epsilons, dtype=np.float64)
         gaps = np.ascontiguousarray(self.gaps, dtype=np.float64)
+        _require_finite("Zeeman trace", eps, gaps, self.stability_score)
         if eps.size != gaps.size:
             raise StatekitError("epsilon and gap traces differ in length")
         object.__setattr__(self, "epsilons", _freeze(eps))

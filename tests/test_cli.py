@@ -226,6 +226,58 @@ class TestParityExp:
         assert err.startswith("error:") and "32 components" in err
 
 
+class Tripwire(Exception):
+    """Raised by a stand-in for the dense work a subcommand starts after its cap."""
+
+
+@pytest.fixture
+def tripwire(monkeypatch):
+    """Replace every builder the subcommands call with one that raises Tripwire,
+    so that a command the qubit cap lets through never allocates its operators."""
+    import statekit.cli as cli
+
+    def trip(*args, **kwargs):
+        raise Tripwire
+
+    for name in (
+        "as_rng", "Distribution", "haar_random_unitary", "_hadamard_layer",
+        "interference_decomposition", "HamiltonianSpec", "coupling_preset",
+        "information_curvature", "spectral_profile", "zeeman_sweep", "resonance_similarity",
+    ):
+        monkeypatch.setattr(cli, name, trip)
+    monkeypatch.setattr(cli, "ENCODERS", {enc: trip for enc in ENCODER_IDS})
+
+
+def fields(n):
+    return ",".join(["0.5"] * n)
+
+
+# subcommand -> argv at n qubits
+QUBIT_ARGV = {
+    "trotter-scan": lambda n: ["trotter-scan", "--n", str(n)],
+    "spectrum": lambda n: ["spectrum", "--x", fields(n)],
+    "resonance --x-a": lambda n: ["resonance", "--x-a", fields(n), "--x-b", "0.5"],
+    "resonance --x-b": lambda n: ["resonance", "--x-a", "0.5", "--x-b", fields(n)],
+    "interfere --dim": lambda n: ["interfere", "--dim", str(1 << n)],
+    "interfere --probs": lambda n: ["interfere", "--probs", ",".join([str(0.5**n)] * (1 << n))],
+    "encode --encoder qift": lambda n: ["encode", "--encoder", "qift", "--values", fields(n)],
+}
+
+
+class TestQubitCap:
+    @pytest.mark.parametrize("case", sorted(QUBIT_ARGV))
+    def test_rejected_above_cap_before_allocation(self, capsys, tripwire, case):
+        code, out, err = run_cli(capsys, *QUBIT_ARGV[case](13))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "at most 12 qubits, got 13" in err
+
+    @pytest.mark.parametrize("case", sorted(QUBIT_ARGV))
+    def test_cap_admits_12_qubits(self, capsys, tripwire, case):
+        with pytest.raises(Tripwire):
+            run_cli(capsys, *QUBIT_ARGV[case](12))
+
+
 class TestRun:
     def write_config(self, tmp_path, **overrides):
         cfg = {

@@ -137,6 +137,73 @@ class TestFidelityGram:
             sk.fidelity_gram([sk.basis_state(1), sk.basis_state(2)])
 
 
+def untiled_gram(states):
+    """The whole-matrix formula that the tiled assembly reproduces bit for bit."""
+    s = np.vstack([st.amplitudes for st in states])
+    k = np.abs(s.conj() @ s.T) ** 2
+    return 0.5 * (k + k.T)
+
+
+def random_states(m, d, seed):
+    a = np.random.default_rng(seed).normal(size=(m, d, 2)) @ np.array([1.0, 1j])
+    return [sk.StateVector(row / np.linalg.norm(row)) for row in a]
+
+
+class TestTiledGram:
+    """``fidelity_gram`` symmetrises in 128 x 128 tiles; the bytes must not change."""
+
+    @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
+    def test_bitwise_equal_to_untiled_formula(self, m):
+        states = random_states(m, 8, m)
+        assert sk.fidelity_gram(states).entries.tobytes() == untiled_gram(states).tobytes()
+
+    def test_symmetrisation_exercised(self):
+        states = random_states(129, 8, 0)
+        s = np.vstack([st.amplitudes for st in states])
+        raw = np.abs(s.conj() @ s.T) ** 2
+        # the complex GEMM rounds k[i, j] and k[j, i] differently for some pairs,
+        # so the averaging really decides these entries
+        assert np.count_nonzero(raw != raw.T) > 0
+        assert sk.fidelity_gram(states).entries.tobytes() == untiled_gram(states).tobytes()
+
+    def test_real_amplitude_encoding(self):
+        states = sk.encode_dataset(sk.gen_parity_dataset(16, 300, 3), "amplitude")
+        gram = sk.fidelity_gram(states, "amplitude")
+        assert gram.entries.tobytes() == untiled_gram(states).tobytes()
+
+
+def gram_with_asymmetry(m, i, j, delta):
+    k = np.eye(m)
+    k[i, j] = 0.5
+    k[j, i] = 0.5 + delta
+    return k
+
+
+class TestGramSymmetryCheck:
+    """``GramMatrix`` takes max |k - k.T| tile by tile; every tile is covered."""
+
+    @pytest.mark.parametrize(
+        "m, i, j",
+        [
+            (300, 5, 200),  # an off-diagonal tile and its mirror
+            (300, 260, 290),  # inside the ragged corner tile
+            (129, 3, 128),  # the one-column ragged edge at m = 129
+            (129, 128, 127),
+        ],
+    )
+    def test_asymmetry_rejected_in_every_tile(self, m, i, j):
+        k = gram_with_asymmetry(m, i, j, 2 * sk.TOLS.gram_symmetry)
+        with pytest.raises(StatekitError, match=f"not symmetric within {sk.TOLS.gram_symmetry}"):
+            sk.GramMatrix(k)
+        with pytest.raises(StatekitError, match="not symmetric"):
+            sk.GramMatrix(k.T)
+
+    @pytest.mark.parametrize("m, i, j", [(300, 5, 200), (129, 3, 128)])
+    def test_asymmetry_within_tolerance_accepted(self, m, i, j):
+        k = gram_with_asymmetry(m, i, j, 0.5 * sk.TOLS.gram_symmetry)
+        assert sk.GramMatrix(k).entries.tobytes() == k.tobytes()
+
+
 def loo_oracle(k, labels):
     """The plain-python leave-one-out double loop, under the documented tie rule."""
     m = len(labels)

@@ -26,6 +26,18 @@ def dataset(v):
     return sk.LabeledDataset(v, np.ones(len(v)), seed=0)
 
 
+def profile(vals=np.arange(2.0), gap=1.0):
+    return sk.SpectralProfile(vals, gap, degenerate=False)
+
+
+def zeeman(eps=np.zeros(2), gaps=np.ones(2), score=0.0):
+    return sk.ZeemanTrace(eps, gaps, score)
+
+
+def curvature(taus=np.array([0.1, 0.01]), errors=np.ones(2), slope=3.0, resid=0.01, norm=1.0):
+    return sk.CurvatureScan(taus, errors, slope, resid, commuting=False, commutator_norm=norm)
+
+
 # type -> (valid input for dimension d, constructor, error class)
 CASES = {
     "StateVector": (lambda d: np.full(d, d**-0.5, dtype=complex), sk.StateVector, StatekitError),
@@ -49,6 +61,16 @@ CASES = {
     "HamiltonianSpec.mu": (lambda d: np.ones(1), spec_with_mu, StatekitError),
     "LabeledDataset": (lambda d: np.ones((d, 3)), dataset, StatekitError),
     "GramMatrix": (lambda d: np.eye(d), sk.GramMatrix, StatekitError),
+    "SpectralProfile.eigenvalues": (lambda d: np.arange(d, dtype=float), profile, StatekitError),
+    "SpectralProfile.mass_gap": (lambda d: np.ones(1), lambda g: profile(gap=g[0]), StatekitError),
+    "ZeemanTrace.epsilons": (lambda d: np.linspace(-1, 1, d), lambda e: zeeman(e, np.ones(e.size)), StatekitError),
+    "ZeemanTrace.gaps": (lambda d: np.ones(d), lambda g: zeeman(np.zeros(g.size), g), StatekitError),
+    "ZeemanTrace.stability_score": (lambda d: np.zeros(1), lambda s: zeeman(score=s[0]), StatekitError),
+    "CurvatureScan.taus": (lambda d: np.geomspace(0.1, 1e-3, d), lambda t: curvature(t, np.ones(t.size)), StatekitError),
+    "CurvatureScan.errors": (lambda d: np.ones(d), lambda e: curvature(np.geomspace(0.1, 1e-3, e.size), e), StatekitError),
+    "CurvatureScan.fitted_slope": (lambda d: np.ones(1), lambda s: curvature(slope=s[0]), StatekitError),
+    "CurvatureScan.fit_residual": (lambda d: np.ones(1), lambda r: curvature(resid=r[0]), StatekitError),
+    "CurvatureScan.commutator_norm": (lambda d: np.ones(1), lambda c: curvature(norm=c[0]), StatekitError),
 }
 
 # one input per type that passed every check before the non-finite guards
@@ -66,6 +88,16 @@ PASSED_BEFORE = {
     "HamiltonianSpec.mu": np.array([NAN]),
     "LabeledDataset": np.array([[NAN, 1.0], [1.0, 1.0]]),
     "GramMatrix": np.array([[1.0, NAN], [NAN, 1.0]]),
+    "SpectralProfile.eigenvalues": np.array([0.0, INF]),
+    "SpectralProfile.mass_gap": np.array([NAN]),
+    "ZeemanTrace.epsilons": np.array([NAN, 0.0]),
+    "ZeemanTrace.gaps": np.array([1.0, INF]),
+    "ZeemanTrace.stability_score": np.array([NAN]),
+    "CurvatureScan.taus": np.array([INF, 0.1]),
+    "CurvatureScan.errors": np.array([NAN, 1.0]),
+    "CurvatureScan.fitted_slope": np.array([NAN]),
+    "CurvatureScan.fit_residual": np.array([INF]),
+    "CurvatureScan.commutator_norm": np.array([NAN]),
 }
 
 
