@@ -50,6 +50,7 @@ from .interference import (
     commutator,
     diagonal_trap_residual,
     interference_decomposition,
+    interference_decompositions,
     pairwise_term_signs,
     sign_lock_check,
 )

@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -27,10 +28,11 @@ from .experiments import (
     dumps,
     render_csv,
     run_experiment,
+    _curvature_results,
     _require_qubits,
     write_outputs,
 )
-from .interference import interference_decomposition
+from .interference import interference_decompositions
 from .qift import HamiltonianSpec, coupling_preset, information_curvature
 from .spectral import resonance_similarity, spectral_profile, zeeman_sweep
 from .statevec import DenseOperator, Distribution, as_rng, haar_random_unitary
@@ -153,12 +155,10 @@ def _cmd_interfere(args) -> int:
         u = haar_random_unitary(dim, rng)
     phases = _parse_floats(args.phases, "--phases") if args.phases else None
     outcomes = range(dim) if args.outcome is None else [args.outcome]
-    rows = []
-    for y in outcomes:
-        rep = interference_decomposition(u, dist, phases, y)
-        rows.append(
-            (y, rep.classical_term, rep.interference_term, rep.total, rep.born_probability, rep.residual)
-        )
+    rows = [
+        (r.outcome, r.classical_term, r.interference_term, r.total, r.born_probability, r.residual)
+        for r in interference_decompositions(u, dist, phases, outcomes)
+    ]
     summary = {
         "unitary": args.unitary,
         "dim": dim,
@@ -185,24 +185,11 @@ def _cmd_trotter_scan(args) -> int:
     coupling = coupling_preset(args.topology, args.n)
     spec = HamiltonianSpec(x, coupling, mu=args.mu, tau=args.tau_max)
     taus = np.geomspace(args.tau_max, args.tau_min, args.points)
-    scan = information_curvature(spec, taus)
-    summary = {
-        "n": args.n,
-        "topology": args.topology,
-        "mu": args.mu,
-        "fitted_slope": scan.fitted_slope,
-        "fit_residual": scan.fit_residual,
-        "commuting": scan.commuting,
-        "commutator_norm": scan.commutator_norm,
-    }
-    if scan.commuting:
+    results, tables = _curvature_results(information_curvature(spec, taus))
+    summary = {"n": args.n, "topology": args.topology, "mu": args.mu, **results}
+    if results["commuting"]:
         summary["note"] = "commuting: no curvature"
-    table = Table(
-        "curvature_scan",
-        ("tau", "error"),
-        tuple(zip(scan.taus.tolist(), scan.errors.tolist())),
-    )
-    _emit(args, summary, [table])
+    _emit(args, summary, tables)
     return 0
 
 
@@ -245,20 +232,9 @@ def _cmd_resonance(args) -> int:
     spec_a = HamiltonianSpec(xa, coupling_preset(args.topology, xa.size), mu=args.mu, tau=args.tau)
     spec_b = HamiltonianSpec(xb, coupling_preset(args.topology, xb.size), mu=args.mu, tau=args.tau)
     tol = args.tol if args.tol is not None else TOLS.resonance
-    verdict = resonance_similarity(spec_a, spec_b, tol)
-    summary = {
-        "gap_a": verdict.gap_a,
-        "gap_b": verdict.gap_b,
-        "delta": verdict.delta,
-        "resonant": verdict.resonant,
-        "tolerance": verdict.tolerance,
-        "spectrum_distance": verdict.spectrum_distance,
-    }
-    table = Table(
-        "resonance",
-        ("gap_a", "gap_b", "delta", "resonant", "tolerance"),
-        ((verdict.gap_a, verdict.gap_b, verdict.delta, verdict.resonant, verdict.tolerance),),
-    )
+    summary = asdict(resonance_similarity(spec_a, spec_b, tol))
+    # the table row holds every verdict field but spectrum_distance
+    table = Table("resonance", tuple(summary)[:5], (tuple(summary.values())[:5],))
     _emit(args, summary, [table])
     return 0
 

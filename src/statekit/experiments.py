@@ -28,8 +28,8 @@ import numpy as np
 from ._version import __version__
 from .encoders import amplitude_encoding, phase_encoding, probability_loading
 from .errors import ConfigError, DimensionMismatchError, StatekitError
-from .interference import diagonal_trap_residual, interference_decomposition
-from .qift import HamiltonianSpec, coupling_preset, evolve_vacuum, information_curvature
+from .interference import diagonal_trap_residual, interference_decompositions
+from .qift import CurvatureScan, HamiltonianSpec, coupling_preset, evolve_vacuum, information_curvature
 from .spectral import _verdict, spectral_profile
 from .statevec import (
     DenseOperator,
@@ -96,6 +96,8 @@ class GramMatrix:
         k = np.ascontiguousarray(self.entries, dtype=np.float64)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise StatekitError(f"Gram matrix must be square, got {k.shape}")
+        if k.size == 0:
+            raise StatekitError("Gram matrix must not be empty")
         _require_finite("Gram matrix", k)
         # max |k - k.T| over mirrored tile pairs, without a strided full-matrix pass
         pairs = _tile_pairs(k.shape[0])
@@ -493,13 +495,18 @@ def _run_curvature(config: ExperimentConfig) -> tuple[dict, list[Table]]:
     rng = as_rng(config.seed)
     x = rng.uniform(-math.pi, math.pi, n)
     spec = HamiltonianSpec(x, params.coupling_for(n), mu=params.mu, tau=params.tau)
-    scan = information_curvature(spec)
+    results, tables = _curvature_results(information_curvature(spec))
+    results["fields"] = x.tolist()
+    return results, tables
+
+
+def _curvature_results(scan: CurvatureScan) -> tuple[dict, list[Table]]:
+    """Summary fields and (tau, error) table of one scan, shared with ``statekit trotter-scan``."""
     results = {
         "fitted_slope": scan.fitted_slope,
         "fit_residual": scan.fit_residual,
         "commuting": scan.commuting,
         "commutator_norm": scan.commutator_norm,
-        "fields": x.tolist(),
     }
     table = Table(
         name="curvature_scan",
@@ -548,9 +555,7 @@ def _run_interference_audit(config: ExperimentConfig) -> tuple[dict, list[Table]
         p = Distribution(rng.dirichlet(np.ones(dim)))
         phased = case % 2 == 1
         phi = rng.uniform(0.0, 2.0 * math.pi, dim) if phased else None
-        decomp_resid = max(
-            interference_decomposition(u, p, phi, y).residual for y in range(dim)
-        )
+        decomp_resid = max(r.residual for r in interference_decompositions(u, p, phi, range(dim)))
         d = DenseOperator(np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, dim))))
         trap_resid = diagonal_trap_residual(p, d)
         rows.append((case, phased, decomp_resid, trap_resid))

@@ -11,7 +11,7 @@ and plain commutators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,12 +82,10 @@ def _check_unitary(u: DenseOperator) -> None:
         raise NotUnitaryError("operator is not unitary within tolerance")
 
 
-def _weights(u, dist, phases, outcome):
-    """Per-basis weights t_x = sqrt(p_x) e^{i phi_x} U_yx for one outcome row."""
+def _amplitudes(u, dist, phases):
+    """Input amplitudes c_x = sqrt(p_x) e^{i phi_x}, size-checked against ``u``."""
     if u.dim != dist.dim:
         raise DimensionMismatchError(f"operator dim {u.dim} != distribution dim {dist.dim}")
-    if not 0 <= outcome < u.dim:
-        raise StatekitError(f"outcome {outcome} out of range for dim {u.dim}")
     c = np.sqrt(dist.probabilities).astype(np.complex128)
     if phases is not None:
         if phases.dim != dist.dim:
@@ -95,7 +93,48 @@ def _weights(u, dist, phases, outcome):
                 f"phase profile length {phases.dim} != distribution length {dist.dim}"
             )
         c = c * np.exp(1j * phases.phases)
-    return c, c * u.matrix[outcome, :]
+    return c
+
+
+def _check_outcome(u: DenseOperator, outcome: int) -> None:
+    if not 0 <= outcome < u.dim:
+        raise StatekitError(f"outcome {outcome} out of range for dim {u.dim}")
+
+
+def interference_decompositions(
+    u: DenseOperator,
+    p: DistributionLike,
+    phi: PhaseLike | None,
+    outcomes: Iterable[int],
+) -> Iterator[InterferenceReport]:
+    """Decompose the Born probability of each of ``outcomes`` under ``u``, in order.
+
+    ``phi=None`` is the phase-locked case (all phases zero). The classical
+    term is sum_x p_x |U_yx|^2; the interference term is the direct double
+    sum over x != x', combined as conjugate pairs so it is real by
+    construction. The reported ``born_probability`` is computed through the
+    independent matrix-vector route and must agree with the decomposition
+    within ``TOLS.decomposition``. Unitarity, the input sizes and the
+    product ``U c`` are checked and formed once for all outcomes.
+    """
+    _check_unitary(u)
+    dist = _as_distribution(p)
+    c = _amplitudes(u, dist, _as_phases(phi) if phi is not None else None)
+    born = np.abs(u.matrix @ c)
+    for outcome in outcomes:
+        _check_outcome(u, outcome)
+        row = u.matrix[outcome, :]
+        classical = float(dist.probabilities @ (np.abs(row) ** 2))
+        pairs = _freeze(_kernels.pair_terms(c * row))
+        interference = _kernels.pair_sum(pairs)
+        yield InterferenceReport(
+            outcome=outcome,
+            classical_term=classical,
+            interference_term=interference,
+            total=classical + interference,
+            born_probability=float(born[outcome] ** 2),
+            pairs=pairs,
+        )
 
 
 def interference_decomposition(
@@ -104,31 +143,8 @@ def interference_decomposition(
     phi: PhaseLike | None,
     outcome: int,
 ) -> InterferenceReport:
-    """Decompose the Born probability of ``outcome`` under ``u``.
-
-    ``phi=None`` is the phase-locked case (all phases zero). The classical
-    term is sum_x p_x |U_yx|^2; the interference term is the direct double
-    sum over x != x', combined as conjugate pairs so it is real by
-    construction. The reported ``born_probability`` is computed through the
-    independent matrix-vector route and must agree with the decomposition
-    within ``TOLS.decomposition``.
-    """
-    _check_unitary(u)
-    dist = _as_distribution(p)
-    prof = _as_phases(phi) if phi is not None else None
-    c, t = _weights(u, dist, prof, outcome)
-    classical = float(dist.probabilities @ (np.abs(u.matrix[outcome, :]) ** 2))
-    pairs = _freeze(_kernels.pair_terms(t))
-    interference = _kernels.pair_sum(pairs)
-    born = float(np.abs(u.matrix @ c)[outcome] ** 2)
-    return InterferenceReport(
-        outcome=outcome,
-        classical_term=classical,
-        interference_term=interference,
-        total=classical + interference,
-        born_probability=born,
-        pairs=pairs,
-    )
+    """Decompose the Born probability of one ``outcome``; see ``interference_decompositions``."""
+    return next(interference_decompositions(u, p, phi, (outcome,)))
 
 
 def sign_lock_check(
@@ -164,7 +180,9 @@ def sign_lock_check(
             raise StatekitError(
                 f"distribution {k} has zero probability on pair ({x}, {xp}); argument undefined"
             )
-        _, t = _weights(u, dist, prof, outcome)
+        c = _amplitudes(u, dist, prof)
+        _check_outcome(u, outcome)
+        t = c * u.matrix[outcome, :]
         value = t[x] * np.conj(t[xp])
         if value == 0:
             raise StatekitError(
@@ -217,10 +235,7 @@ def pairwise_term_signs(u: DenseOperator, p: DistributionLike, outcome: int) -> 
     sqrt(p_x p_x') are positive, any negativity originates in the matrix
     elements alone (rescaling ``p`` never flips a sign — see tests).
     """
-    _check_unitary(u)
-    dist = _as_distribution(p)
-    _, t = _weights(u, dist, None, outcome)
-    values = 2.0 * _kernels.pair_terms(t).real
+    values = 2.0 * interference_decomposition(u, p, None, outcome).pairs.real
     xs, xps = np.triu_indices(u.dim, 1)
     return PairSignReport(
         outcome=outcome,

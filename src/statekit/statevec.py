@@ -233,11 +233,11 @@ def is_unitary(u: DenseOperator, tol: float = TOLS.unitary) -> bool:
     return bool(np.abs(gram - np.eye(u.dim)).max() <= tol)
 
 
-def apply_unitary(u: DenseOperator, psi: StateVector, *, check_unitary: bool = True) -> StateVector:
+def apply_unitary(u: DenseOperator, psi: StateVector) -> StateVector:
     """Exact matrix-vector product U |psi>; U must be unitary within tolerance."""
     if u.dim != psi.dim:
         raise DimensionMismatchError(f"operator dim {u.dim} != state dim {psi.dim}")
-    if check_unitary and not is_unitary(u):
+    if not is_unitary(u):
         raise NotUnitaryError("operator is not unitary within tolerance")
     return StateVector(u.matrix @ psi.amplitudes)
 

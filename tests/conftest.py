@@ -97,22 +97,33 @@ def rng():
     return np.random.default_rng(20260811)
 
 
-@pytest.fixture
-def eigh_calls(monkeypatch):
-    """List of the operators passed to hermitian_spectral_decomposition, through
+def count_calls(monkeypatch, name):
+    """List of the first arguments passed to ``statekit.statevec.<name>``, through
     any statekit module's binding of it, while the test runs."""
     import statekit.statevec
 
-    original = statekit.statevec.hermitian_spectral_decomposition
+    original = getattr(statekit.statevec, name)
     calls = []
 
-    def counting(h):
-        calls.append(h)
-        return original(h)
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "statekit" or name.startswith("statekit."):
+    for modname, module in list(sys.modules.items()):
+        if modname == "statekit" or modname.startswith("statekit."):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """List of the operators passed to hermitian_spectral_decomposition."""
+    return count_calls(monkeypatch, "hermitian_spectral_decomposition")
+
+
+@pytest.fixture
+def unitary_checks(monkeypatch):
+    """List of the operators passed to is_unitary."""
+    return count_calls(monkeypatch, "is_unitary")

@@ -122,6 +122,11 @@ class TestInterfere:
         _, rows = parse_csv_tables(out)
         assert len(rows) == 2
 
+    def test_one_unitarity_check_for_all_outcomes(self, capsys, unitary_checks):
+        code, _, _ = run_cli(capsys, "interfere", "--dim", "8", "--unitary", "haar")
+        assert code == 0
+        assert len(unitary_checks) == 1
+
 
 class TestTrotterScan:
     def test_slope_near_three(self, capsys):
@@ -241,7 +246,7 @@ def tripwire(monkeypatch):
 
     for name in (
         "as_rng", "Distribution", "haar_random_unitary", "_hadamard_layer",
-        "interference_decomposition", "HamiltonianSpec", "coupling_preset",
+        "interference_decompositions", "HamiltonianSpec", "coupling_preset",
         "information_curvature", "spectral_profile", "zeeman_sweep", "resonance_similarity",
     ):
         monkeypatch.setattr(cli, name, trip)

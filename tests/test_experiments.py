@@ -136,6 +136,10 @@ class TestFidelityGram:
         with pytest.raises(StatekitError):
             sk.fidelity_gram([sk.basis_state(1), sk.basis_state(2)])
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(StatekitError, match="must not be empty"):
+            sk.GramMatrix(np.zeros((0, 0)))
+
 
 def untiled_gram(states):
     """The whole-matrix formula that the tiled assembly reproduces bit for bit."""
@@ -522,6 +526,14 @@ class TestRunExperiment:
         report = sk.run_experiment(sk.ExperimentConfig.from_dict(raw))
         assert report.results["max_decomposition_residual"] < 1e-10
         assert report.results["max_trap_residual"] < 1e-12
+
+    def test_interference_audit_checks_each_operator_once(self, tmp_path, unitary_checks):
+        raw = {"experiment": "interference-audit", "n_features": 3, "count": 2, "seed": 5,
+               "output_dir": str(tmp_path / "audit")}
+        compute_experiment(sk.ExperimentConfig.from_dict(raw))
+        # per case: one Haar U for all 8 outcomes, one diagonal D for the trap
+        assert len(unitary_checks) == 4
+        assert [u.dim for u in unitary_checks] == [8] * 4
 
     def test_compute_experiment_touches_no_files(self, tmp_path):
         cfg = sk.ExperimentConfig.from_dict(parity_config(tmp_path))

@@ -82,6 +82,58 @@ class TestDecomposition:
             sk.interference_decomposition(sk.DenseOperator(np.eye(4)), [0.5, 0.5], None, 0)
 
 
+def single_outcome_oracle(u, p, phi, y):
+    """The single-outcome decomposition formula, one call per outcome, with the
+    pair kernels written out: (classical, interference, total, born, pairs)."""
+    probs = sk.Distribution(p).probabilities
+    c = np.sqrt(probs).astype(np.complex128)
+    if phi is not None:
+        c = c * np.exp(1j * sk.PhaseProfile(phi).phases)
+    t = c * u.matrix[y, :]
+    classical = float(probs @ (np.abs(u.matrix[y, :]) ** 2))
+    pairs = np.outer(t, t.conj())[np.triu_indices(t.size, 1)]
+    interference = float((pairs + pairs.conj()).sum().real)
+    born = float(np.abs(u.matrix @ c)[y] ** 2)
+    return classical, interference, classical + interference, born, pairs
+
+
+class TestDecompositions:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("phased", [False, True])
+    def test_bit_equal_to_single_outcome_formula(self, n, phased):
+        dim = 1 << n
+        rng = np.random.default_rng(100 + n)
+        u = haar(dim, rng)
+        p = rng.dirichlet(np.ones(dim))
+        phi = rng.uniform(0, 2 * np.pi, dim) if phased else None
+        reports = list(sk.interference_decompositions(u, p, phi, range(dim)))
+        assert [r.outcome for r in reports] == list(range(dim))
+        for y, rep in enumerate(reports):
+            classical, interference, total, born, pairs = single_outcome_oracle(u, p, phi, y)
+            assert rep.classical_term == classical
+            assert rep.interference_term == interference
+            assert rep.total == total
+            assert rep.born_probability == born
+            assert rep.pairs.tobytes() == pairs.tobytes()
+
+    def test_keeps_outcome_order_and_repeats(self, rng):
+        u = haar(4, rng)
+        p = rng.dirichlet(np.ones(4))
+        phi = rng.uniform(0, 2 * np.pi, 4)
+        reports = list(sk.interference_decompositions(u, p, phi, [3, 0, 3]))
+        assert [r.outcome for r in reports] == [3, 0, 3]
+        for rep in reports:
+            single = sk.interference_decomposition(u, p, phi, rep.outcome)
+            assert rep.total == single.total
+            assert rep.pairs.tobytes() == single.pairs.tobytes()
+
+    @pytest.mark.parametrize("outcome", [-1, 4])
+    def test_rejects_out_of_range_outcome(self, rng, outcome):
+        u = haar(4, rng)
+        with pytest.raises(StatekitError, match=f"^outcome {outcome} out of range for dim 4$"):
+            list(sk.interference_decompositions(u, [0.25] * 4, None, [0, outcome]))
+
+
 class TestSignLock:
     def test_locked_over_dirichlet_ensemble(self, rng):
         dists = [rng.dirichlet(np.ones(2)) for _ in range(50)]
