@@ -47,7 +47,6 @@ from .interference import (
     InterferenceReport,
     PairSignReport,
     SignLockReport,
-    commutator,
     diagonal_trap_residual,
     interference_decomposition,
     interference_decompositions,
@@ -87,6 +86,7 @@ from .statevec import (
     apply_unitary,
     basis_state,
     born_probabilities,
+    commutator,
     evolve,
     haar_random_unitary,
     hermitian_spectral_decomposition,

@@ -142,6 +142,8 @@ def _cmd_encode(args) -> int:
 def _cmd_interfere(args) -> int:
     probs = _parse_floats(args.probs, "--probs") if args.probs is not None else None
     size = args.dim if probs is None else probs.size
+    if size < 1:
+        raise ConfigError(f"--dim must be >= 1, got {size}")
     _require_qubits((size - 1).bit_length(), "interfere")  # qubits of the padded register
     rng = as_rng(_seed(args))
     if probs is not None:
@@ -175,6 +177,10 @@ def _cmd_interfere(args) -> int:
 
 
 def _cmd_trotter_scan(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    if not (args.tau_min > 0 and args.tau_max > 0) or args.points < 0:
+        raise ConfigError("--tau-min and --tau-max must be > 0 and --points must be >= 0")
     _require_qubits(args.n, "trotter-scan")
     if args.x is not None:
         x = _parse_floats(args.x, "--x")

@@ -20,10 +20,11 @@ from .tolerances import TOLS
 
 @dataclass(frozen=True, eq=False)
 class DataVector:
-    """Real feature vector with nonzero Euclidean norm, zero-padded to 2^n."""
+    """Real feature vector with nonzero Euclidean norm, zero-padded to 2^n;
+    ``original_length`` is the input length before padding."""
 
     values: np.ndarray
-    original_length: int = field(default=0)
+    original_length: int = field(init=False)
 
     def __post_init__(self):
         v = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
@@ -32,10 +33,8 @@ class DataVector:
         _require_finite("data vector", v)
         if np.linalg.norm(v) == 0.0:
             raise StatekitError("data vector has zero norm")
-        orig = self.original_length or v.size
-        v = _pad_pow2(v)
-        object.__setattr__(self, "values", _freeze(v))
-        object.__setattr__(self, "original_length", orig)
+        object.__setattr__(self, "original_length", v.size)
+        object.__setattr__(self, "values", _freeze(_pad_pow2(v)))
 
     @property
     def dim(self) -> int:
@@ -44,20 +43,19 @@ class DataVector:
 
 @dataclass(frozen=True, eq=False)
 class PhaseProfile:
-    """Per-basis-state phases in radians, zero-padded to 2^n."""
+    """Per-basis-state phases in radians, zero-padded to 2^n;
+    ``original_length`` is the input length before padding."""
 
     phases: np.ndarray
-    original_length: int = field(default=0)
+    original_length: int = field(init=False)
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.phases, dtype=np.float64).ravel()
         if p.size == 0:
             raise StatekitError("empty phase profile")
         _require_finite("phase profile", p)
-        orig = self.original_length or p.size
-        p = _pad_pow2(p)
-        object.__setattr__(self, "phases", _freeze(p))
-        object.__setattr__(self, "original_length", orig)
+        object.__setattr__(self, "original_length", p.size)
+        object.__setattr__(self, "phases", _freeze(_pad_pow2(p)))
 
     @property
     def dim(self) -> int:

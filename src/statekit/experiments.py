@@ -293,7 +293,6 @@ class ExperimentReport:
     config: dict
     results: dict
     provenance: dict
-    tables: tuple[Table, ...]
     written: tuple[str, ...] = ()
 
     def to_jsonable(self) -> dict:
@@ -609,7 +608,6 @@ def run_experiment(
         config=config.to_jsonable(),
         results=results,
         provenance=provenance,
-        tables=tuple(tables),
     )
     written = write_outputs(config.output_dir, tables, "report.json", report.to_jsonable())
     return replace(report, written=written)

@@ -5,8 +5,7 @@ encoded state splits into a classical term ``sum_x p_x |U_yx|^2`` plus the
 cross-term sum over basis pairs. The cross terms are evaluated directly,
 O(N^2) per outcome, rather than as "total minus classical" — the redundancy
 is what turns the identity into a mechanical check. Also here: the
-phase-lock argument analysis, the diagonal-operator measurement residual,
-and plain commutators.
+phase-lock argument analysis and the diagonal-operator measurement residual.
 """
 from __future__ import annotations
 
@@ -17,8 +16,8 @@ import numpy as np
 
 from . import _kernels
 from .encoders import DistributionLike, PhaseLike, _as_distribution, _as_phases
-from .errors import DimensionMismatchError, NotDiagonalError, NotUnitaryError, StatekitError
-from .statevec import DenseOperator, _freeze, is_unitary
+from .errors import DimensionMismatchError, NotDiagonalError, StatekitError
+from .statevec import DenseOperator, _freeze, _require_unitary
 from .tolerances import TOLS
 
 
@@ -77,11 +76,6 @@ class PairSignReport:
     any_negative: bool
 
 
-def _check_unitary(u: DenseOperator) -> None:
-    if not is_unitary(u):
-        raise NotUnitaryError("operator is not unitary within tolerance")
-
-
 def _amplitudes(u, dist, phases):
     """Input amplitudes c_x = sqrt(p_x) e^{i phi_x}, size-checked against ``u``."""
     if u.dim != dist.dim:
@@ -117,7 +111,7 @@ def interference_decompositions(
     within ``TOLS.decomposition``. Unitarity, the input sizes and the
     product ``U c`` are checked and formed once for all outcomes.
     """
-    _check_unitary(u)
+    _require_unitary(u)
     dist = _as_distribution(p)
     c = _amplitudes(u, dist, _as_phases(phi) if phi is not None else None)
     born = np.abs(u.matrix @ c)
@@ -153,7 +147,6 @@ def sign_lock_check(
     pair: tuple[int, int],
     distributions: Sequence[DistributionLike],
     phases: Sequence[PhaseLike] | None = None,
-    tol: float = TOLS.sign_lock_rad,
 ) -> SignLockReport:
     """Does the argument of one pair term stay fixed across many inputs?
 
@@ -161,12 +154,14 @@ def sign_lock_check(
     only through the positive magnitude sqrt(p_x p_x'), so the argument is
     pinned by the matrix elements alone and the check returns locked=True.
     Supplying per-input phase profiles lets the argument move and is the
-    designed counterexample.
+    designed counterexample. The pair counts as locked when the arguments
+    spread by at most ``TOLS.sign_lock_rad``.
     """
-    _check_unitary(u)
+    _require_unitary(u)
+    _check_outcome(u, outcome)
     x, xp = pair
-    if x == xp:
-        raise StatekitError("pair must consist of two distinct basis indices")
+    if not (0 <= x < u.dim and 0 <= xp < u.dim) or x == xp:
+        raise StatekitError(f"pair must be two distinct basis indices in [0, {u.dim}), got {pair}")
     if not distributions:
         raise StatekitError("at least one distribution is required")
     if phases is not None and len(phases) != len(distributions):
@@ -174,14 +169,11 @@ def sign_lock_check(
     args = []
     for k, p in enumerate(distributions):
         dist = _as_distribution(p)
-        prof = _as_phases(phases[k]) if phases is not None else None
-        probs = dist.probabilities
-        if probs[x] * probs[xp] == 0.0:
+        c = _amplitudes(u, dist, _as_phases(phases[k]) if phases is not None else None)
+        if dist.probabilities[x] * dist.probabilities[xp] == 0.0:
             raise StatekitError(
                 f"distribution {k} has zero probability on pair ({x}, {xp}); argument undefined"
             )
-        c = _amplitudes(u, dist, prof)
-        _check_outcome(u, outcome)
         t = c * u.matrix[outcome, :]
         value = t[x] * np.conj(t[xp])
         if value == 0:
@@ -194,12 +186,12 @@ def sign_lock_check(
     rel = np.angle(np.exp(1j * (args - args[0])))
     spread = float(rel.max() - rel.min())
     return SignLockReport(
-        locked=spread <= tol,
+        locked=spread <= TOLS.sign_lock_rad,
         pair=(x, xp),
         outcome=outcome,
         arguments=args,
         max_spread=spread,
-        tolerance=tol,
+        tolerance=TOLS.sign_lock_rad,
     )
 
 
@@ -213,19 +205,12 @@ def diagonal_trap_residual(p: DistributionLike, d: DenseOperator) -> float:
     off = d.matrix - np.diag(np.diagonal(d.matrix))
     if np.abs(off).max() > TOLS.diagonal:
         raise NotDiagonalError("operator is not diagonal within tolerance")
-    _check_unitary(d)
+    _require_unitary(d)
     dist = _as_distribution(p)
     if d.dim != dist.dim:
         raise DimensionMismatchError(f"operator dim {d.dim} != distribution dim {dist.dim}")
     out = d.matrix @ np.sqrt(dist.probabilities).astype(np.complex128)
     return float(np.abs(np.abs(out) ** 2 - dist.probabilities).max())
-
-
-def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
-    """AB - BA."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"operator dims differ: {a.dim} vs {b.dim}")
-    return DenseOperator(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
 def pairwise_term_signs(u: DenseOperator, p: DistributionLike, outcome: int) -> PairSignReport:

@@ -31,6 +31,7 @@ from .statevec import (
     StateVector,
     _freeze,
     _require_finite,
+    commutator,
     evolve,
     hermitian_spectral_decomposition,
     operator_distance,
@@ -191,31 +192,30 @@ def effective_hamiltonian(spec: HamiltonianSpec) -> HermitianOperator:
     )
 
 
-def sandwich_unitary(spec: HamiltonianSpec, steps: int = 1, method: str = "factorized") -> DenseOperator:
-    """Symmetric product step exp(-i tau/2 A) exp(-i tau B) exp(-i tau/2 A).
+def _step_factors(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Half-angles tau/2 * x of the rotation layer and the diagonal phase
+    exp(-i tau mu zz) of one symmetric step."""
+    half_angles = (spec.tau / 2.0) * spec.fields
+    dphase = np.exp(-1j * spec.tau * spec.mu * _kernels.zz_diagonal(spec.coupling))
+    return half_angles, dphase
 
-    ``steps=r`` applies the step r times at tau/r each. ``method`` selects
-    the factorized fast path (default) or the dense eigendecomposition
-    path; the two agree within ``TOLS.fast_path``.
+
+def sandwich_unitary(spec: HamiltonianSpec, method: str = "factorized") -> DenseOperator:
+    """One symmetric product step exp(-i tau/2 A) exp(-i tau B) exp(-i tau/2 A).
+
+    ``method`` selects the factorized fast path (default) or the dense
+    eigendecomposition path; the two agree within ``TOLS.fast_path``.
     """
-    if steps < 1:
-        raise StatekitError("steps must be >= 1")
-    tau_s = spec.tau / steps
     if method == "factorized":
+        half_angles, dphase = _step_factors(spec)
         # the rotation layer applied to every basis column is its dense matrix
-        rot = _kernels.ry_layer(np.eye(spec.dim), (tau_s / 2.0) * spec.fields)
-        dphase = np.exp(-1j * tau_s * spec.mu * _kernels.zz_diagonal(spec.coupling))
-        step = rot @ (dphase[:, None] * rot)
-    elif method == "dense":
-        half = evolve(build_h_data(spec.fields), tau_s / 2.0).matrix
-        mid = evolve(build_h_topo(spec.coupling, spec.mu), tau_s).matrix
-        step = half @ mid @ half
-    else:
-        raise StatekitError(f"unknown method {method!r} (expected 'factorized' or 'dense')")
-    u = step
-    for _ in range(steps - 1):
-        u = u @ step
-    return DenseOperator(u)
+        rot = _kernels.ry_layer(np.eye(spec.dim), half_angles)
+        return DenseOperator(rot @ (dphase[:, None] * rot))
+    if method == "dense":
+        half = evolve(build_h_data(spec.fields), spec.tau / 2.0).matrix
+        mid = evolve(build_h_topo(spec.coupling, spec.mu), spec.tau).matrix
+        return DenseOperator(half @ mid @ half)
+    raise StatekitError(f"unknown method {method!r} (expected 'factorized' or 'dense')")
 
 
 def exact_unitary(spec: HamiltonianSpec) -> DenseOperator:
@@ -225,9 +225,8 @@ def exact_unitary(spec: HamiltonianSpec) -> DenseOperator:
 
 def commutator_norm(spec: HamiltonianSpec) -> float:
     """Spectral norm of [H_data, H_topo]; zero iff the two terms commute."""
-    a = build_h_data(spec.fields).matrix
-    b = build_h_topo(spec.coupling, spec.mu).matrix
-    return float(np.linalg.norm(a @ b - b @ a, 2))
+    comm = commutator(build_h_data(spec.fields), build_h_topo(spec.coupling, spec.mu))
+    return float(np.linalg.norm(comm.matrix, 2))
 
 
 def information_curvature(
@@ -255,7 +254,7 @@ def information_curvature(
     # H does not depend on tau: one decomposition gives every exact U(tau)
     dec = hermitian_spectral_decomposition(effective_hamiltonian(spec_base))
     errors = np.array([
-        operator_distance(sandwich_unitary(replace(spec_base, tau=t)), dec.evolution(t), "spectral")
+        operator_distance(sandwich_unitary(replace(spec_base, tau=t)), dec.evolution(t))
         for t in grid.tolist()
     ])
     commuting = bool(errors.max() < TOLS.curvature_floor)
@@ -278,22 +277,15 @@ def information_curvature(
     )
 
 
-def evolve_vacuum(spec: HamiltonianSpec, steps: int = 1) -> StateVector:
-    """Apply the sandwich step to the all-zeros vacuum state.
+def evolve_vacuum(spec: HamiltonianSpec) -> StateVector:
+    """Apply one sandwich step to the all-zeros vacuum state.
 
     Runs through the state-level kernels (rotation layer, diagonal phase,
     rotation layer) without materializing the dense operator; this is the
     hot path when encoding whole datasets.
     """
-    if steps < 1:
-        raise StatekitError("steps must be >= 1")
-    tau_s = spec.tau / steps
+    half_angles, dphase = _step_factors(spec)
     amps = np.zeros(spec.dim, dtype=np.complex128)
     amps[0] = 1.0
-    half_angles = (tau_s / 2.0) * spec.fields
-    dphase = np.exp(-1j * tau_s * spec.mu * _kernels.zz_diagonal(spec.coupling))
-    for _ in range(steps):
-        amps = _kernels.ry_layer(amps, half_angles)
-        amps = amps * dphase
-        amps = _kernels.ry_layer(amps, half_angles)
-    return StateVector(amps)
+    amps = _kernels.ry_layer(amps, half_angles)
+    return StateVector(_kernels.ry_layer(amps * dphase, half_angles))

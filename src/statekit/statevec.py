@@ -11,7 +11,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -162,10 +162,11 @@ class Distribution:
 
     A sum within ``TOLS.distribution_sum`` of 1 is renormalized silently
     (floating-point ingestion noise); larger deviations raise.
+    ``original_length`` is the input length before padding.
     """
 
     probabilities: np.ndarray
-    original_length: int = field(default=0)
+    original_length: int = field(init=False)
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.probabilities, dtype=np.float64).ravel()
@@ -174,7 +175,7 @@ class Distribution:
         _require_finite("distribution", p, error=InvalidDistributionError)
         if np.any(p < 0):
             raise InvalidDistributionError(f"negative entry {p.min()!r} in distribution")
-        orig = self.original_length or p.size
+        object.__setattr__(self, "original_length", p.size)
         p = _pad_pow2(p)
         total = p.sum()
         if abs(total - 1.0) > TOLS.distribution_sum:
@@ -182,7 +183,6 @@ class Distribution:
         if total != 1.0:
             p = p / total
         object.__setattr__(self, "probabilities", _freeze(p))
-        object.__setattr__(self, "original_length", orig)
 
     @property
     def dim(self) -> int:
@@ -193,52 +193,49 @@ class Distribution:
 # operations
 # ---------------------------------------------------------------------------
 
-def pauli_string(
-    n_qubits: int,
-    assignments: Mapping[int, str] | Iterable[tuple[int, str]],
-) -> HermitianOperator:
+def pauli_string(n_qubits: int, assignments: Mapping[int, str]) -> HermitianOperator:
     """Kronecker product of Pauli matrices on assigned sites, identity elsewhere.
 
     Parameters
     ----------
     n_qubits : int
         Register size; the result has dimension 2^n_qubits.
-    assignments : mapping or iterable of (site, label) pairs
+    assignments : mapping of site to label
         Nonempty; sites in [0, n_qubits); labels among X, Y, Z.
 
     The result is Hermitian and involutory (P @ P = identity).
     """
     if n_qubits < 1:
         raise StatekitError("n_qubits must be >= 1")
-    pairs = list(assignments.items()) if isinstance(assignments, Mapping) else list(assignments)
-    if not pairs:
+    if not assignments:
         raise StatekitError("assignments must be nonempty")
-    placed: dict[int, str] = {}
-    for site, label in pairs:
+    for site, label in assignments.items():
         if not 0 <= site < n_qubits:
             raise StatekitError(f"site {site} out of range for {n_qubits} qubits")
-        if site in placed:
-            raise StatekitError(f"duplicate site {site} in Pauli assignment")
         if label not in ("X", "Y", "Z"):
             raise StatekitError(f"unknown Pauli label {label!r} (expected X, Y or Z)")
-        placed[site] = label
     op = np.ones((1, 1), dtype=np.complex128)
     for site in range(n_qubits):
-        op = np.kron(op, PAULI_MATRICES[placed.get(site, "I")])
+        op = np.kron(op, PAULI_MATRICES[assignments.get(site, "I")])
     return HermitianOperator(op)
 
 
-def is_unitary(u: DenseOperator, tol: float = TOLS.unitary) -> bool:
+def is_unitary(u: DenseOperator) -> bool:
+    """True iff max |U^dag U - I| is within ``TOLS.unitary``."""
     gram = u.matrix.conj().T @ u.matrix
-    return bool(np.abs(gram - np.eye(u.dim)).max() <= tol)
+    return bool(np.abs(gram - np.eye(u.dim)).max() <= TOLS.unitary)
+
+
+def _require_unitary(u: DenseOperator) -> None:
+    if not is_unitary(u):
+        raise NotUnitaryError("operator is not unitary within tolerance")
 
 
 def apply_unitary(u: DenseOperator, psi: StateVector) -> StateVector:
     """Exact matrix-vector product U |psi>; U must be unitary within tolerance."""
     if u.dim != psi.dim:
         raise DimensionMismatchError(f"operator dim {u.dim} != state dim {psi.dim}")
-    if not is_unitary(u):
-        raise NotUnitaryError("operator is not unitary within tolerance")
+    _require_unitary(u)
     return StateVector(u.matrix @ psi.amplitudes)
 
 
@@ -271,16 +268,18 @@ def evolve(h: HermitianOperator, t: float) -> DenseOperator:
     return hermitian_spectral_decomposition(h).evolution(t)
 
 
-def operator_distance(a: DenseOperator, b: DenseOperator, norm: str = "spectral") -> float:
-    """Distance between operators: largest singular value or Frobenius norm of A - B."""
+def operator_distance(a: DenseOperator, b: DenseOperator) -> float:
+    """Spectral-norm distance: the largest singular value of A - B."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"operator dims differ: {a.dim} vs {b.dim}")
-    diff = a.matrix - b.matrix
-    if norm == "spectral":
-        return float(np.linalg.norm(diff, 2))
-    if norm == "frobenius":
-        return float(np.linalg.norm(diff, "fro"))
-    raise StatekitError(f"unknown norm {norm!r} (expected 'spectral' or 'frobenius')")
+    return float(np.linalg.norm(a.matrix - b.matrix, 2))
+
+
+def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
+    """AB - BA."""
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"operator dims differ: {a.dim} vs {b.dim}")
+    return DenseOperator(a.matrix @ b.matrix - b.matrix @ a.matrix)
 
 
 def haar_random_unitary(dim: int, seed_or_rng: Union[int, np.random.Generator]) -> DenseOperator:

@@ -1,8 +1,10 @@
 """Central numerical tolerance configuration.
 
-Every module takes its default tolerances from the single ``TOLS`` record
-below instead of scattering magic numbers. Override per call where an
-operation exposes a ``tol`` parameter.
+Every module reads its tolerances from the single ``TOLS`` record below
+instead of scattering magic numbers. Only two are also set per call, both
+by the CLI's ``--tol``: the orthant tolerance of ``in_positive_orthant`` and
+the resonance tolerance of ``resonance_similarity`` and ``run_experiment``.
+Every other check reads ``TOLS`` directly.
 """
 from __future__ import annotations
 
@@ -16,9 +18,7 @@ class Tolerances:
     unitary: float = 1e-10             # max |U^dag U - I| entrywise
     spectral_residual: float = 1e-9    # eigendecomposition reconstruction / orthonormality
     distribution_sum: float = 1e-10    # |sum(p) - 1| absorbed by silent renormalization
-    born_roundtrip: float = 1e-12      # probability loading round trip
     decomposition: float = 1e-10       # |classical + interference - born|
-    reality: float = 1e-12             # imaginary leakage of summed interference
     sign_lock_rad: float = 1e-9        # max argument spread for a phase-locked pair term
     diagonal: float = 1e-10            # off-diagonal leakage allowed in a "diagonal" operator
     fast_path: float = 1e-12           # dense vs. factorized sandwich agreement

@@ -269,6 +269,23 @@ QUBIT_ARGV = {
 }
 
 
+# argv the subcommands must reject with "error:" and exit 2 before building anything
+BAD_SIZE_ARGV = {
+    "interfere --dim -3": ["interfere", "--dim", "-3"],
+    "trotter-scan --n -1": ["trotter-scan", "--n", "-1"],
+    "trotter-scan --tau-min 0": ["trotter-scan", "--n", "2", "--tau-min", "0"],
+    "trotter-scan --points -1": ["trotter-scan", "--n", "2", "--points", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIZE_ARGV))
+def test_bad_sizes_fail_before_allocation(capsys, tripwire, case):
+    code, out, err = run_cli(capsys, *BAD_SIZE_ARGV[case])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 class TestQubitCap:
     @pytest.mark.parametrize("case", sorted(QUBIT_ARGV))
     def test_rejected_above_cap_before_allocation(self, capsys, tripwire, case):

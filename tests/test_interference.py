@@ -161,6 +161,16 @@ class TestSignLock:
         dists = [rng.dirichlet(np.ones(2)) for _ in range(5)]
         assert sk.sign_lock_check(HADAMARD, 0, (0, 1), dists)
 
+    @pytest.mark.parametrize("pair", [(0, 5), (0, -1), (-2, 1), (2, 0), (1, 1)])
+    def test_rejects_pair_outside_dimension(self, pair):
+        with pytest.raises(StatekitError, match=r"^pair must be two distinct basis indices in \[0, 2\)"):
+            sk.sign_lock_check(HADAMARD, 0, pair, [[0.5, 0.5]])
+
+    def test_rejects_pair_outside_a_smaller_distribution(self):
+        u = sk.DenseOperator(np.eye(4))
+        with pytest.raises(DimensionMismatchError):
+            sk.sign_lock_check(u, 0, (0, 3), [[0.5, 0.5]])
+
 
 class TestDiagonalTrap:
     def test_rz_rotation(self):

@@ -166,20 +166,6 @@ class TestSandwichUnitary:
         u = sk.sandwich_unitary(spec)
         assert np.abs(u.matrix.conj().T @ u.matrix - np.eye(16)).max() < 1e-10
 
-    def test_steps_repeat_smaller_step(self, rng):
-        spec = seeded_spec(rng, 2, tau=0.3)
-        u3 = sk.sandwich_unitary(spec, steps=3)
-        small = sk.sandwich_unitary(sk.HamiltonianSpec(spec.fields, spec.coupling, spec.mu, 0.1))
-        ref = small.matrix @ small.matrix @ small.matrix
-        assert np.abs(u3.matrix - ref).max() < 1e-12
-
-    def test_more_steps_reduce_error(self, rng):
-        spec = seeded_spec(rng, 3, tau=0.3)
-        exact = sk.exact_unitary(spec)
-        e1 = sk.operator_distance(sk.sandwich_unitary(spec, steps=1), exact)
-        e4 = sk.operator_distance(sk.sandwich_unitary(spec, steps=4), exact)
-        assert e4 < e1 / 4
-
     def test_time_reversal_adjoint(self, rng):
         # adjoint of the symmetric product equals the product run at -tau
         spec = seeded_spec(rng, 3, tau=0.21)
@@ -190,8 +176,6 @@ class TestSandwichUnitary:
 
     def test_rejects_bad_arguments(self, rng):
         spec = seeded_spec(rng, 2)
-        with pytest.raises(StatekitError):
-            sk.sandwich_unitary(spec, steps=0)
         with pytest.raises(StatekitError):
             sk.sandwich_unitary(spec, method="sparse")
 
@@ -326,14 +310,6 @@ class TestEvolveVacuum:
     def test_unit_norm_property(self, rng):
         spec = seeded_spec(rng, 3)
         assert abs(np.linalg.norm(sk.evolve_vacuum(spec).amplitudes) - 1.0) < 1e-12
-
-    def test_steps(self, rng):
-        spec = seeded_spec(rng, 2, tau=0.4)
-        via_kernels = sk.evolve_vacuum(spec, steps=4)
-        via_operator = sk.apply_unitary(
-            sk.sandwich_unitary(spec, steps=4), sk.basis_state(spec.n_qubits)
-        )
-        assert np.abs(via_kernels.amplitudes - via_operator.amplitudes).max() < 1e-12
 
 
 def test_zz_diagonal_against_python_oracle(rng):

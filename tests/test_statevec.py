@@ -105,8 +105,6 @@ class TestPauliString:
         with pytest.raises(StatekitError):
             sk.pauli_string(2, {2: "Z"})
         with pytest.raises(StatekitError):
-            sk.pauli_string(2, [(0, "Z"), (0, "X")])
-        with pytest.raises(StatekitError):
             sk.pauli_string(2, {0: "Q"})
 
 
@@ -221,25 +219,13 @@ class TestOperatorDistance:
     def test_spectral_of_two_i(self):
         a = sk.DenseOperator(np.eye(2))
         b = sk.DenseOperator(-np.eye(2))
-        assert sk.operator_distance(a, b, "spectral") == pytest.approx(2.0)
-
-    def test_norm_equivalence(self, rng):
-        for _ in range(20):
-            dim = 1 << int(rng.integers(1, 5))
-            a = sk.DenseOperator(rng.standard_normal((dim, dim)))
-            b = sk.DenseOperator(rng.standard_normal((dim, dim)))
-            spec = sk.operator_distance(a, b, "spectral")
-            frob = sk.operator_distance(a, b, "frobenius")
-            assert frob >= spec - 1e-12
-            assert frob <= np.sqrt(dim) * spec + 1e-12
+        assert sk.operator_distance(a, b) == pytest.approx(2.0)
 
     def test_errors(self):
         a = sk.DenseOperator(np.eye(2))
         b = sk.DenseOperator(np.eye(4))
         with pytest.raises(DimensionMismatchError):
             sk.operator_distance(a, b)
-        with pytest.raises(StatekitError):
-            sk.operator_distance(a, a, "nuclear")
 
 
 class TestHaarRandomUnitary:
