@@ -82,6 +82,7 @@ from .statevec import (
     Distribution,
     HermitianOperator,
     SpectralDecomposition,
+    StateStack,
     StateVector,
     apply_unitary,
     basis_state,

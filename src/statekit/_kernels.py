@@ -11,6 +11,8 @@ position ``n - 1 - q``.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -23,21 +25,24 @@ def ry_layer(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Apply the commuting layer of per-qubit y-rotations exp(-i*angle_q*sigma_y).
 
     ``amps`` is one state of length 2^n or a (2^n, k) stack of k column
-    states, and ``angles`` holds one angle per qubit. The rotations act on
-    distinct qubits, hence commute; application order is irrelevant.
-    Returns a new array.
+    states. ``angles`` holds one angle per qubit, shape (n,), shared by
+    every column, or one angle per qubit and column, shape (n, k). The
+    rotations act on distinct qubits, hence commute; application order is
+    irrelevant. Returns a new array.
     """
     angles = np.ascontiguousarray(angles, dtype=np.float64)
     cosines = np.cos(angles)
     sines = np.sin(angles)
+    n = angles.shape[0]
     out = np.array(amps, dtype=np.complex128, order="C")
-    for q in range(angles.size):
-        # qubit q is the middle axis of shape (2^q, 2, 2^(n-1-q) * k)
-        v = out.reshape(1 << q, 2, -1)
-        a0 = v[:, 0, :].copy()
-        a1 = v[:, 1, :].copy()
-        v[:, 0, :] = cosines[q] * a0 - sines[q] * a1
-        v[:, 1, :] = sines[q] * a0 + cosines[q] * a1
+    for q in range(n):
+        # qubit q is axis 1 of shape (2^q, 2, 2^(n-1-q), columns); an angle
+        # per column broadcasts along the last axis
+        v = out.reshape(1 << q, 2, 1 << (n - 1 - q), -1)
+        a0 = v[:, 0].copy()
+        a1 = v[:, 1].copy()
+        v[:, 0] = cosines[q] * a0 - sines[q] * a1
+        v[:, 1] = sines[q] * a0 + cosines[q] * a1
     return out
 
 
@@ -52,10 +57,22 @@ def zz_diagonal(coupling: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("ij,jk,ik->i", z, coupling, z)
 
 
+@functools.lru_cache(maxsize=1)
+def pair_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(size, 1)``: every pair x < x' of ``size`` indices.
+
+    One operator's outcomes all share a size, so the last size is kept.
+    """
+    rows, cols = np.triu_indices(size, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def pair_terms(t: np.ndarray) -> np.ndarray:
     """One-sided cross terms t_x conj(t_x') for all pairs x < x', in np.triu_indices order."""
     t = np.ascontiguousarray(t, dtype=np.complex128)
-    return np.outer(t, t.conj())[np.triu_indices(t.size, 1)]
+    return np.outer(t, t.conj())[pair_indices(t.size)]
 
 
 def pair_sum(terms: np.ndarray) -> float:

@@ -122,7 +122,7 @@ def _cmd_encode(args) -> int:
     if args.encoder == "qift":
         _require_qubits(row.size, "the qift encoder")
     params = QiftParams(mu=args.mu, tau=args.tau, topology=args.topology)  # read by qift only
-    state = ENCODERS[args.encoder](row, params)
+    state = ENCODERS[args.encoder](row[None], params)[0]
     amps = state.amplitudes
     rows = [
         (i, amps[i].real, amps[i].imag, float(np.abs(amps[i]) ** 2))
@@ -203,7 +203,7 @@ def _cmd_spectrum(args) -> int:
     x = _parse_floats(args.x, "--x")
     _require_qubits(x.size, "spectrum")
     coupling = coupling_preset(args.topology, x.size)
-    spec = HamiltonianSpec(x, coupling, mu=args.mu, tau=args.tau)
+    spec = HamiltonianSpec(x, coupling, mu=args.mu)
     profile = spectral_profile(spec)
     tables = [
         Table(
@@ -298,12 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     common.add_argument("--out", type=str, default=None, help="directory to write CSV/JSON files")
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="stdout format")
-    common.add_argument("--tol", type=float, default=None, help="tolerance where applicable")
 
-    qift_opts = argparse.ArgumentParser(add_help=False)
-    qift_opts.add_argument("--mu", type=float, default=1.0, help="global coupling strength")
-    qift_opts.add_argument("--tau", type=float, default=0.1, help="Trotter step")
-    qift_opts.add_argument("--topology", default="ring", help="coupling preset: ring or complete")
+    # a subcommand takes only the options it reads: the spectrum and the
+    # Trotter scan do not depend on one step --tau
+    coupling_opts = argparse.ArgumentParser(add_help=False)
+    coupling_opts.add_argument("--mu", type=float, default=1.0, help="global coupling strength")
+    coupling_opts.add_argument("--topology", default="ring", help="coupling preset: ring or complete")
+    step_opts = argparse.ArgumentParser(add_help=False, parents=[coupling_opts])
+    step_opts.add_argument("--tau", type=float, default=0.1, help="Trotter step")
 
     parser = argparse.ArgumentParser(
         prog="statekit",
@@ -312,11 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"statekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", parents=[common, qift_opts], help="encode a feature vector")
+    p = sub.add_parser("encode", parents=[common, step_opts], help="encode a feature vector")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--values", help="comma-separated feature values")
     group.add_argument("--input", help="JSON file containing a feature array")
     p.add_argument("--encoder", choices=ENCODER_IDS, required=True)
+    p.add_argument("--tol", type=float, default=None, help="positive-orthant tolerance")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("interfere", parents=[common], help="Born-probability decomposition")
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", type=int, default=None, help="single outcome (default: all)")
     p.set_defaults(func=_cmd_interfere)
 
-    p = sub.add_parser("trotter-scan", parents=[common, qift_opts], help="Trotter error scaling scan")
+    p = sub.add_parser("trotter-scan", parents=[common, coupling_opts], help="Trotter error scaling scan")
     p.add_argument("--n", type=int, required=True, help="number of qubits")
     p.add_argument("--x", help="comma-separated field strengths (default: seeded uniform)")
     p.add_argument("--tau-min", type=float, default=1e-3)
@@ -336,17 +339,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=13)
     p.set_defaults(func=_cmd_trotter_scan)
 
-    p = sub.add_parser("spectrum", parents=[common, qift_opts], help="spectrum and mass gap")
+    p = sub.add_parser("spectrum", parents=[common, coupling_opts], help="spectrum and mass gap")
     p.add_argument("--x", required=True, help="comma-separated field strengths")
     p.add_argument("--zeeman", help="perturbation grid start:stop:points (must include 0)")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("resonance", parents=[common, qift_opts], help="gap-coincidence verdict")
+    p = sub.add_parser("resonance", parents=[common, step_opts], help="gap-coincidence verdict")
     p.add_argument("--x-a", required=True, help="fields of the first spec")
     p.add_argument("--x-b", required=True, help="fields of the second spec")
+    p.add_argument("--tol", type=float, default=None, help="gap-coincidence tolerance")
     p.set_defaults(func=_cmd_resonance)
 
-    p = sub.add_parser("parity-exp", parents=[common, qift_opts], help="parity separability contrast")
+    p = sub.add_parser("parity-exp", parents=[common, step_opts], help="parity separability contrast")
     p.add_argument("--n-components", type=int, default=4)
     p.add_argument("--count", type=_count_arg, default="all")
     p.add_argument("--encoders", default="probability_loading,amplitude")
@@ -354,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", parents=[common], help="run an experiment from a JSON config")
     p.add_argument("config", help="path to the config JSON file")
+    p.add_argument("--tol", type=float, default=None, help="resonance gap-coincidence tolerance")
     p.set_defaults(func=_cmd_run)
 
     return parser

@@ -26,15 +26,30 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from ._version import __version__
-from .encoders import amplitude_encoding, phase_encoding, probability_loading
+from .encoders import (
+    _amplitude_stack,
+    _data_rows,
+    _loading_stack,
+    _padding_of,
+    _phase_rows,
+    _phase_stack,
+)
 from .errors import ConfigError, DimensionMismatchError, StatekitError
 from .interference import diagonal_trap_residual, interference_decompositions
-from .qift import CurvatureScan, HamiltonianSpec, coupling_preset, evolve_vacuum, information_curvature
+from .qift import (
+    CurvatureScan,
+    HamiltonianSpec,
+    _vacuum_stack,
+    coupling_preset,
+    information_curvature,
+)
 from .spectral import _verdict, spectral_profile
 from .statevec import (
     DenseOperator,
     Distribution,
+    StateStack,
     StateVector,
+    _distribution_rows,
     _freeze,
     _is_pow2,
     _pad_pow2,
@@ -137,39 +152,49 @@ class QiftParams:
         return np.asarray(self.topology).tolist()
 
 
-def _probability_loading_state(row: np.ndarray, params: QiftParams | None) -> StateVector:
-    return probability_loading(row**2 / np.sum(row**2))
+def _probability_loading_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
+    probs = _distribution_rows(rows**2 / np.sum(rows**2, axis=1, keepdims=True))
+    return _loading_stack(probs, _padding_of(rows.shape[1], probs.shape[1]))
 
 
-def _amplitude_state(row: np.ndarray, params: QiftParams | None) -> StateVector:
-    return amplitude_encoding(row)
+def _amplitude_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
+    values, norms = _data_rows(rows)
+    return _amplitude_stack(values, norms, _padding_of(rows.shape[1], values.shape[1]))
 
 
-def _phase_state(row: np.ndarray, params: QiftParams | None) -> StateVector:
-    padded = _pad_pow2(row)
-    return phase_encoding(np.full(padded.size, 1.0 / padded.size), padded)
+def _phase_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
+    phases = _phase_rows(_pad_pow2(rows))
+    n = phases.shape[1]
+    # 1/n sums to exactly 1 at a power of 2 n: the uniform row needs no renormalising
+    return _phase_stack(np.full((1, n), 1.0 / n), phases, None)
 
 
-def _qift_state(row: np.ndarray, params: QiftParams | None) -> StateVector:
+def _qift_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
     params = params if params is not None else QiftParams()
-    spec = HamiltonianSpec(row, params.coupling_for(row.size), mu=params.mu, tau=params.tau)
-    return evolve_vacuum(spec)
+    n = rows.shape[1]
+    # the rows share coupling, mu and tau: the spec of the first row checks
+    # them, and every other row need only be finite
+    first = rows[0] if len(rows) else np.zeros(n)
+    spec = HamiltonianSpec(first, params.coupling_for(n), mu=params.mu, tau=params.tau)
+    _require_finite("fields, mu or tau", rows)
+    return _vacuum_stack(spec, rows)
 
 
-# encoder id -> state of one feature row v, shared by the CLI and the experiments:
+# encoder id -> states of a stack of feature rows v, one per row, shared by
+# the CLI and the experiments:
 #   probability_loading  v induces p_i = v_i^2 / |v|^2
 #   amplitude            v normalized directly, signs kept
 #   phase                uniform distribution over the next power of 2 >= len(v),
 #                        dressed with phases phi_i = v_i (zero-padded)
 #   qift                 v feeds the local fields of a Hamiltonian spec; the
 #                        state is the evolved vacuum (default QiftParams)
-# The entries call the encoders by their module-level names at call time, so
-# a rebinding of this module's attributes (as a call tracer does) is honoured.
-ENCODERS: dict[str, Callable[[np.ndarray, QiftParams | None], StateVector]] = {
-    "probability_loading": _probability_loading_state,
-    "amplitude": _amplitude_state,
-    "phase": _phase_state,
-    "qift": _qift_state,
+# Every row is checked as the single-state encoder checks its input, and the
+# first bad row raises that encoder's error.
+ENCODERS: dict[str, Callable[[np.ndarray, QiftParams | None], StateStack]] = {
+    "probability_loading": _probability_loading_states,
+    "amplitude": _amplitude_states,
+    "phase": _phase_states,
+    "qift": _qift_states,
 }
 ENCODER_IDS = tuple(ENCODERS)
 
@@ -376,27 +401,33 @@ def encode_dataset(
     ds: LabeledDataset,
     encoder_id: str,
     qift_params: QiftParams | None = None,
-) -> list[StateVector]:
+) -> StateStack:
     """Encode every dataset row into a state with one named encoder of ``ENCODERS``.
 
+    The states come back as one validated stack, row i from dataset row i.
     ``qift_params`` applies to the ``qift`` encoder only.
     """
     if encoder_id not in ENCODERS:
         raise StatekitError(f"unknown encoder {encoder_id!r}; expected one of {ENCODER_IDS}")
     if encoder_id != "qift" and qift_params is not None:
         raise StatekitError(f"qift parameters are not valid for encoder {encoder_id!r}")
-    encode = ENCODERS[encoder_id]
-    return [encode(row, qift_params) for row in ds.vectors]
+    return ENCODERS[encoder_id](ds.vectors, qift_params)
 
 
-def fidelity_gram(states: Sequence[StateVector], encoder_id: str = "custom") -> GramMatrix:
+def fidelity_gram(
+    states: Union[StateStack, Sequence[StateVector]],
+    encoder_id: str = "custom",
+) -> GramMatrix:
     """All pairwise fidelities |<a|b>|^2, symmetrized."""
     if not states:
         raise StatekitError("at least one state is required")
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
-        raise DimensionMismatchError("states have mixed dimensions")
-    stack = np.vstack([s.amplitudes for s in states])
+    if isinstance(states, StateStack):
+        stack = states.amplitudes
+    else:
+        dim = states[0].dim
+        if any(s.dim != dim for s in states):
+            raise DimensionMismatchError("states have mixed dimensions")
+        stack = np.vstack([s.amplitudes for s in states])
     k = np.abs(stack.conj() @ stack.T)
     np.square(k, out=k)
     # 0.5 * (k + k.T) in place, one mirrored pair of tiles at a time; each entry
@@ -443,7 +474,10 @@ def nn_classify_loo(gram: Union[GramMatrix, np.ndarray], labels: Sequence[int]) 
     return int((pred == labels).sum()) / m
 
 
-def distinguishability(states: Sequence[StateVector], labels: Sequence[int]) -> float:
+def distinguishability(
+    states: Union[StateStack, Sequence[StateVector]],
+    labels: Sequence[int],
+) -> float:
     """Minimum cross-class fidelity distance sqrt(1 - |<a|b>|^2).
 
     Zero means some pair with opposite labels is indistinguishable by any

@@ -221,7 +221,7 @@ def pairwise_term_signs(u: DenseOperator, p: DistributionLike, outcome: int) -> 
     elements alone (rescaling ``p`` never flips a sign — see tests).
     """
     values = 2.0 * interference_decomposition(u, p, None, outcome).pairs.real
-    xs, xps = np.triu_indices(u.dim, 1)
+    xs, xps = _kernels.pair_indices(u.dim)
     return PairSignReport(
         outcome=outcome,
         terms=tuple(zip(xs.tolist(), xps.tolist(), values.tolist())),

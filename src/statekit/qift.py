@@ -28,6 +28,7 @@ from .errors import StatekitError
 from .statevec import (
     DenseOperator,
     HermitianOperator,
+    StateStack,
     StateVector,
     _freeze,
     _require_finite,
@@ -192,12 +193,9 @@ def effective_hamiltonian(spec: HamiltonianSpec) -> HermitianOperator:
     )
 
 
-def _step_factors(spec: HamiltonianSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Half-angles tau/2 * x of the rotation layer and the diagonal phase
-    exp(-i tau mu zz) of one symmetric step."""
-    half_angles = (spec.tau / 2.0) * spec.fields
-    dphase = np.exp(-1j * spec.tau * spec.mu * _kernels.zz_diagonal(spec.coupling))
-    return half_angles, dphase
+def _diagonal_phase(spec: HamiltonianSpec) -> np.ndarray:
+    """The diagonal phase exp(-i tau mu zz) of one symmetric step."""
+    return np.exp(-1j * spec.tau * spec.mu * _kernels.zz_diagonal(spec.coupling))
 
 
 def sandwich_unitary(spec: HamiltonianSpec, method: str = "factorized") -> DenseOperator:
@@ -207,10 +205,9 @@ def sandwich_unitary(spec: HamiltonianSpec, method: str = "factorized") -> Dense
     eigendecomposition path; the two agree within ``TOLS.fast_path``.
     """
     if method == "factorized":
-        half_angles, dphase = _step_factors(spec)
         # the rotation layer applied to every basis column is its dense matrix
-        rot = _kernels.ry_layer(np.eye(spec.dim), half_angles)
-        return DenseOperator(rot @ (dphase[:, None] * rot))
+        rot = _kernels.ry_layer(np.eye(spec.dim), (spec.tau / 2.0) * spec.fields)
+        return DenseOperator(rot @ (_diagonal_phase(spec)[:, None] * rot))
     if method == "dense":
         half = evolve(build_h_data(spec.fields), spec.tau / 2.0).matrix
         mid = evolve(build_h_topo(spec.coupling, spec.mu), spec.tau).matrix
@@ -277,15 +274,24 @@ def information_curvature(
     )
 
 
+def _vacuum_stack(spec: HamiltonianSpec, fields: np.ndarray) -> StateStack:
+    """``evolve_vacuum`` of ``spec`` with each row of ``fields`` (m, n) in turn as its fields.
+
+    The m vacua evolve as the columns of one (2^n, m) stack: they share the
+    diagonal phase, and each column turns by the half-angles of its own row.
+    """
+    half_angles = (spec.tau / 2.0) * fields.T
+    amps = np.zeros((spec.dim, len(fields)), dtype=np.complex128)
+    amps[0] = 1.0
+    amps = _kernels.ry_layer(amps, half_angles)
+    return StateStack(_kernels.ry_layer(amps * _diagonal_phase(spec)[:, None], half_angles).T)
+
+
 def evolve_vacuum(spec: HamiltonianSpec) -> StateVector:
     """Apply one sandwich step to the all-zeros vacuum state.
 
     Runs through the state-level kernels (rotation layer, diagonal phase,
-    rotation layer) without materializing the dense operator; this is the
-    hot path when encoding whole datasets.
+    rotation layer) without materializing the dense operator, on the same
+    path that encodes whole datasets.
     """
-    half_angles, dphase = _step_factors(spec)
-    amps = np.zeros(spec.dim, dtype=np.complex128)
-    amps[0] = 1.0
-    amps = _kernels.ry_layer(amps, half_angles)
-    return StateVector(_kernels.ry_layer(amps * dphase, half_angles))
+    return _vacuum_stack(spec, spec.fields[None])[0]

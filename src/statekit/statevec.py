@@ -38,9 +38,12 @@ def _is_pow2(n: int) -> bool:
 
 
 def _pad_pow2(v: np.ndarray) -> np.ndarray:
-    """Zero-pad a 1-D array to the next power of two, at least 2."""
-    target = 1 << max(v.size - 1, 1).bit_length()
-    return v if v.size == target else np.concatenate([v, np.zeros(target - v.size)])
+    """Zero-pad the last axis of ``v`` to the next power of two, at least 2."""
+    width = v.shape[-1]
+    target = 1 << max(width - 1, 1).bit_length()
+    if width == target:
+        return v
+    return np.concatenate([v, np.zeros(v.shape[:-1] + (target - width,))], axis=-1)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -52,6 +55,60 @@ def _require_finite(what: str, *arrays, error: type[StatekitError] = StatekitErr
     """Raise ``error`` when any of ``arrays`` holds a NaN or an infinity."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise error(f"non-finite value in {what}")
+
+
+def _raise_first_failure(error: type[StatekitError], *checks) -> None:
+    """Raise ``error`` for the first row that fails one of ``checks``.
+
+    Each check is a pair: a boolean mask of the failing rows, and a message
+    that is text or a function of the row index. Checks are listed in the
+    order one row is checked, and the row's first failed check gives the
+    message, so a stack raises what its first bad row raises on its own.
+    """
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        row = int(failed.argmax())
+        message = next(message for mask, message in checks if mask[row])
+        raise error(message if isinstance(message, str) else message(row))
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row, by the same ``np.linalg.norm`` call as one vector."""
+    return np.array([np.linalg.norm(row) for row in rows])
+
+
+def _check_state_rows(amps: np.ndarray) -> None:
+    """Raise unless every row of ``amps`` (m, d) is a valid ``StateVector``."""
+    dim = amps.shape[1]
+    norms = _row_norms(amps)
+    _raise_first_failure(
+        StatekitError,
+        (~np.isfinite(amps).all(axis=1), "non-finite value in state"),
+        (np.full(len(amps), not _is_pow2(dim) or dim < 2), f"state length {dim} is not 2^n with n >= 1"),
+        (
+            np.abs(norms - 1.0) > TOLS.state_norm,
+            lambda row: f"state norm {norms[row]!r} deviates from 1 beyond {TOLS.state_norm}",
+        ),
+    )
+
+
+def _distribution_rows(p: np.ndarray) -> np.ndarray:
+    """Check every row of ``p`` (m, k) as a ``Distribution``; return the rows
+    zero-padded to 2^n, each divided by its sum unless that is exactly 1."""
+    padded = _pad_pow2(p)
+    total = padded.sum(axis=1)
+    _raise_first_failure(
+        InvalidDistributionError,
+        (np.full(len(p), p.shape[1] == 0), "empty probability vector"),
+        (~np.isfinite(p).all(axis=1), "non-finite value in distribution"),
+        ((p < 0).any(axis=1), lambda row: f"negative entry {p[row].min()!r} in distribution"),
+        (
+            np.abs(total - 1.0) > TOLS.distribution_sum,
+            lambda row: f"probabilities sum to {total[row]!r}, not 1",
+        ),
+    )
+    exact = total == 1.0
+    return padded if exact.all() else np.where(exact[:, None], padded, padded / total[:, None])
 
 
 def as_rng(seed_or_rng: Union[int, np.random.Generator]) -> np.random.Generator:
@@ -82,12 +139,7 @@ class StateVector:
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128).ravel()
-        _require_finite("state", amps)
-        if not _is_pow2(amps.size) or amps.size < 2:
-            raise StatekitError(f"state length {amps.size} is not 2^n with n >= 1")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > TOLS.state_norm:
-            raise StatekitError(f"state norm {norm!r} deviates from 1 beyond {TOLS.state_norm}")
+        _check_state_rows(amps[None])
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     @property
@@ -97,6 +149,35 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
+
+
+@dataclass(frozen=True, eq=False)
+class StateStack:
+    """m pure states of one dimension: the rows of a frozen (m, 2^n) array.
+
+    Every row passes the checks of ``StateVector``. ``len`` counts the
+    states; indexing and iteration give them as ``StateVector``s that carry
+    ``padded_from``.
+    """
+
+    amplitudes: np.ndarray
+    padded_from: int | None = None
+
+    def __post_init__(self):
+        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        if amps.ndim != 2:
+            raise StatekitError(f"a state stack must be 2-D, got shape {amps.shape}")
+        _check_state_rows(amps)
+        object.__setattr__(self, "amplitudes", _freeze(amps))
+
+    def __len__(self) -> int:
+        return self.amplitudes.shape[0]
+
+    def __getitem__(self, index: int) -> StateVector:
+        return StateVector(self.amplitudes[index], self.padded_from)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,19 +251,8 @@ class Distribution:
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.probabilities, dtype=np.float64).ravel()
-        if p.size == 0:
-            raise InvalidDistributionError("empty probability vector")
-        _require_finite("distribution", p, error=InvalidDistributionError)
-        if np.any(p < 0):
-            raise InvalidDistributionError(f"negative entry {p.min()!r} in distribution")
         object.__setattr__(self, "original_length", p.size)
-        p = _pad_pow2(p)
-        total = p.sum()
-        if abs(total - 1.0) > TOLS.distribution_sum:
-            raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
-        if total != 1.0:
-            p = p / total
-        object.__setattr__(self, "probabilities", _freeze(p))
+        object.__setattr__(self, "probabilities", _freeze(_distribution_rows(p[None])[0]))
 
     @property
     def dim(self) -> int:

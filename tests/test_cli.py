@@ -91,6 +91,37 @@ class TestEncode:
         assert "error:" in err
 
 
+class TestFlagsASubcommandDoesNotRead:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["interfere", "--probs", "0.5,0.5", "--tol", "-7"],
+            ["spectrum", "--x", "0.5", "--tol", "1e-3"],
+            ["trotter-scan", "--n", "2", "--tol", "1e-3"],
+            ["parity-exp", "--n-components", "2", "--tol", "1e-3"],
+            ["trotter-scan", "--n", "2", "--tau", "5"],
+            ["spectrum", "--x", "0.5", "--tau", "0.2"],
+        ],
+    )
+    def test_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encode", "--encoder", "amplitude", "--values", "1,2", "--tol", "1e-3"],
+            ["resonance", "--x-a", "1.0", "--x-b", "1.2", "--tol", "1e-3"],
+            ["trotter-scan", "--n", "2", "--mu", "0.5", "--topology", "complete"],
+            ["spectrum", "--x", "0.5,0.2", "--mu", "0.5"],
+        ],
+    )
+    def test_flags_that_are_read_still_parse(self, capsys, argv):
+        assert main(argv) == 0
+
+
 class TestInterfere:
     def test_hadamard_uniform(self, capsys):
         code, out, _ = run_cli(capsys, "interfere", "--probs", "0.5,0.5")

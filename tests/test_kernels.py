@@ -36,6 +36,14 @@ class TestRyLayer:
         # the same products in the same order: sandwich_unitary relies on exact equality
         assert np.array_equal(_kernels.ry_layer(np.eye(1 << n), angles), rotation_layer_oracle(n, angles))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_per_column_angles_match_single_columns(self, n, k, rng):
+        angles = rng.uniform(-np.pi, np.pi, (n, k))
+        amps = rng.standard_normal((1 << n, k)) + 1j * rng.standard_normal((1 << n, k))
+        columns = [_kernels.ry_layer(amps[:, j], angles[:, j]) for j in range(k)]
+        assert _kernels.ry_layer(amps, angles).tobytes() == np.stack(columns, axis=1).tobytes()
+
     def test_input_not_mutated(self, rng):
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         before = amps.copy()
@@ -72,6 +80,15 @@ class TestPairSum:
         expected = [t[x] * np.conj(t[xp]) for x in range(dim) for xp in range(x + 1, dim)]
         # vectorized complex products may differ from scalar ones in the last bit
         assert _kernels.pair_terms(t) == pytest.approx(expected, rel=8 * np.finfo(np.float64).eps)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 64])
+    def test_pair_indices_are_shared_and_read_only(self, dim):
+        rows, cols = _kernels.pair_indices(dim)
+        assert _kernels.pair_indices(dim)[0] is rows
+        expected = np.triu_indices(dim, 1)
+        assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+        with pytest.raises(ValueError):
+            rows[...] = 0
 
     def test_single_element_no_pairs(self):
         terms = _kernels.pair_terms(np.array([1.0 + 2.0j]))
