@@ -11,6 +11,7 @@ Qubit 0 is the most significant bit of every basis-state index.
 """
 from ._version import __version__
 from .encoders import (
+    ENCODER_IDS,
     DataVector,
     PhaseProfile,
     amplitude_encoding,
@@ -29,13 +30,11 @@ from .errors import (
     StatekitError,
 )
 from .experiments import (
-    ENCODER_IDS,
     EXPERIMENT_IDS,
     ExperimentConfig,
     ExperimentReport,
     GramMatrix,
     LabeledDataset,
-    QiftParams,
     distinguishability,
     encode_dataset,
     fidelity_gram,
@@ -56,6 +55,7 @@ from .interference import (
 from .qift import (
     CurvatureScan,
     HamiltonianSpec,
+    QiftParams,
     build_h_data,
     build_h_topo,
     build_h_topo_dense,

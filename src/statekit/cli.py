@@ -16,13 +16,10 @@ from dataclasses import asdict
 import numpy as np
 
 from ._version import __version__
-from .encoders import in_positive_orthant
+from .encoders import ENCODER_IDS, ENCODERS, in_positive_orthant
 from .errors import ConfigError, StatekitError
 from .experiments import (
-    ENCODER_IDS,
-    ENCODERS,
     ExperimentConfig,
-    QiftParams,
     Table,
     compute_experiment,
     dumps,
@@ -33,7 +30,7 @@ from .experiments import (
     write_outputs,
 )
 from .interference import interference_decompositions
-from .qift import HamiltonianSpec, coupling_preset, information_curvature
+from .qift import QiftParams, information_curvature
 from .spectral import resonance_similarity, spectral_profile, zeeman_sweep
 from .statevec import DenseOperator, Distribution, as_rng, haar_random_unitary
 from .tolerances import TOLS
@@ -188,8 +185,7 @@ def _cmd_trotter_scan(args) -> int:
             raise ConfigError(f"--x has {x.size} entries but --n is {args.n}")
     else:
         x = as_rng(_seed(args)).uniform(-math.pi, math.pi, args.n)
-    coupling = coupling_preset(args.topology, args.n)
-    spec = HamiltonianSpec(x, coupling, mu=args.mu, tau=args.tau_max)
+    spec = QiftParams(mu=args.mu, tau=args.tau_max, topology=args.topology).spec(x)
     taus = np.geomspace(args.tau_max, args.tau_min, args.points)
     results, tables = _curvature_results(information_curvature(spec, taus))
     summary = {"n": args.n, "topology": args.topology, "mu": args.mu, **results}
@@ -202,8 +198,7 @@ def _cmd_trotter_scan(args) -> int:
 def _cmd_spectrum(args) -> int:
     x = _parse_floats(args.x, "--x")
     _require_qubits(x.size, "spectrum")
-    coupling = coupling_preset(args.topology, x.size)
-    spec = HamiltonianSpec(x, coupling, mu=args.mu)
+    spec = QiftParams(mu=args.mu, topology=args.topology).spec(x)
     profile = spectral_profile(spec)
     tables = [
         Table(
@@ -235,8 +230,8 @@ def _cmd_resonance(args) -> int:
     xa = _parse_floats(args.x_a, "--x-a")
     xb = _parse_floats(args.x_b, "--x-b")
     _require_qubits(max(xa.size, xb.size), "resonance")
-    spec_a = HamiltonianSpec(xa, coupling_preset(args.topology, xa.size), mu=args.mu, tau=args.tau)
-    spec_b = HamiltonianSpec(xb, coupling_preset(args.topology, xb.size), mu=args.mu, tau=args.tau)
+    params = QiftParams(mu=args.mu, tau=args.tau, topology=args.topology)
+    spec_a, spec_b = params.spec(xa), params.spec(xb)
     tol = args.tol if args.tol is not None else TOLS.resonance
     summary = asdict(resonance_similarity(spec_a, spec_b, tol))
     # the table row holds every verdict field but spectrum_distance

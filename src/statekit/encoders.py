@@ -1,30 +1,36 @@
-"""Static encoding maps from classical data into state vectors.
+"""Encoding maps from classical data into state vectors.
 
-Three maps are provided: probability loading (amplitudes are square roots
-of a distribution, all phases fixed to zero), amplitude encoding of a data
-vector (signs preserved), and phase encoding (a distribution dressed with
-per-basis-state phases). Inputs of non-power-of-2 length are zero-padded to
-the next power of two and the original length is recorded on the output.
+Three static maps are provided: probability loading (amplitudes are square
+roots of a distribution, all phases fixed to zero), amplitude encoding of a
+data vector (signs preserved), and phase encoding (a distribution dressed
+with per-basis-state phases). Inputs of non-power-of-2 length are
+zero-padded to the next power of two and the original length is recorded on
+the output.
 
 Each map is written once, for a stack of rows (``_loading_stack`` and its
-siblings); the single-state functions run it on a one-row stack, and
-``experiments.ENCODERS`` on a whole dataset.
+siblings); the single-state functions run it on a one-row stack, and the
+encoder table ``ENCODERS`` on a whole stack of feature rows. The table's
+fourth entry, ``qift``, evolves the vacuum under the Hamiltonian each row
+drives (``qift.QiftParams``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from .errors import DimensionMismatchError, StatekitError
+from .qift import QiftParams, _vacuum_stack
 from .statevec import (
     Distribution,
     StateStack,
     StateVector,
+    _distribution_rows,
     _freeze,
     _pad_pow2,
     _raise_first_failure,
+    _require_finite,
     _row_norms,
 )
 from .tolerances import TOLS
@@ -158,6 +164,52 @@ def phase_encoding(p: DistributionLike, phi: PhaseLike) -> StateVector:
         )
     padded_from = _padding_of(dist.original_length, dist.dim)
     return _phase_stack(dist.probabilities[None], prof.phases[None], padded_from)[0]
+
+
+def _probability_loading_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
+    probs = _distribution_rows(rows**2 / np.sum(rows**2, axis=1, keepdims=True))
+    return _loading_stack(probs, _padding_of(rows.shape[1], probs.shape[1]))
+
+
+def _amplitude_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
+    values, norms = _data_rows(rows)
+    return _amplitude_stack(values, norms, _padding_of(rows.shape[1], values.shape[1]))
+
+
+def _phase_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
+    phases = _phase_rows(rows)
+    n = phases.shape[1]
+    # 1/n sums to exactly 1 at a power of 2 n: the uniform row needs no renormalising
+    return _phase_stack(np.full((1, n), 1.0 / n), phases, _padding_of(rows.shape[1], n))
+
+
+def _qift_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
+    params = params if params is not None else QiftParams()
+    # the rows share coupling, mu and tau: the spec of the first row checks
+    # them, and every other row need only be finite
+    first = rows[0] if len(rows) else np.zeros(rows.shape[1])
+    spec = params.spec(first)
+    _require_finite("fields, mu or tau", rows)
+    return _vacuum_stack(spec, rows)
+
+
+# encoder id -> states of a stack of feature rows v, one per row, shared by
+# the CLI and the experiments:
+#   probability_loading  v induces p_i = v_i^2 / |v|^2
+#   amplitude            v normalized directly, signs kept
+#   phase                uniform distribution over the next power of 2 >= len(v),
+#                        dressed with phases phi_i = v_i (zero-padded)
+#   qift                 v feeds the local fields of a Hamiltonian spec; the
+#                        state is the evolved vacuum (default QiftParams)
+# Every row is checked as the single-state encoder checks its input, and the
+# first bad row raises that encoder's error.
+ENCODERS: dict[str, Callable[[np.ndarray, QiftParams | None], StateStack]] = {
+    "probability_loading": _probability_loading_states,
+    "amplitude": _amplitude_states,
+    "phase": _phase_states,
+    "qift": _qift_states,
+}
+ENCODER_IDS = tuple(ENCODERS)
 
 
 def in_positive_orthant(psi: StateVector, tol: float = TOLS.positive_orthant) -> bool:

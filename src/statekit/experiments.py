@@ -9,7 +9,9 @@ byte-identical CSV tables. Four experiments are wired up:
     interference-audit  decomposition and diagonal-trap residuals at scale
 
 Configs arrive as strict JSON (unknown keys are rejected); reports carry a
-full config echo plus tool version and seed for provenance.
+full config echo plus tool version and seed for provenance. The encoder
+table (``ENCODERS``) lives in ``encoders`` and the Hamiltonian parameters
+(``QiftParams``) in ``qift``; both are re-exported here.
 """
 from __future__ import annotations
 
@@ -21,38 +23,23 @@ import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from ._version import __version__
-from .encoders import (
-    _amplitude_stack,
-    _data_rows,
-    _loading_stack,
-    _padding_of,
-    _phase_rows,
-    _phase_stack,
-)
+from .encoders import ENCODER_IDS, ENCODERS
 from .errors import ConfigError, DimensionMismatchError, StatekitError
 from .interference import diagonal_trap_residual, interference_decompositions
-from .qift import (
-    CurvatureScan,
-    HamiltonianSpec,
-    _vacuum_stack,
-    coupling_preset,
-    information_curvature,
-)
+from .qift import CurvatureScan, QiftParams, information_curvature
 from .spectral import _verdict, spectral_profile
 from .statevec import (
     DenseOperator,
     Distribution,
     StateStack,
     StateVector,
-    _distribution_rows,
     _freeze,
     _is_pow2,
-    _pad_pow2,
     _require_finite,
     as_rng,
     haar_random_unitary,
@@ -130,75 +117,6 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class QiftParams:
-    """Hamiltonian-encoder hyperparameters: coupling strength, step, topology."""
-
-    mu: float = 1.0
-    tau: float = 0.1
-    topology: Union[str, np.ndarray] = "ring"
-
-    def coupling_for(self, n: int) -> np.ndarray:
-        if isinstance(self.topology, str):
-            return coupling_preset(self.topology, n)
-        j = np.asarray(self.topology, dtype=np.float64)
-        if j.shape != (n, n):
-            raise ConfigError(f"explicit coupling matrix has shape {j.shape}, expected ({n}, {n})")
-        return j
-
-    def topology_jsonable(self):
-        if isinstance(self.topology, str):
-            return self.topology
-        return np.asarray(self.topology).tolist()
-
-
-def _probability_loading_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
-    probs = _distribution_rows(rows**2 / np.sum(rows**2, axis=1, keepdims=True))
-    return _loading_stack(probs, _padding_of(rows.shape[1], probs.shape[1]))
-
-
-def _amplitude_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
-    values, norms = _data_rows(rows)
-    return _amplitude_stack(values, norms, _padding_of(rows.shape[1], values.shape[1]))
-
-
-def _phase_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
-    phases = _phase_rows(_pad_pow2(rows))
-    n = phases.shape[1]
-    # 1/n sums to exactly 1 at a power of 2 n: the uniform row needs no renormalising
-    return _phase_stack(np.full((1, n), 1.0 / n), phases, None)
-
-
-def _qift_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
-    params = params if params is not None else QiftParams()
-    n = rows.shape[1]
-    # the rows share coupling, mu and tau: the spec of the first row checks
-    # them, and every other row need only be finite
-    first = rows[0] if len(rows) else np.zeros(n)
-    spec = HamiltonianSpec(first, params.coupling_for(n), mu=params.mu, tau=params.tau)
-    _require_finite("fields, mu or tau", rows)
-    return _vacuum_stack(spec, rows)
-
-
-# encoder id -> states of a stack of feature rows v, one per row, shared by
-# the CLI and the experiments:
-#   probability_loading  v induces p_i = v_i^2 / |v|^2
-#   amplitude            v normalized directly, signs kept
-#   phase                uniform distribution over the next power of 2 >= len(v),
-#                        dressed with phases phi_i = v_i (zero-padded)
-#   qift                 v feeds the local fields of a Hamiltonian spec; the
-#                        state is the evolved vacuum (default QiftParams)
-# Every row is checked as the single-state encoder checks its input, and the
-# first bad row raises that encoder's error.
-ENCODERS: dict[str, Callable[[np.ndarray, QiftParams | None], StateStack]] = {
-    "probability_loading": _probability_loading_states,
-    "amplitude": _amplitude_states,
-    "phase": _phase_states,
-    "qift": _qift_states,
-}
-ENCODER_IDS = tuple(ENCODERS)
-
-
 @dataclass(frozen=True)
 class Table:
     """One CSV-bound result table: header plus homogeneous rows."""
@@ -247,9 +165,11 @@ class ExperimentConfig:
         encoders_raw = raw.get("encoders", [])
         if not isinstance(encoders_raw, list):
             raise ConfigError("encoders must be a list")
-        for enc in encoders_raw:
+        for i, enc in enumerate(encoders_raw):
             if enc not in ENCODER_IDS:
                 raise ConfigError(f"unknown encoder {enc!r}; expected one of {ENCODER_IDS}")
+            if enc in encoders_raw[:i]:
+                raise ConfigError(f"encoder {enc!r} is listed more than once")
 
         qift = None
         if "qift" in raw and raw["qift"] is not None:
@@ -527,8 +447,7 @@ def _run_curvature(config: ExperimentConfig) -> tuple[dict, list[Table]]:
     n = config.n_features
     rng = as_rng(config.seed)
     x = rng.uniform(-math.pi, math.pi, n)
-    spec = HamiltonianSpec(x, params.coupling_for(n), mu=params.mu, tau=params.tau)
-    results, tables = _curvature_results(information_curvature(spec))
+    results, tables = _curvature_results(information_curvature(params.spec(x)))
     results["fields"] = x.tolist()
     return results, tables
 
@@ -553,11 +472,7 @@ def _run_resonance(config: ExperimentConfig, tolerance: float) -> tuple[dict, li
     params = config.qift_params()
     n = config.n_features
     rng = as_rng(config.seed)
-    coupling = params.coupling_for(n)
-    specs = [
-        HamiltonianSpec(rng.uniform(-math.pi, math.pi, n), coupling, mu=params.mu, tau=params.tau)
-        for _ in range(int(config.count))
-    ]
+    specs = [params.spec(rng.uniform(-math.pi, math.pi, n)) for _ in range(int(config.count))]
     profiles = [spectral_profile(s) for s in specs]  # one eigendecomposition per spec
     rows = []
     for a, b in itertools.combinations(range(len(specs)), 2):

@@ -15,7 +15,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import _kernels
-from .encoders import DistributionLike, PhaseLike, _as_distribution, _as_phases
+from .encoders import (
+    DistributionLike,
+    PhaseLike,
+    _as_distribution,
+    phase_encoding,
+    probability_loading,
+)
 from .errors import DimensionMismatchError, NotDiagonalError, StatekitError
 from .statevec import DenseOperator, _freeze, _require_unitary
 from .tolerances import TOLS
@@ -76,18 +82,13 @@ class PairSignReport:
     any_negative: bool
 
 
-def _amplitudes(u, dist, phases):
-    """Input amplitudes c_x = sqrt(p_x) e^{i phi_x}, size-checked against ``u``."""
-    if u.dim != dist.dim:
-        raise DimensionMismatchError(f"operator dim {u.dim} != distribution dim {dist.dim}")
-    c = np.sqrt(dist.probabilities).astype(np.complex128)
-    if phases is not None:
-        if phases.dim != dist.dim:
-            raise DimensionMismatchError(
-                f"phase profile length {phases.dim} != distribution length {dist.dim}"
-            )
-        c = c * np.exp(1j * phases.phases)
-    return c
+def _amplitudes(u, dist, phi):
+    """Input amplitudes c_x = sqrt(p_x) e^{i phi_x} of ``probability_loading``
+    (``phi`` None) or ``phase_encoding``, size-checked against ``u``."""
+    psi = probability_loading(dist) if phi is None else phase_encoding(dist, phi)
+    if u.dim != psi.dim:
+        raise DimensionMismatchError(f"operator dim {u.dim} != distribution dim {psi.dim}")
+    return psi.amplitudes
 
 
 def _check_outcome(u: DenseOperator, outcome: int) -> None:
@@ -113,7 +114,7 @@ def interference_decompositions(
     """
     _require_unitary(u)
     dist = _as_distribution(p)
-    c = _amplitudes(u, dist, _as_phases(phi) if phi is not None else None)
+    c = _amplitudes(u, dist, phi)
     born = np.abs(u.matrix @ c)
     for outcome in outcomes:
         _check_outcome(u, outcome)
@@ -169,7 +170,7 @@ def sign_lock_check(
     args = []
     for k, p in enumerate(distributions):
         dist = _as_distribution(p)
-        c = _amplitudes(u, dist, _as_phases(phases[k]) if phases is not None else None)
+        c = _amplitudes(u, dist, phases[k] if phases is not None else None)
         if dist.probabilities[x] * dist.probabilities[xp] == 0.0:
             raise StatekitError(
                 f"distribution {k} has zero probability on pair ({x}, {xp}); argument undefined"
@@ -207,9 +208,7 @@ def diagonal_trap_residual(p: DistributionLike, d: DenseOperator) -> float:
         raise NotDiagonalError("operator is not diagonal within tolerance")
     _require_unitary(d)
     dist = _as_distribution(p)
-    if d.dim != dist.dim:
-        raise DimensionMismatchError(f"operator dim {d.dim} != distribution dim {dist.dim}")
-    out = d.matrix @ np.sqrt(dist.probabilities).astype(np.complex128)
+    out = d.matrix @ _amplitudes(d, dist, None)
     return float(np.abs(np.abs(out) ** 2 - dist.probabilities).max())
 
 

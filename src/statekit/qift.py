@@ -14,17 +14,21 @@ Two implementations of the step coexist on purpose: a dense path through
 exact eigendecomposition exponentials, and a factorized fast path (per-qubit
 y-rotations and an elementwise diagonal phase). Their agreement is one of
 the package's strongest self-checks.
+
+``QiftParams`` holds the coupling strength, step and topology that the
+experiments, the CLI and the ``qift`` encoder share; ``QiftParams.spec``
+turns one field vector into the ``HamiltonianSpec`` they all build.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import _kernels
-from .errors import StatekitError
+from .errors import ConfigError, StatekitError
 from .statevec import (
     DenseOperator,
     HermitianOperator,
@@ -80,6 +84,32 @@ class HamiltonianSpec:
     @property
     def dim(self) -> int:
         return 1 << self.fields.size
+
+
+@dataclass(frozen=True, eq=False)
+class QiftParams:
+    """Hamiltonian-encoder hyperparameters: coupling strength, step, topology."""
+
+    mu: float = 1.0
+    tau: float = 0.1
+    topology: Union[str, np.ndarray] = "ring"
+
+    def coupling_for(self, n: int) -> np.ndarray:
+        if isinstance(self.topology, str):
+            return coupling_preset(self.topology, n)
+        j = np.asarray(self.topology, dtype=np.float64)
+        if j.shape != (n, n):
+            raise ConfigError(f"explicit coupling matrix has shape {j.shape}, expected ({n}, {n})")
+        return j
+
+    def spec(self, fields: Sequence[float] | np.ndarray) -> HamiltonianSpec:
+        """The Hamiltonian of ``fields`` under these parameters, one qubit per field."""
+        return HamiltonianSpec(fields, self.coupling_for(np.size(fields)), mu=self.mu, tau=self.tau)
+
+    def topology_jsonable(self):
+        if isinstance(self.topology, str):
+            return self.topology
+        return np.asarray(self.topology).tolist()
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,6 +90,14 @@ class TestEncode:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("encoder", ["probability_loading", "amplitude", "phase"])
+    def test_padded_from_records_the_input_length(self, capsys, encoder):
+        code, out, _ = run_cli(capsys, "encode", "--encoder", encoder, "--values", "1,2,3")
+        assert code == 0
+        summary, rows = parse_csv_tables(out)
+        assert summary["padded_from"] == "3"
+        assert len(rows) == 5
+
 
 class TestFlagsASubcommandDoesNotRead:
     @pytest.mark.parametrize(
@@ -261,6 +269,12 @@ class TestParityExp:
         assert out == ""
         assert err.startswith("error:") and "32 components" in err
 
+    def test_duplicate_encoders_fail_cleanly(self, capsys):
+        code, out, err = run_cli(capsys, "parity-exp", "--encoders", "amplitude,amplitude")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "'amplitude' is listed more than once" in err
+
 
 class Tripwire(Exception):
     """Raised by a stand-in for the dense work a subcommand starts after its cap."""
@@ -277,7 +291,7 @@ def tripwire(monkeypatch):
 
     for name in (
         "as_rng", "Distribution", "haar_random_unitary", "_hadamard_layer",
-        "interference_decompositions", "HamiltonianSpec", "coupling_preset",
+        "interference_decompositions", "QiftParams",
         "information_curvature", "spectral_profile", "zeeman_sweep", "resonance_similarity",
     ):
         monkeypatch.setattr(cli, name, trip)

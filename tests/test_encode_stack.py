@@ -184,6 +184,20 @@ class TestBadRowInABatch:
             with np.errstate(invalid="ignore"):
                 ENCODERS["probability_loading"](rows, None)
 
+    @pytest.mark.parametrize(
+        "encoder, error, message",
+        [
+            ("probability_loading", InvalidDistributionError, "empty probability vector"),
+            ("amplitude", StatekitError, "empty data vector"),
+            ("phase", StatekitError, "empty phase profile"),
+            ("qift", StatekitError, "at least one field strength is required"),
+        ],
+    )
+    def test_zero_width_rows_rejected(self, encoder, error, message):
+        ds = LabeledDataset(np.zeros((2, 0)), np.ones(2, dtype=np.int64), seed=0)
+        with pytest.raises(error, match=f"^{message}$"):
+            sk.encode_dataset(ds, encoder)
+
     def test_first_bad_row_decides(self):
         rows = np.random.default_rng(3).standard_normal((4, 4))
         rows[1] = 0.0

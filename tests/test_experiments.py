@@ -350,6 +350,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="unknown encoder"):
             sk.ExperimentConfig.from_dict(parity_config(tmp_path, encoders=["basis"]))
 
+    def test_duplicate_encoder(self, tmp_path):
+        raw = parity_config(tmp_path, encoders=["amplitude", "phase", "amplitude"])
+        with pytest.raises(ConfigError, match="^encoder 'amplitude' is listed more than once$"):
+            sk.ExperimentConfig.from_dict(raw)
+
     def test_bool_is_not_an_integer(self, tmp_path):
         with pytest.raises(ConfigError):
             sk.ExperimentConfig.from_dict(parity_config(tmp_path, seed=True))
@@ -549,3 +554,13 @@ class TestRunExperiment:
         per = report.results["per_encoder"]
         assert 0.0 <= per["qift"]["accuracy"] <= 1.0
         assert per["qift"]["distinguishability"] > 0.0
+
+
+def test_encoder_table_and_qift_params_are_re_exported():
+    import statekit.encoders
+    import statekit.experiments
+    import statekit.qift
+
+    assert statekit.experiments.QiftParams is statekit.qift.QiftParams
+    assert statekit.experiments.ENCODERS is statekit.encoders.ENCODERS
+    assert statekit.experiments.ENCODER_IDS is statekit.encoders.ENCODER_IDS

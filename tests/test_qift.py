@@ -1,10 +1,11 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import statekit as sk
-from statekit.errors import StatekitError
+from statekit.errors import ConfigError, StatekitError
+from statekit.qift import coupling_preset
 
 from conftest import pauli_matrix_oracle, random_coupling, zz_energy_oracle
 
@@ -38,6 +39,29 @@ class TestHamiltonianSpec:
         spec = sk.HamiltonianSpec([0.7], np.zeros((1, 1)))
         assert spec.n_qubits == 1
         assert spec.dim == 2
+
+
+class TestQiftParams:
+    @pytest.mark.parametrize("topology", ["ring", "complete", "explicit"])
+    def test_spec_equals_the_hand_built_spec(self, rng, topology):
+        n = 4
+        x = rng.uniform(-np.pi, np.pi, n)
+        if topology == "explicit":
+            topo = coupling = random_coupling(n, rng)
+        else:
+            topo, coupling = topology, coupling_preset(topology, n)
+        spec = sk.QiftParams(mu=0.7, tau=0.3, topology=topo).spec(x)
+        expected = sk.HamiltonianSpec(x, coupling, mu=0.7, tau=0.3)
+        for f in fields(sk.HamiltonianSpec):
+            got, want = getattr(spec, f.name), getattr(expected, f.name)
+            assert type(got) is type(want)
+            assert np.asarray(got).shape == np.asarray(want).shape
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_explicit_matrix_of_the_wrong_shape(self):
+        params = sk.QiftParams(topology=np.zeros((3, 3)))
+        with pytest.raises(ConfigError, match=r"^explicit coupling matrix has shape \(3, 3\), expected \(2, 2\)$"):
+            params.spec([0.1, 0.2])
 
 
 def h_data_pauli_sum(x):
