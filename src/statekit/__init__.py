@@ -12,8 +12,6 @@ Qubit 0 is the most significant bit of every basis-state index.
 from ._version import __version__
 from .encoders import (
     ENCODER_IDS,
-    DataVector,
-    PhaseProfile,
     amplitude_encoding,
     in_positive_orthant,
     phase_encoding,
@@ -72,7 +70,6 @@ from .spectral import (
     ResonanceVerdict,
     SpectralProfile,
     ZeemanTrace,
-    overlap_similarity,
     resonance_similarity,
     spectral_profile,
     zeeman_sweep,
@@ -84,9 +81,6 @@ from .statevec import (
     SpectralDecomposition,
     StateStack,
     StateVector,
-    apply_unitary,
-    basis_state,
-    born_probabilities,
     commutator,
     evolve,
     haar_random_unitary,

@@ -7,15 +7,16 @@ with per-basis-state phases). Inputs of non-power-of-2 length are
 zero-padded to the next power of two and the original length is recorded on
 the output.
 
-Each map is written once, for a stack of rows (``_loading_stack`` and its
-siblings); the single-state functions run it on a one-row stack, and the
-encoder table ``ENCODERS`` on a whole stack of feature rows. The table's
-fourth entry, ``qift``, evolves the vacuum under the Hamiltonian each row
-drives (``qift.QiftParams``).
+Each map is written once, as the amplitude array of a stack of checked rows
+(``_loading_stack`` and its siblings). The encoder table ``ENCODERS`` wraps
+the array of a whole stack of feature rows in one ``StateStack``, and each
+single-state function wraps that of a one-row stack in one ``StateVector``,
+so every state is checked exactly once. The table's fourth entry, ``qift``,
+evolves the vacuum under the Hamiltonian each row drives
+(``qift.QiftParams``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -27,7 +28,6 @@ from .statevec import (
     StateStack,
     StateVector,
     _distribution_rows,
-    _freeze,
     _pad_pow2,
     _raise_first_failure,
     _require_finite,
@@ -36,45 +36,8 @@ from .statevec import (
 from .tolerances import TOLS
 
 
-@dataclass(frozen=True, eq=False)
-class DataVector:
-    """Real feature vector with nonzero Euclidean norm, zero-padded to 2^n;
-    ``original_length`` is the input length before padding."""
-
-    values: np.ndarray
-    original_length: int = field(init=False)
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.values, dtype=np.float64).ravel()
-        values, _ = _data_rows(v[None])
-        object.__setattr__(self, "original_length", v.size)
-        object.__setattr__(self, "values", _freeze(values[0]))
-
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseProfile:
-    """Per-basis-state phases in radians, zero-padded to 2^n;
-    ``original_length`` is the input length before padding."""
-
-    phases: np.ndarray
-    original_length: int = field(init=False)
-
-    def __post_init__(self):
-        p = np.ascontiguousarray(self.phases, dtype=np.float64).ravel()
-        object.__setattr__(self, "original_length", p.size)
-        object.__setattr__(self, "phases", _freeze(_phase_rows(p[None])[0]))
-
-    @property
-    def dim(self) -> int:
-        return self.phases.size
-
-
 def _data_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check every row of ``v`` (m, k) as a ``DataVector``; return the rows
+    """Check every row of ``v`` (m, k) as a data vector; return the rows
     zero-padded to 2^n and their norms. Zero padding leaves a norm's zero test
     unchanged: the norm is zero exactly when every square underflows to 0."""
     values = _pad_pow2(v)
@@ -89,7 +52,7 @@ def _data_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _phase_rows(p: np.ndarray) -> np.ndarray:
-    """Check every row of ``p`` (m, k) as a ``PhaseProfile``; return the rows
+    """Check every row of ``p`` (m, k) as a phase profile; return the rows
     zero-padded to 2^n."""
     _raise_first_failure(
         StatekitError,
@@ -100,40 +63,36 @@ def _phase_rows(p: np.ndarray) -> np.ndarray:
 
 
 DistributionLike = Union[Distribution, Sequence[float], np.ndarray]
-DataLike = Union[DataVector, Sequence[float], np.ndarray]
-PhaseLike = Union[PhaseProfile, Sequence[float], np.ndarray]
+PhaseLike = Union[Sequence[float], np.ndarray]
 
 
 def _as_distribution(p: DistributionLike) -> Distribution:
     return p if isinstance(p, Distribution) else Distribution(np.asarray(p))
 
 
-def _as_data(x: DataLike) -> DataVector:
-    return x if isinstance(x, DataVector) else DataVector(np.asarray(x))
-
-
-def _as_phases(phi: PhaseLike) -> PhaseProfile:
-    return phi if isinstance(phi, PhaseProfile) else PhaseProfile(np.asarray(phi))
+def _one_row(x: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``x`` flattened to float64, as a one-row stack."""
+    return np.ascontiguousarray(np.asarray(x), dtype=np.float64).ravel()[None]
 
 
 def _padding_of(original: int, dim: int) -> int | None:
     return original if original != dim else None
 
 
-def _loading_stack(probs: np.ndarray, padded_from: int | None) -> StateStack:
+def _loading_stack(probs: np.ndarray) -> np.ndarray:
     """Amplitudes sqrt(p_i) for each checked distribution row of ``probs``."""
-    return StateStack(np.sqrt(probs).astype(np.complex128), padded_from)
+    return np.sqrt(probs).astype(np.complex128)
 
 
-def _amplitude_stack(values: np.ndarray, norms: np.ndarray, padded_from: int | None) -> StateStack:
+def _amplitude_stack(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Each checked data row of ``values`` divided by its norm from ``norms``."""
-    return StateStack((values / norms[:, None]).astype(np.complex128), padded_from)
+    return (values / norms[:, None]).astype(np.complex128)
 
 
-def _phase_stack(probs: np.ndarray, phases: np.ndarray, padded_from: int | None) -> StateStack:
+def _phase_stack(probs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Amplitudes sqrt(p_i) exp(i phi_i) row by row; ``probs`` may be one row
     shared by every row of ``phases``."""
-    return StateStack(np.sqrt(probs) * np.exp(1j * phases), padded_from)
+    return np.sqrt(probs) * np.exp(1j * phases)
 
 
 def probability_loading(p: DistributionLike) -> StateVector:
@@ -143,44 +102,44 @@ def probability_loading(p: DistributionLike) -> StateVector:
     lies in the positive orthant and its Born statistics reproduce ``p``.
     """
     dist = _as_distribution(p)
-    return _loading_stack(dist.probabilities[None], _padding_of(dist.original_length, dist.dim))[0]
+    amps = _loading_stack(dist.probabilities[None])
+    return StateVector(amps, _padding_of(dist.original_length, dist.dim))
 
 
-def amplitude_encoding(x: DataLike) -> StateVector:
-    """Normalize a data vector into amplitudes, preserving component signs."""
-    data = _as_data(x)
-    values = data.values[None]
-    padded_from = _padding_of(data.original_length, data.dim)
-    return _amplitude_stack(values, _row_norms(values), padded_from)[0]
+def amplitude_encoding(x: Sequence[float] | np.ndarray) -> StateVector:
+    """Normalize a nonzero real data vector into amplitudes, preserving component signs."""
+    row = _one_row(x)
+    values, norms = _data_rows(row)
+    return StateVector(_amplitude_stack(values, norms), _padding_of(row.shape[1], values.shape[1]))
 
 
 def phase_encoding(p: DistributionLike, phi: PhaseLike) -> StateVector:
     """Amplitudes sqrt(p_i) * exp(i phi_i); Born statistics stay equal to ``p``."""
     dist = _as_distribution(p)
-    prof = _as_phases(phi)
-    if prof.dim != dist.dim:
+    phases = _phase_rows(_one_row(phi))
+    if phases.shape[1] != dist.dim:
         raise DimensionMismatchError(
-            f"phase profile length {prof.dim} != distribution length {dist.dim}"
+            f"phase profile length {phases.shape[1]} != distribution length {dist.dim}"
         )
-    padded_from = _padding_of(dist.original_length, dist.dim)
-    return _phase_stack(dist.probabilities[None], prof.phases[None], padded_from)[0]
+    amps = _phase_stack(dist.probabilities[None], phases)
+    return StateVector(amps, _padding_of(dist.original_length, dist.dim))
 
 
 def _probability_loading_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
     probs = _distribution_rows(rows**2 / np.sum(rows**2, axis=1, keepdims=True))
-    return _loading_stack(probs, _padding_of(rows.shape[1], probs.shape[1]))
+    return StateStack(_loading_stack(probs), _padding_of(rows.shape[1], probs.shape[1]))
 
 
 def _amplitude_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
     values, norms = _data_rows(rows)
-    return _amplitude_stack(values, norms, _padding_of(rows.shape[1], values.shape[1]))
+    return StateStack(_amplitude_stack(values, norms), _padding_of(rows.shape[1], values.shape[1]))
 
 
 def _phase_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
     phases = _phase_rows(rows)
     n = phases.shape[1]
     # 1/n sums to exactly 1 at a power of 2 n: the uniform row needs no renormalising
-    return _phase_stack(np.full((1, n), 1.0 / n), phases, _padding_of(rows.shape[1], n))
+    return StateStack(_phase_stack(np.full((1, n), 1.0 / n), phases), _padding_of(rows.shape[1], n))
 
 
 def _qift_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
@@ -190,7 +149,7 @@ def _qift_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
     first = rows[0] if len(rows) else np.zeros(rows.shape[1])
     spec = params.spec(first)
     _require_finite("fields, mu or tau", rows)
-    return _vacuum_stack(spec, rows)
+    return StateStack(_vacuum_stack(spec, rows))
 
 
 # encoder id -> states of a stack of feature rows v, one per row, shared by

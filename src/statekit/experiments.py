@@ -165,11 +165,6 @@ class ExperimentConfig:
         encoders_raw = raw.get("encoders", [])
         if not isinstance(encoders_raw, list):
             raise ConfigError("encoders must be a list")
-        for i, enc in enumerate(encoders_raw):
-            if enc not in ENCODER_IDS:
-                raise ConfigError(f"unknown encoder {enc!r}; expected one of {ENCODER_IDS}")
-            if enc in encoders_raw[:i]:
-                raise ConfigError(f"encoder {enc!r} is listed more than once")
 
         qift = None
         if "qift" in raw and raw["qift"] is not None:
@@ -188,6 +183,11 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        for i, enc in enumerate(self.encoders):
+            if enc not in ENCODER_IDS:
+                raise ConfigError(f"unknown encoder {enc!r}; expected one of {ENCODER_IDS}")
+            if enc in self.encoders[:i]:
+                raise ConfigError(f"encoder {enc!r} is listed more than once")
         n = self.n_features
         if self.experiment == "parity":
             if not self.encoders:

@@ -32,7 +32,6 @@ from .errors import ConfigError, StatekitError
 from .statevec import (
     DenseOperator,
     HermitianOperator,
-    StateStack,
     StateVector,
     _freeze,
     _require_finite,
@@ -232,7 +231,8 @@ def sandwich_unitary(spec: HamiltonianSpec, method: str = "factorized") -> Dense
     """One symmetric product step exp(-i tau/2 A) exp(-i tau B) exp(-i tau/2 A).
 
     ``method`` selects the factorized fast path (default) or the dense
-    eigendecomposition path; the two agree within ``TOLS.fast_path``.
+    eigendecomposition path; acceptance criterion 6 holds the two within a
+    spectral-norm distance of 1e-12.
     """
     if method == "factorized":
         # the rotation layer applied to every basis column is its dense matrix
@@ -304,8 +304,10 @@ def information_curvature(
     )
 
 
-def _vacuum_stack(spec: HamiltonianSpec, fields: np.ndarray) -> StateStack:
-    """``evolve_vacuum`` of ``spec`` with each row of ``fields`` (m, n) in turn as its fields.
+def _vacuum_stack(spec: HamiltonianSpec, fields: np.ndarray) -> np.ndarray:
+    """Amplitudes (m, 2^n) of ``evolve_vacuum`` of ``spec`` with each row of
+    ``fields`` (m, n) in turn as its fields; the caller wraps them in one
+    checked ``StateStack`` or ``StateVector``.
 
     The m vacua evolve as the columns of one (2^n, m) stack: they share the
     diagonal phase, and each column turns by the half-angles of its own row.
@@ -314,7 +316,7 @@ def _vacuum_stack(spec: HamiltonianSpec, fields: np.ndarray) -> StateStack:
     amps = np.zeros((spec.dim, len(fields)), dtype=np.complex128)
     amps[0] = 1.0
     amps = _kernels.ry_layer(amps, half_angles)
-    return StateStack(_kernels.ry_layer(amps * _diagonal_phase(spec)[:, None], half_angles).T)
+    return _kernels.ry_layer(amps * _diagonal_phase(spec)[:, None], half_angles).T
 
 
 def evolve_vacuum(spec: HamiltonianSpec) -> StateVector:
@@ -324,4 +326,4 @@ def evolve_vacuum(spec: HamiltonianSpec) -> StateVector:
     rotation layer) without materializing the dense operator, on the same
     path that encodes whole datasets.
     """
-    return _vacuum_stack(spec, spec.fields[None])[0]
+    return StateVector(_vacuum_stack(spec, spec.fields[None]))

@@ -13,11 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StatekitError
+from .errors import StatekitError
 from .qift import HamiltonianSpec, effective_hamiltonian
 from .statevec import (
     HermitianOperator,
-    StateVector,
     _freeze,
     _require_finite,
     hermitian_spectral_decomposition,
@@ -143,9 +142,3 @@ def resonance_similarity(
     """Declare two specs resonant when their mass gaps coincide within tolerance."""
     return _verdict(spectral_profile(spec_a), spectral_profile(spec_b), tolerance)
 
-
-def overlap_similarity(psi_a: StateVector, psi_b: StateVector) -> float:
-    """Fidelity |<a|b>|^2, the geometric-overlap baseline."""
-    if psi_a.dim != psi_b.dim:
-        raise DimensionMismatchError(f"state dims differ: {psi_a.dim} vs {psi_b.dim}")
-    return float(np.abs(np.vdot(psi_a.amplitudes, psi_b.amplitudes)) ** 2)

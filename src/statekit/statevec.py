@@ -301,19 +301,6 @@ def _require_unitary(u: DenseOperator) -> None:
         raise NotUnitaryError("operator is not unitary within tolerance")
 
 
-def apply_unitary(u: DenseOperator, psi: StateVector) -> StateVector:
-    """Exact matrix-vector product U |psi>; U must be unitary within tolerance."""
-    if u.dim != psi.dim:
-        raise DimensionMismatchError(f"operator dim {u.dim} != state dim {psi.dim}")
-    _require_unitary(u)
-    return StateVector(u.matrix @ psi.amplitudes)
-
-
-def born_probabilities(psi: StateVector) -> Distribution:
-    """Measurement distribution p_i = |amplitude_i|^2."""
-    return Distribution(np.abs(psi.amplitudes) ** 2)
-
-
 def hermitian_spectral_decomposition(h: HermitianOperator) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian operator.
 
@@ -361,12 +348,3 @@ def haar_random_unitary(dim: int, seed_or_rng: Union[int, np.random.Generator]) 
     d = np.diagonal(r)
     return DenseOperator(q * (d / np.abs(d)))
 
-
-def basis_state(n_qubits: int, index: int = 0) -> StateVector:
-    """Computational basis state |index> on n_qubits."""
-    dim = 1 << n_qubits
-    if not 0 <= index < dim:
-        raise StatekitError(f"basis index {index} out of range for {n_qubits} qubits")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(amps)

@@ -21,7 +21,6 @@ class Tolerances:
     decomposition: float = 1e-10       # |classical + interference - born|
     sign_lock_rad: float = 1e-9        # max argument spread for a phase-locked pair term
     diagonal: float = 1e-10            # off-diagonal leakage allowed in a "diagonal" operator
-    fast_path: float = 1e-12           # dense vs. factorized sandwich agreement
     curvature_floor: float = 1e-12     # Trotter errors below this count as commuting
     degeneracy: float = 1e-10          # gap below this is reported as a degenerate ground space
     resonance: float = 1e-3            # default spectral-gap coincidence tolerance

@@ -16,6 +16,8 @@ from statekit import _kernels
 from statekit.errors import InvalidDistributionError, StatekitError
 from statekit.experiments import ENCODERS, LabeledDataset
 
+from conftest import count_calls
+
 
 def pad(v):
     target = 1 << max(v.size - 1, 1).bit_length()
@@ -134,6 +136,30 @@ def test_qift_encoding_builds_one_diagonal_and_two_rotation_layers(monkeypatch):
         monkeypatch.setattr(_kernels, name, counted)
     sk.encode_dataset(sk.gen_parity_dataset(4, "all", 0), "qift", sk.QiftParams())
     assert calls == {"zz_diagonal": 1, "ry_layer": 2}
+
+
+@pytest.mark.parametrize(
+    "encode",
+    [
+        lambda: sk.probability_loading([0.5, 0.25, 0.25]),
+        lambda: sk.amplitude_encoding([1.0, -2.0, 3.0]),
+        lambda: sk.phase_encoding([0.5, 0.25, 0.25], [0.0, 1.0, 2.0]),
+        lambda: sk.evolve_vacuum(sk.HamiltonianSpec([0.3, -0.4], sk.ring_coupling(2))),
+    ],
+    ids=["probability_loading", "amplitude_encoding", "phase_encoding", "evolve_vacuum"],
+)
+def test_single_state_is_checked_once(monkeypatch, encode):
+    checks = count_calls(monkeypatch, "_check_state_rows")
+    encode()
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize("encoder", sk.ENCODER_IDS)
+def test_stack_is_checked_once(monkeypatch, encoder):
+    params = sk.QiftParams() if encoder == "qift" else None
+    checks = count_calls(monkeypatch, "_check_state_rows")
+    sk.encode_dataset(sk.gen_parity_dataset(4, "all", 0), encoder, params)
+    assert len(checks) == 1
 
 
 def single_state_error(encoder, row, params):

@@ -20,7 +20,7 @@ class TestProbabilityLoading:
         for _ in range(50):
             p = rng.dirichlet(np.ones(8))
             psi = sk.probability_loading(p)
-            back = sk.born_probabilities(psi).probabilities
+            back = np.abs(psi.amplitudes) ** 2
             assert np.abs(back - p).max() < 1e-12
 
     def test_negative_entry_rejected(self):
@@ -50,7 +50,7 @@ class TestAmplitudeEncoding:
     def test_sign_orthogonality(self):
         a = sk.amplitude_encoding([1.0, -1.0])
         b = sk.amplitude_encoding([1.0, 1.0])
-        assert sk.overlap_similarity(a, b) < 1e-12
+        assert abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 < 1e-12
 
     def test_normalization_arithmetic(self):
         psi = sk.amplitude_encoding([3.0, 4.0, 0.0, 0.0])
@@ -70,7 +70,7 @@ class TestAmplitudeEncoding:
         x = rng.standard_normal(8)
         a = sk.amplitude_encoding(x)
         b = sk.amplitude_encoding(-x)
-        assert abs(sk.overlap_similarity(a, b) - 1.0) < 1e-12
+        assert abs(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 - 1.0) < 1e-12
 
 
 class TestPhaseEncoding:
@@ -89,8 +89,8 @@ class TestPhaseEncoding:
             dim = 1 << int(rng.integers(1, 5))
             p = rng.dirichlet(np.ones(dim))
             phi = rng.uniform(0, 2 * np.pi, dim)
-            probs = sk.born_probabilities(sk.phase_encoding(p, phi)).probabilities
-            ref = sk.born_probabilities(sk.probability_loading(p)).probabilities
+            probs = np.abs(sk.phase_encoding(p, phi).amplitudes) ** 2
+            ref = np.abs(sk.probability_loading(p).amplitudes) ** 2
             assert np.abs(probs - ref).max() < 1e-12
 
     def test_length_mismatch(self):
@@ -117,7 +117,7 @@ class TestPositiveOrthant:
 
     def test_tol_must_be_positive(self):
         with pytest.raises(StatekitError):
-            sk.in_positive_orthant(sk.basis_state(1), tol=0.0)
+            sk.in_positive_orthant(sk.StateVector(np.eye(2)[0]), tol=0.0)
 
 
 class TestStateCollapse:
@@ -133,10 +133,10 @@ class TestStateCollapse:
             psi = sk.probability_loading(p)
             if ref is None:
                 ref = psi
-            assert abs(sk.overlap_similarity(ref, psi) - 1.0) < 1e-12
+            assert abs(abs(np.vdot(ref.amplitudes, psi.amplitudes)) ** 2 - 1.0) < 1e-12
             assert np.array_equal(ref.amplitudes, psi.amplitudes)
 
     def test_amplitude_encoding_keeps_signs_apart(self):
         a = sk.amplitude_encoding([1.0, 1.0])
         b = sk.amplitude_encoding([1.0, -1.0])
-        assert sk.overlap_similarity(a, b) < 1e-12
+        assert abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 < 1e-12

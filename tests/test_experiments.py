@@ -79,16 +79,16 @@ class TestEncodeDataset:
         ds = sk.gen_parity_dataset(4, "all", 0)
         states = sk.encode_dataset(ds, "phase")
         for s in states:
-            probs = sk.born_probabilities(s).probabilities
+            probs = np.abs(s.amplitudes) ** 2
             assert np.abs(probs - 0.25).max() < 1e-12
 
     def test_qift_leaves_vacuum(self, rng):
         ds = sk.LabeledDataset(rng.uniform(-1, 1, (3, 4)), np.array([1, -1, 1]), seed=0)
         states = sk.encode_dataset(ds, "qift", sk.QiftParams(mu=1.0, tau=0.1))
-        vacuum = sk.basis_state(4)
+        vacuum = sk.StateVector(np.eye(16)[0])
         for s in states:
             assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
-            assert sk.overlap_similarity(s, vacuum) < 1.0 - 1e-6
+            assert abs(np.vdot(s.amplitudes, vacuum.amplitudes)) ** 2 < 1.0 - 1e-6
 
     def test_qift_matches_evolve_vacuum(self, rng):
         row = rng.uniform(-1, 1, 3)
@@ -113,7 +113,7 @@ class TestFidelityGram:
         assert np.array_equal(gram.entries, np.ones((5, 5)))
 
     def test_orthonormal_states_identity(self):
-        states = [sk.basis_state(2, i) for i in range(4)]
+        states = [sk.StateVector(row) for row in np.eye(4)]
         gram = sk.fidelity_gram(states)
         assert np.array_equal(gram.entries, np.eye(4))
 
@@ -134,7 +134,7 @@ class TestFidelityGram:
 
     def test_mixed_dims_rejected(self):
         with pytest.raises(StatekitError):
-            sk.fidelity_gram([sk.basis_state(1), sk.basis_state(2)])
+            sk.fidelity_gram([sk.StateVector(np.eye(2)[0]), sk.StateVector(np.eye(4)[0])])
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(StatekitError, match="must not be empty"):
@@ -354,6 +354,24 @@ class TestExperimentConfig:
         raw = parity_config(tmp_path, encoders=["amplitude", "phase", "amplitude"])
         with pytest.raises(ConfigError, match="^encoder 'amplitude' is listed more than once$"):
             sk.ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "encoders, message",
+        [
+            (("basis",), "^unknown encoder 'basis'; expected one of "),
+            (("amplitude", "amplitude"), "^encoder 'amplitude' is listed more than once$"),
+        ],
+    )
+    def test_validate_checks_encoder_ids(self, tmp_path, encoders, message):
+        # a config built directly, not by from_dict, meets the same checks
+        cfg = sk.ExperimentConfig(
+            experiment="parity", n_features=2, count="all", seed=0,
+            output_dir=str(tmp_path), encoders=encoders,
+        )
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+        with pytest.raises(ConfigError, match=message):
+            compute_experiment(cfg)
 
     def test_bool_is_not_an_integer(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -88,7 +88,7 @@ def single_outcome_oracle(u, p, phi, y):
     probs = sk.Distribution(p).probabilities
     c = np.sqrt(probs).astype(np.complex128)
     if phi is not None:
-        c = c * np.exp(1j * sk.PhaseProfile(phi).phases)
+        c = c * np.exp(1j * phi)
     t = c * u.matrix[y, :]
     classical = float(probs @ (np.abs(u.matrix[y, :]) ** 2))
     pairs = np.outer(t, t.conj())[np.triu_indices(t.size, 1)]

@@ -1,4 +1,5 @@
-"""Every domain type rejects NaN and infinite input with its own error class."""
+"""Every domain type, and every encoder of raw data, rejects NaN and infinite
+input with its own error class."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,10 @@ def spec_with_coupling(j):
 
 def spec_with_mu(mu):
     return sk.HamiltonianSpec([0.5, 0.5], sk.ring_coupling(2), mu=mu[0])
+
+
+def phase_encoding_uniform(phi):
+    return sk.phase_encoding(np.full(phi.size, 1.0 / phi.size), phi)
 
 
 def dataset(v):
@@ -54,8 +59,8 @@ CASES = {
         EigensolverError,
     ),
     "Distribution": (lambda d: np.full(d, 1.0 / d), sk.Distribution, InvalidDistributionError),
-    "DataVector": (lambda d: np.ones(d), sk.DataVector, StatekitError),
-    "PhaseProfile": (lambda d: np.zeros(d), sk.PhaseProfile, StatekitError),
+    "amplitude_encoding": (lambda d: np.ones(d), sk.amplitude_encoding, StatekitError),
+    "phase_encoding": (lambda d: np.zeros(d), phase_encoding_uniform, StatekitError),
     "HamiltonianSpec.fields": (lambda d: np.ones(d.bit_length() - 1), spec_with_fields, StatekitError),
     "HamiltonianSpec.coupling": (lambda d: sk.ring_coupling(d.bit_length() - 1), spec_with_coupling, StatekitError),
     "HamiltonianSpec.mu": (lambda d: np.ones(1), spec_with_mu, StatekitError),
@@ -81,8 +86,8 @@ PASSED_BEFORE = {
     "SpectralDecomposition.eigenvalues": np.array([NAN, 1.0]),
     "SpectralDecomposition.eigenvectors": np.array([[1.0, 0.0], [0.0, NAN]]),
     "Distribution": np.array([NAN, 0.5, 0.5, 0.0]),
-    "DataVector": np.array([INF, 1.0]),
-    "PhaseProfile": np.array([NAN, 0.0]),
+    "amplitude_encoding": np.array([INF, 1.0]),
+    "phase_encoding": np.array([NAN, 0.0]),
     "HamiltonianSpec.fields": np.array([NAN, 0.5]),
     "HamiltonianSpec.coupling": np.array([[0.0, INF], [INF, 0.0]]),
     "HamiltonianSpec.mu": np.array([NAN]),

@@ -152,23 +152,3 @@ class TestResonance:
         verdict = sk.resonance_similarity(a, b, 1e-3)
         assert verdict.spectrum_distance == pytest.approx(1.0, abs=1e-12)
 
-
-class TestOverlapSimilarity:
-    def test_self_overlap(self, rng):
-        amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi = sk.StateVector(amps / np.linalg.norm(amps))
-        assert sk.overlap_similarity(psi, psi) == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_basis_states(self):
-        assert sk.overlap_similarity(sk.basis_state(1, 0), sk.basis_state(1, 1)) == 0.0
-
-    def test_collapsed_sign_variants(self, rng):
-        x = rng.standard_normal(4) + 0.5
-        a = sk.probability_loading(x**2 / np.sum(x**2))
-        flipped = x * np.array([1.0, -1.0, -1.0, 1.0])
-        b = sk.probability_loading(flipped**2 / np.sum(flipped**2))
-        assert sk.overlap_similarity(a, b) == pytest.approx(1.0, abs=1e-12)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(StatekitError):
-            sk.overlap_similarity(sk.basis_state(1), sk.basis_state(2))

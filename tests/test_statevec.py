@@ -6,13 +6,10 @@ from statekit.errors import (
     DimensionMismatchError,
     EigensolverError,
     NotHermitianError,
-    NotUnitaryError,
     StatekitError,
 )
 
 from conftest import pauli_matrix_oracle, random_hermitian
-
-SQ2 = 1.0 / np.sqrt(2.0)
 
 
 class TestTypes:
@@ -30,7 +27,7 @@ class TestTypes:
         assert s.n_qubits == 1
 
     def test_state_is_immutable(self):
-        s = sk.basis_state(2)
+        s = sk.StateVector(np.eye(4)[0])
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
 
@@ -106,58 +103,6 @@ class TestPauliString:
             sk.pauli_string(2, {2: "Z"})
         with pytest.raises(StatekitError):
             sk.pauli_string(2, {0: "Q"})
-
-
-class TestApplyUnitary:
-    def test_identity(self):
-        psi = sk.probability_loading([0.3, 0.7])
-        out = sk.apply_unitary(sk.DenseOperator(np.eye(2)), psi)
-        assert np.array_equal(out.amplitudes, psi.amplitudes)
-
-    def test_hadamard_on_zero(self):
-        h = sk.DenseOperator(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-        out = sk.apply_unitary(h, sk.basis_state(1, 0))
-        assert np.abs(out.amplitudes - np.array([SQ2, SQ2])).max() < 1e-15
-
-    def test_norm_preserved_over_seeded_haar(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(1, 7))
-            dim = 1 << n
-            u = sk.haar_random_unitary(dim, rng)
-            amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            psi = sk.StateVector(amps / np.linalg.norm(amps))
-            out = sk.apply_unitary(u, psi)
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
-
-    def test_rejects_non_unitary(self):
-        bad = sk.DenseOperator(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        with pytest.raises(NotUnitaryError):
-            sk.apply_unitary(bad, sk.basis_state(1))
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            sk.apply_unitary(sk.DenseOperator(np.eye(4)), sk.basis_state(1))
-
-
-class TestBornProbabilities:
-    def test_uniform(self):
-        psi = sk.StateVector(np.array([SQ2, SQ2]))
-        assert np.abs(sk.born_probabilities(psi).probabilities - 0.5).max() < 1e-15
-
-    def test_sign_invisible(self):
-        plus = sk.StateVector(np.array([SQ2, SQ2]))
-        minus = sk.StateVector(np.array([SQ2, -SQ2]))
-        assert np.array_equal(
-            sk.born_probabilities(plus).probabilities,
-            sk.born_probabilities(minus).probabilities,
-        )
-
-    def test_sums_to_one_property(self, rng):
-        for _ in range(100):
-            dim = 1 << int(rng.integers(1, 6))
-            amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            psi = sk.StateVector(amps / np.linalg.norm(amps))
-            assert abs(sk.born_probabilities(psi).probabilities.sum() - 1.0) < 1e-10
 
 
 class TestSpectralDecomposition:
@@ -243,9 +188,3 @@ class TestHaarRandomUnitary:
         with pytest.raises(StatekitError):
             sk.haar_random_unitary(4, -1)
 
-
-def test_basis_state():
-    s = sk.basis_state(2, 3)
-    assert np.array_equal(s.amplitudes, [0, 0, 0, 1])
-    with pytest.raises(StatekitError):
-        sk.basis_state(2, 4)
