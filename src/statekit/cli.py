@@ -74,8 +74,6 @@ def _hadamard_layer(dim: int) -> np.ndarray:
     u = np.ones((1, 1))
     while u.shape[0] < dim:
         u = np.kron(u, h)
-    if u.shape[0] != dim:
-        raise ConfigError(f"dimension {dim} is not a power of 2")
     return u.astype(np.complex128)
 
 
@@ -116,9 +114,10 @@ def _cmd_encode(args) -> int:
                 row = np.asarray(json.load(fh), dtype=np.float64).ravel()
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read input vector: {exc}") from exc
+    params = None
     if args.encoder == "qift":
         _require_qubits(row.size, "the qift encoder")
-    params = QiftParams(mu=args.mu, tau=args.tau, topology=args.topology)  # read by qift only
+        params = QiftParams(mu=args.mu, tau=args.tau, topology=args.topology)
     state = ENCODERS[args.encoder](row[None], params)[0]
     amps = state.amplitudes
     rows = [

@@ -144,10 +144,9 @@ def _phase_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
 
 def _qift_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
     params = params if params is not None else QiftParams()
-    # the rows share coupling, mu and tau: the spec of the first row checks
-    # them, and every other row need only be finite
-    first = rows[0] if len(rows) else np.zeros(rows.shape[1])
-    spec = params.spec(first)
+    # the rows share one coupling, mu and tau, which the spec checks; its own
+    # fields are never read, so the rows need only be finite
+    spec = params.spec(np.zeros(rows.shape[1]))
     _require_finite("fields, mu or tau", rows)
     return StateStack(_vacuum_stack(spec, rows))
 

@@ -11,7 +11,9 @@ byte-identical CSV tables. Four experiments are wired up:
 Configs arrive as strict JSON (unknown keys are rejected); reports carry a
 full config echo plus tool version and seed for provenance. The encoder
 table (``ENCODERS``) lives in ``encoders`` and the Hamiltonian parameters
-(``QiftParams``) in ``qift``; both are re-exported here.
+(``QiftParams``) in ``qift``; both are re-exported here. ``ExperimentConfig``
+and its ``QiftParams`` check themselves on construction, so a config that
+exists has passed every check, the size of an explicit topology included.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import io
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence, Union
@@ -47,9 +49,8 @@ from .statevec import (
 from .tolerances import TOLS
 
 EXPERIMENT_IDS = ("parity", "curvature-scan", "resonance", "interference-audit")
-TOPOLOGY_PRESETS = ("ring", "complete")
 
-# Admission limits of ExperimentConfig.validate; README's config section gives the budget.
+# Admission limits of ExperimentConfig; README's config section gives the budget.
 MAX_QUBITS = 12  # dense 2^n x 2^n complex128 operators; also the qift encoder's register
 MAX_PARITY_COMPONENTS = 32  # the largest power of 2 whose 2^n enumeration index fits int64
 MAX_PARITY_SAMPLES = 4096  # the Gram matrix and the leave-one-out pass grow as samples^2
@@ -128,7 +129,7 @@ class Table:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated run description; build from JSON via ``from_dict``."""
+    """Run description, checked on construction; build from JSON via ``from_dict``."""
 
     experiment: str
     n_features: int
@@ -150,39 +151,23 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
 
-        experiment = raw["experiment"]
-        if experiment not in EXPERIMENT_IDS:
-            raise ConfigError(f"unknown experiment {experiment!r}; expected one of {EXPERIMENT_IDS}")
-        n_features = _require_int(raw["n_features"], "n_features", minimum=1)
-        count = raw["count"]
-        if count != "all":
-            count = _require_int(count, "count", minimum=1)
-        seed = _require_int(raw["seed"], "seed", minimum=0)
-        output_dir = raw["output_dir"]
-        if not isinstance(output_dir, str) or not output_dir:
-            raise ConfigError("output_dir must be a non-empty string")
-
-        encoders_raw = raw.get("encoders", [])
-        if not isinstance(encoders_raw, list):
+        encoders = raw.get("encoders", [])
+        if not isinstance(encoders, list):
             raise ConfigError("encoders must be a list")
+        qift = raw.get("qift")
+        if qift is not None:
+            qift = _parse_qift_block(qift)
+        return cls(**{**raw, "encoders": tuple(encoders), "qift": qift})
 
-        qift = None
-        if "qift" in raw and raw["qift"] is not None:
-            qift = _parse_qift_block(raw["qift"])
-
-        cfg = cls(
-            experiment=experiment,
-            n_features=n_features,
-            count=count,
-            seed=seed,
-            output_dir=output_dir,
-            encoders=tuple(encoders_raw),
-            qift=qift,
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENT_IDS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_IDS}")
+        _require_int(self.n_features, "n_features", minimum=1)
+        if self.count != "all":
+            _require_int(self.count, "count", minimum=1)
+        _require_int(self.seed, "seed", minimum=0)
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError("output_dir must be a non-empty string")
         for i, enc in enumerate(self.encoders):
             if enc not in ENCODER_IDS:
                 raise ConfigError(f"unknown encoder {enc!r}; expected one of {ENCODER_IDS}")
@@ -201,9 +186,12 @@ class ExperimentConfig:
                 raise ConfigError(f"parity supports at most {MAX_PARITY_SAMPLES} samples, got {samples}")
             if "qift" in self.encoders:
                 _require_qubits(n, "the qift encoder")
+                self.qift_params().coupling_for(n)  # an explicit topology must be n x n
         else:
             # n_features counts qubits here; the toolkit is dense-only
             _require_qubits(n, self.experiment)
+            if self.experiment != "interference-audit":
+                self.qift_params().coupling_for(n)
         if self.experiment == "resonance":
             if self.count == "all" or int(self.count) < 2:
                 raise ConfigError("resonance experiment requires an integer count >= 2")
@@ -223,11 +211,7 @@ class ExperimentConfig:
             "output_dir": self.output_dir,
         }
         if self.qift is not None:
-            out["qift"] = {
-                "mu": self.qift.mu,
-                "tau": self.qift.tau,
-                "topology": self.qift.topology_jsonable(),
-            }
+            out["qift"] = _jsonify(asdict(self.qift))
         return out
 
 
@@ -250,12 +234,11 @@ def _require_qubits(n: int, what: str) -> None:
         raise ConfigError(f"{what} supports at most {MAX_QUBITS} qubits, got {n}")
 
 
-def _require_int(value, name: str, minimum: int) -> int:
+def _require_int(value, name: str, minimum: int) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}")
-    return value
 
 
 def _parse_qift_block(raw: dict) -> QiftParams:
@@ -264,25 +247,7 @@ def _parse_qift_block(raw: dict) -> QiftParams:
     unknown = set(raw) - {"mu", "tau", "topology"}
     if unknown:
         raise ConfigError(f"unknown qift keys: {sorted(unknown)}")
-    mu = raw.get("mu", 1.0)
-    tau = raw.get("tau", 0.1)
-    if isinstance(mu, bool) or not isinstance(mu, (int, float)):
-        raise ConfigError("qift.mu must be a number")
-    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not tau > 0:
-        raise ConfigError("qift.tau must be a positive number")
-    topology = raw.get("topology", "ring")
-    if isinstance(topology, str):
-        if topology not in TOPOLOGY_PRESETS:
-            raise ConfigError(
-                f"unknown topology preset {topology!r}; expected one of {TOPOLOGY_PRESETS}"
-            )
-    elif isinstance(topology, list):
-        topology = np.asarray(topology, dtype=np.float64)
-        if topology.ndim != 2 or topology.shape[0] != topology.shape[1]:
-            raise ConfigError("explicit topology must be a square matrix")
-    else:
-        raise ConfigError("topology must be a preset name or a square matrix")
-    return QiftParams(mu=float(mu), tau=float(tau), topology=topology)
+    return QiftParams(**raw)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +492,6 @@ def compute_experiment(
     resonance_tolerance: float | None = None,
 ) -> tuple[dict, list[Table]]:
     """Run the configured experiment in memory; no files touched."""
-    config.validate()
     if config.experiment == "parity":
         return _run_parity(config)
     if config.experiment == "curvature-scan":

@@ -17,11 +17,14 @@ the package's strongest self-checks.
 
 ``QiftParams`` holds the coupling strength, step and topology that the
 experiments, the CLI and the ``qift`` encoder share; ``QiftParams.spec``
-turns one field vector into the ``HamiltonianSpec`` they all build.
+turns one field vector into the ``HamiltonianSpec`` they all build. Both
+check themselves on construction by the same code, ``QiftParams`` with
+``ConfigError``; ``COUPLINGS`` is the one table of topology presets.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
@@ -67,14 +70,12 @@ class HamiltonianSpec:
         j = np.ascontiguousarray(self.coupling, dtype=np.float64)
         if x.size < 1:
             raise StatekitError("at least one field strength is required")
-        _require_finite("fields, mu or tau", x, np.asarray([self.mu, self.tau], dtype=np.float64))
+        mu, tau = _check_step(self.mu, self.tau, x)
         _check_coupling(j, x.size)
-        if not self.tau > 0:
-            raise StatekitError(f"tau must be > 0, got {self.tau}")
         object.__setattr__(self, "fields", _freeze(x))
         object.__setattr__(self, "coupling", _freeze(j))
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "tau", tau)
 
     @property
     def n_qubits(self) -> int:
@@ -87,28 +88,41 @@ class HamiltonianSpec:
 
 @dataclass(frozen=True, eq=False)
 class QiftParams:
-    """Hamiltonian-encoder hyperparameters: coupling strength, step, topology."""
+    """Hamiltonian-encoder hyperparameters: coupling strength, step, topology.
+
+    Checked on construction like ``HamiltonianSpec``, raising ``ConfigError``.
+    An explicit topology is copied, checked and frozen.
+    """
 
     mu: float = 1.0
     tau: float = 0.1
     topology: Union[str, np.ndarray] = "ring"
 
+    def __post_init__(self):
+        mu, tau = _check_step(self.mu, self.tau, error=ConfigError)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "tau", tau)
+        if isinstance(self.topology, str):
+            if self.topology not in COUPLINGS:
+                raise ConfigError(f"unknown topology preset {self.topology!r}; expected one of {tuple(COUPLINGS)}")
+            return
+        try:  # a copy, so the caller's array stays writable
+            j = np.asarray(self.topology).astype(np.float64, casting="safe")
+        except (TypeError, ValueError):  # strings, objects, ragged rows
+            raise ConfigError("topology must be a preset name or a real square matrix") from None
+        _check_coupling(j, error=ConfigError)
+        object.__setattr__(self, "topology", _freeze(j))
+
     def coupling_for(self, n: int) -> np.ndarray:
         if isinstance(self.topology, str):
-            return coupling_preset(self.topology, n)
-        j = np.asarray(self.topology, dtype=np.float64)
-        if j.shape != (n, n):
-            raise ConfigError(f"explicit coupling matrix has shape {j.shape}, expected ({n}, {n})")
-        return j
+            return COUPLINGS[self.topology](n)
+        if self.topology.shape != (n, n):
+            raise ConfigError(f"explicit coupling matrix has shape {self.topology.shape}, expected ({n}, {n})")
+        return self.topology
 
     def spec(self, fields: Sequence[float] | np.ndarray) -> HamiltonianSpec:
         """The Hamiltonian of ``fields`` under these parameters, one qubit per field."""
         return HamiltonianSpec(fields, self.coupling_for(np.size(fields)), mu=self.mu, tau=self.tau)
-
-    def topology_jsonable(self):
-        if isinstance(self.topology, str):
-            return self.topology
-        return np.asarray(self.topology).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,18 +155,34 @@ class CurvatureScan:
         object.__setattr__(self, "errors", _freeze(errors))
 
 
-def _check_coupling(j: np.ndarray, n_fields: int | None = None) -> None:
-    """Raise unless ``j`` is a finite, exactly symmetric, zero-diagonal square
-    matrix, n_fields x n_fields when ``n_fields`` is given."""
+def _check_step(mu, tau, *fields, error: type[StatekitError] = StatekitError) -> tuple[float, float]:
+    """``mu`` and ``tau`` as floats; raise ``error`` unless both are real numbers,
+    not bools, and they and ``fields`` are finite with tau > 0."""
+    what = "fields, mu or tau" if fields else "mu or tau"
+    for name, value in (("mu", mu), ("tau", tau)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        _require_finite(what, *fields, np.asarray([mu, tau], dtype=np.float64), error=error)
+    except OverflowError:  # an int beyond the float range
+        raise error(f"non-finite value in {what}") from None
+    if not tau > 0:
+        raise error(f"tau must be > 0, got {tau}")
+    return float(mu), float(tau)
+
+
+def _check_coupling(j: np.ndarray, n_fields: int | None = None, error=StatekitError) -> None:
+    """Raise ``error`` unless ``j`` is a finite, exactly symmetric, zero-diagonal
+    square matrix, n_fields x n_fields when ``n_fields`` is given."""
     if n_fields is not None and j.shape != (n_fields, n_fields):
-        raise StatekitError(f"coupling shape {j.shape} does not match {n_fields} fields")
+        raise error(f"coupling shape {j.shape} does not match {n_fields} fields")
     if j.ndim != 2 or j.shape[0] != j.shape[1]:
-        raise StatekitError(f"coupling must be square, got shape {j.shape}")
-    _require_finite("coupling matrix", j)
+        raise error(f"coupling must be square, got shape {j.shape}")
+    _require_finite("coupling matrix", j, error=error)
     if not np.array_equal(j, j.T):
-        raise StatekitError("coupling matrix must be exactly symmetric")
+        raise error("coupling matrix must be exactly symmetric")
     if np.any(np.diagonal(j) != 0):
-        raise StatekitError("coupling matrix must have zero diagonal")
+        raise error("coupling matrix must have zero diagonal")
 
 
 def ring_coupling(n: int) -> np.ndarray:
@@ -168,12 +198,8 @@ def complete_coupling(n: int) -> np.ndarray:
     return np.ones((n, n)) - np.eye(n)
 
 
-def coupling_preset(name: str, n: int) -> np.ndarray:
-    if name == "ring":
-        return ring_coupling(n)
-    if name == "complete":
-        return complete_coupling(n)
-    raise StatekitError(f"unknown coupling preset {name!r} (expected 'ring' or 'complete')")
+# topology preset name -> coupling matrix of n qubits
+COUPLINGS = {"ring": ring_coupling, "complete": complete_coupling}
 
 
 def build_h_data(fields: Sequence[float] | np.ndarray) -> HermitianOperator:

@@ -10,6 +10,7 @@ across threads.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -174,7 +175,11 @@ class StateStack:
         return self.amplitudes.shape[0]
 
     def __getitem__(self, index: int) -> StateVector:
-        return StateVector(self.amplitudes[index], self.padded_from)
+        # the row is checked and frozen already, so it skips StateVector's check
+        state = object.__new__(StateVector)
+        object.__setattr__(state, "amplitudes", self.amplitudes[operator.index(index)])
+        object.__setattr__(state, "padded_from", self.padded_from)
+        return state
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))

@@ -394,6 +394,17 @@ class TestRun:
         assert "unknown config keys" in err
         assert not (tmp_path / "run_out").exists()
 
+    @pytest.mark.parametrize(
+        "topology", [[["a", "b"], ["c", "d"]], [[0.0, 1.0], [1.0]]], ids=["strings", "ragged"]
+    )
+    def test_malformed_topology_fails_cleanly(self, capsys, tmp_path, topology):
+        path = self.write_config(tmp_path, n_features=2, encoders=["qift"], qift={"topology": topology})
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: topology must be a preset name or a real square matrix\n"
+        assert not (tmp_path / "run_out").exists()
+
     def test_invalid_json_fails(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

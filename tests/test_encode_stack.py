@@ -13,7 +13,8 @@ import pytest
 
 import statekit as sk
 from statekit import _kernels
-from statekit.errors import InvalidDistributionError, StatekitError
+from statekit import cli
+from statekit.errors import ConfigError, InvalidDistributionError, StatekitError
 from statekit.experiments import ENCODERS, LabeledDataset
 
 from conftest import count_calls
@@ -162,6 +163,20 @@ def test_stack_is_checked_once(monkeypatch, encoder):
     assert len(checks) == 1
 
 
+@pytest.mark.parametrize("encoder", sk.ENCODER_IDS)
+def test_cli_encode_checks_its_state_once(monkeypatch, capsys, encoder):
+    checks = count_calls(monkeypatch, "_check_state_rows")
+    assert cli.main(["encode", "--encoder", encoder, "--values", "0.3,-0.7,1.1"]) == 0
+    assert len(checks) == 1
+
+
+def test_iterating_a_stack_checks_nothing(monkeypatch):
+    stack = sk.encode_dataset(sk.gen_parity_dataset(4, "all", 0), "amplitude")
+    checks = count_calls(monkeypatch, "_check_state_rows")
+    assert len(list(stack)) == 16
+    assert checks == []
+
+
 def single_state_error(encoder, row, params):
     """The error the one-row path raises on ``row``."""
     padded = pad(row)
@@ -233,15 +248,13 @@ class TestBadRowInABatch:
         with pytest.raises(StatekitError, match="^non-finite value in data vector$"):
             ENCODERS["amplitude"](rows[::-1], None)
 
-    def test_shared_qift_checks_come_from_the_first_row(self):
-        rows = np.random.default_rng(3).standard_normal((3, 2))
-        rows[2, 0] = np.nan
-        bad_tau = sk.QiftParams(tau=np.inf)
-        with pytest.raises(StatekitError, match="non-finite value in fields, mu or tau"):
-            ENCODERS["qift"](rows, bad_tau)
-        asymmetric = sk.QiftParams(topology=np.array([[0.0, 1.0], [2.0, 0.0]]))
-        with pytest.raises(StatekitError, match="exactly symmetric"):
-            ENCODERS["qift"](rows, asymmetric)
+    def test_shared_qift_checks_run_at_construction(self):
+        # mu, tau and the coupling are shared by every row: QiftParams checks
+        # them once, before any row is encoded
+        with pytest.raises(ConfigError, match="^non-finite value in mu or tau$"):
+            sk.QiftParams(tau=np.inf)
+        with pytest.raises(ConfigError, match="^coupling matrix must be exactly symmetric$"):
+            sk.QiftParams(topology=np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 class TestStateStack:
@@ -253,6 +266,16 @@ class TestStateStack:
         states = list(stack)
         assert len(states) == 6
         assert all(s.amplitudes.tobytes() == a.tobytes() for s, a in zip(states, stack.amplitudes))
+
+    def test_index_is_one_integer(self):
+        stack = sk.encode_dataset(gaussian_dataset(3, rows=6), "amplitude")
+        assert stack[-1].amplitudes.tobytes() == stack.amplitudes[5].tobytes()
+        assert stack[np.int64(2)].padded_from == 3
+        assert not stack[0].amplitudes.flags.writeable
+        with pytest.raises(TypeError):
+            stack[1:3]
+        with pytest.raises(IndexError):
+            stack[6]
 
     def test_frozen(self):
         stack = sk.encode_dataset(sk.gen_parity_dataset(2, "all", 0), "phase")

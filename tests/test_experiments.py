@@ -364,14 +364,11 @@ class TestExperimentConfig:
     )
     def test_validate_checks_encoder_ids(self, tmp_path, encoders, message):
         # a config built directly, not by from_dict, meets the same checks
-        cfg = sk.ExperimentConfig(
-            experiment="parity", n_features=2, count="all", seed=0,
-            output_dir=str(tmp_path), encoders=encoders,
-        )
         with pytest.raises(ConfigError, match=message):
-            cfg.validate()
-        with pytest.raises(ConfigError, match=message):
-            compute_experiment(cfg)
+            sk.ExperimentConfig(
+                experiment="parity", n_features=2, count="all", seed=0,
+                output_dir=str(tmp_path), encoders=encoders,
+            )
 
     def test_bool_is_not_an_integer(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -395,6 +392,56 @@ class TestExperimentConfig:
     def test_qift_bad_tau(self, tmp_path):
         with pytest.raises(ConfigError, match="tau"):
             sk.ExperimentConfig.from_dict(parity_config(tmp_path, qift={"tau": -0.1}))
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ('{"mu": NaN}', "^non-finite value in mu or tau$"),
+            ('{"mu": Infinity}', "^non-finite value in mu or tau$"),
+            ('{"tau": NaN}', "^non-finite value in mu or tau$"),
+            ('{"tau": Infinity}', "^non-finite value in mu or tau$"),
+            ('{"mu": true}', "^mu must be a real number, got True$"),
+            ('{"mu": 1' + "0" * 400 + "}", "^non-finite value in mu or tau$"),
+        ],
+        ids=["mu-nan", "mu-infinity", "tau-nan", "tau-infinity", "mu-bool", "mu-beyond-float"],
+    )
+    def test_qift_mu_and_tau_are_finite_numbers(self, tmp_path, block, message):
+        raw = parity_config(tmp_path, encoders=["qift"], qift=json.loads(block))
+        with pytest.raises(ConfigError, match=message):
+            sk.ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "topology, message",
+        [
+            ([["a", "b"], ["c", "d"]], "^topology must be a preset name or a real square matrix$"),
+            ([[0.0, 1.0], [1.0]], "^topology must be a preset name or a real square matrix$"),
+            ([[0.0, 1.0], [2.0, 0.0]], "^coupling matrix must be exactly symmetric$"),
+            ([[1.0, 1.0], [1.0, 0.0]], "^coupling matrix must have zero diagonal$"),
+        ],
+        ids=["strings", "ragged", "asymmetric", "diagonal"],
+    )
+    def test_qift_bad_topology(self, tmp_path, topology, message):
+        raw = parity_config(tmp_path, n_features=2, encoders=["qift"], qift={"topology": topology})
+        with pytest.raises(ConfigError, match=message):
+            sk.ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "experiment, encoders", [("curvature-scan", []), ("resonance", []), ("parity", ["amplitude", "qift"])]
+    )
+    def test_qift_topology_of_the_wrong_size(self, tmp_path, experiment, encoders):
+        qift = {"topology": sk.ring_coupling(3).tolist()}
+        raw = parity_config(tmp_path, experiment=experiment, count=2, encoders=encoders, qift=qift)
+        with pytest.raises(ConfigError, match=r"^explicit coupling matrix has shape \(3, 3\), expected \(4, 4\)$"):
+            sk.ExperimentConfig.from_dict(raw)
+        # interference-audit, and parity without the qift encoder, build no Hamiltonian
+        assert sk.ExperimentConfig.from_dict(dict(raw, experiment="interference-audit", encoders=[]))
+        assert sk.ExperimentConfig.from_dict(dict(raw, experiment="parity", encoders=["amplitude"]))
+
+    def test_qift_block_echo(self, tmp_path):
+        raw = parity_config(tmp_path, n_features=2, encoders=["qift"], qift={"mu": 1, "topology": [[0, 1], [1, 0]]})
+        echo = sk.ExperimentConfig.from_dict(raw).to_jsonable()["qift"]
+        assert echo == {"mu": 1.0, "tau": 0.1, "topology": [[0.0, 1.0], [1.0, 0.0]]}
+        assert type(echo["mu"]) is float and type(echo["topology"][0][1]) is float
 
     def test_parity_requires_encoders(self, tmp_path):
         with pytest.raises(ConfigError, match="encoders"):

@@ -112,3 +112,44 @@ def unused_imports(path):
 def test_no_unused_imports(module):
     # the package's __init__ imports only to re-export; test_public_names covers it
     assert unused_imports(SRC / module) == []
+
+
+# top-level names of src/statekit that only perfbench/ reads, as "module.name"
+READ_ONLY_BY_PERFBENCH = {"_kernels.backend"}
+
+
+def top_level_names(tree):
+    """Functions, classes and constants that a module defines at top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def read_names(tree):
+    """Names that a module reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_top_level_name_is_read():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    dead = sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in top_level_names(tree)
+        if name not in read and f"{module}.{name}" not in READ_ONLY_BY_PERFBENCH
+    )
+    assert dead == []

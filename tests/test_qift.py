@@ -5,7 +5,7 @@ import pytest
 
 import statekit as sk
 from statekit.errors import ConfigError, StatekitError
-from statekit.qift import coupling_preset
+from statekit.qift import COUPLINGS
 
 from conftest import pauli_matrix_oracle, random_coupling, zz_energy_oracle
 
@@ -35,6 +35,12 @@ class TestHamiltonianSpec:
         with pytest.raises(StatekitError):
             sk.HamiltonianSpec([1.0, 2.0], np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("field", ["mu", "tau"])
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_rejects_a_mu_or_tau_that_is_not_a_real_number(self, field, value):
+        with pytest.raises(StatekitError, match=f"^{field} must be a real number, got {value!r}$"):
+            sk.HamiltonianSpec([1.0], np.zeros((1, 1)), **{field: value})
+
     def test_single_qubit_spec_allowed(self):
         spec = sk.HamiltonianSpec([0.7], np.zeros((1, 1)))
         assert spec.n_qubits == 1
@@ -49,7 +55,7 @@ class TestQiftParams:
         if topology == "explicit":
             topo = coupling = random_coupling(n, rng)
         else:
-            topo, coupling = topology, coupling_preset(topology, n)
+            topo, coupling = topology, COUPLINGS[topology](n)
         spec = sk.QiftParams(mu=0.7, tau=0.3, topology=topo).spec(x)
         expected = sk.HamiltonianSpec(x, coupling, mu=0.7, tau=0.3)
         for f in fields(sk.HamiltonianSpec):
@@ -62,6 +68,42 @@ class TestQiftParams:
         params = sk.QiftParams(topology=np.zeros((3, 3)))
         with pytest.raises(ConfigError, match=r"^explicit coupling matrix has shape \(3, 3\), expected \(2, 2\)$"):
             params.spec([0.1, 0.2])
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"mu": float("nan")}, r"^non-finite value in mu or tau$"),
+            ({"tau": float("inf")}, r"^non-finite value in mu or tau$"),
+            ({"mu": 10**400}, r"^non-finite value in mu or tau$"),
+            ({"tau": 0.0}, r"^tau must be > 0, got 0.0$"),
+            ({"mu": True}, r"^mu must be a real number, got True$"),
+            ({"tau": "0.1"}, r"^tau must be a real number, got '0.1'$"),
+            ({"topology": "Ring"}, r"^unknown topology preset 'Ring'; expected one of \('ring', 'complete'\)$"),
+            ({"topology": [["0", "1"], ["1", "0"]]}, r"^topology must be a preset name or a real square matrix$"),
+            ({"topology": [[0.0, 1.0], [1.0]]}, r"^topology must be a preset name or a real square matrix$"),
+            ({"topology": [[0, 1j], [-1j, 0]]}, r"^topology must be a preset name or a real square matrix$"),
+            ({"topology": {"ring": 1}}, r"^topology must be a preset name or a real square matrix$"),
+            ({"topology": np.zeros(3)}, r"^coupling must be square, got shape \(3,\)$"),
+            ({"topology": [[0.0, 1.0], [2.0, 0.0]]}, r"^coupling matrix must be exactly symmetric$"),
+            ({"topology": np.eye(2)}, r"^coupling matrix must have zero diagonal$"),
+            ({"topology": [[0.0, np.nan], [np.nan, 0.0]]}, r"^non-finite value in coupling matrix$"),
+        ],
+    )
+    def test_checked_on_construction(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            sk.QiftParams(**kwargs)
+
+    def test_mu_and_tau_are_stored_as_floats(self):
+        params = sk.QiftParams(mu=1, tau=np.float64(0.5))
+        assert type(params.mu) is float and type(params.tau) is float
+        assert (params.mu, params.tau) == (1.0, 0.5)
+
+    def test_explicit_matrix_is_a_frozen_copy(self):
+        j = sk.ring_coupling(3)
+        params = sk.QiftParams(topology=j)
+        assert j.flags.writeable and not params.topology.flags.writeable
+        j[0, 1] = j[1, 0] = 5.0
+        assert params.coupling_for(3)[0, 1] == 1.0
 
 
 def h_data_pauli_sum(x):
