@@ -172,7 +172,7 @@ ENCODER_IDS = tuple(ENCODERS)
 
 def in_positive_orthant(psi: StateVector, tol: float = TOLS.positive_orthant) -> bool:
     """True iff every amplitude is real within ``tol`` with real part > -tol."""
-    if tol <= 0:
-        raise StatekitError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise StatekitError(f"tol must be finite and > 0, got {tol}")
     amps = psi.amplitudes
     return bool(np.all(np.abs(amps.imag) < tol) and np.all(amps.real > -tol))

@@ -22,6 +22,7 @@ import io
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,6 +43,7 @@ from .statevec import (
     StateVector,
     _freeze,
     _is_pow2,
+    _own,
     _require_finite,
     as_rng,
     haar_random_unitary,
@@ -74,15 +76,10 @@ class LabeledDataset:
     seed: int
 
     def __post_init__(self):
-        v = np.ascontiguousarray(self.vectors, dtype=np.float64)
-        l = np.ascontiguousarray(self.labels, dtype=np.int64).ravel()
+        v = _own(self, "vectors", np.float64, finite="dataset vectors")
+        l = _own(self, "labels", np.int64, value=_labels(self.labels))
         if v.ndim != 2 or v.shape[0] != l.size:
             raise StatekitError("vectors and labels must have matching first dimension")
-        _require_finite("dataset vectors", v)
-        if not np.all(np.isin(l, (-1, 1))):
-            raise StatekitError("labels must be +1 or -1")
-        object.__setattr__(self, "vectors", _freeze(v))
-        object.__setattr__(self, "labels", _freeze(l))
 
     def __len__(self) -> int:
         return self.labels.size
@@ -96,12 +93,11 @@ class GramMatrix:
     encoder_id: str = "custom"
 
     def __post_init__(self):
-        k = np.ascontiguousarray(self.entries, dtype=np.float64)
+        k = _own(self, "entries", np.float64, finite="Gram matrix")
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise StatekitError(f"Gram matrix must be square, got {k.shape}")
         if k.size == 0:
             raise StatekitError("Gram matrix must not be empty")
-        _require_finite("Gram matrix", k)
         # max |k - k.T| over mirrored tile pairs, without a strided full-matrix pass
         pairs = _tile_pairs(k.shape[0])
         asymmetry = max(np.abs(k[r, c] - k[c, r].T).max() for r, c in pairs)
@@ -111,7 +107,6 @@ class GramMatrix:
             raise StatekitError(f"Gram diagonal deviates from 1 beyond {TOLS.gram_diagonal}")
         if k.min() < 0 or k.max() > 1 + TOLS.gram_range:
             raise StatekitError("Gram entries leave [0, 1] beyond tolerance")
-        object.__setattr__(self, "entries", _freeze(k))
 
     @property
     def n_samples(self) -> int:
@@ -228,6 +223,14 @@ class ExperimentReport:
         return {"config": self.config, "results": self.results, "provenance": self.provenance}
 
 
+def _labels(labels) -> np.ndarray:
+    """``labels`` as a flat int64 array; raise unless each is +1 or -1, not a bool."""
+    flat = np.asarray(labels, dtype=object).ravel()
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and v in (-1, 1) for v in flat):
+        raise StatekitError("labels must be +1 or -1")
+    return _freeze(flat.astype(np.int64))  # adopted by the intake, not copied
+
+
 def _require_qubits(n: int, what: str) -> None:
     """Reject a dense problem on more than ``MAX_QUBITS`` qubits before it is built."""
     if n > MAX_QUBITS:
@@ -321,7 +324,7 @@ def fidelity_gram(
         blk = 0.5 * (k[rows, cols] + k[cols, rows].T)
         k[rows, cols] = blk
         k[cols, rows] = blk.T
-    return GramMatrix(entries=k, encoder_id=encoder_id)
+    return GramMatrix(entries=_freeze(k), encoder_id=encoder_id)  # adopted, not copied
 
 
 def _tile_pairs(m: int):
@@ -342,7 +345,7 @@ def nn_classify_loo(gram: Union[GramMatrix, np.ndarray], labels: Sequence[int]) 
     the output deterministic.
     """
     k = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = _labels(labels)
     m = labels.size
     if k.shape != (m, m):
         raise DimensionMismatchError(f"Gram shape {k.shape} does not match {m} labels")
@@ -368,7 +371,7 @@ def distinguishability(
     Zero means some pair with opposite labels is indistinguishable by any
     measurement on these states.
     """
-    labels = np.asarray(labels, dtype=np.int64).ravel()
+    labels = _labels(labels)
     gram = fidelity_gram(states)
     return _distinguishability_from_gram(gram, labels)
 

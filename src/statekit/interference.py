@@ -23,7 +23,7 @@ from .encoders import (
     probability_loading,
 )
 from .errors import DimensionMismatchError, NotDiagonalError, StatekitError
-from .statevec import DenseOperator, _freeze, _require_unitary
+from .statevec import DenseOperator, _freeze, _own, _require_unitary
 from .tolerances import TOLS
 
 
@@ -43,6 +43,7 @@ class InterferenceReport:
     pairs: np.ndarray
 
     def __post_init__(self):
+        _own(self, "pairs", np.complex128)
         if abs(self.total - (self.classical_term + self.interference_term)) > TOLS.decomposition:
             raise StatekitError("report total is not the sum of its terms")
         if not -TOLS.decomposition <= self.total <= 1.0 + TOLS.decomposition:
@@ -68,6 +69,9 @@ class SignLockReport:
     arguments: np.ndarray
     max_spread: float
     tolerance: float
+
+    def __post_init__(self):
+        _own(self, "arguments", np.float64)
 
     def __bool__(self) -> bool:
         return self.locked

@@ -36,7 +36,7 @@ from .statevec import (
     DenseOperator,
     HermitianOperator,
     StateVector,
-    _freeze,
+    _own,
     _require_finite,
     commutator,
     evolve,
@@ -66,14 +66,12 @@ class HamiltonianSpec:
     tau: float = 0.1
 
     def __post_init__(self):
-        x = np.ascontiguousarray(self.fields, dtype=np.float64).ravel()
-        j = np.ascontiguousarray(self.coupling, dtype=np.float64)
+        x = _own(self, "fields", np.float64, flat=True)
+        j = _own(self, "coupling", np.float64)
         if x.size < 1:
             raise StatekitError("at least one field strength is required")
         mu, tau = _check_step(self.mu, self.tau, x)
         _check_coupling(j, x.size)
-        object.__setattr__(self, "fields", _freeze(x))
-        object.__setattr__(self, "coupling", _freeze(j))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "tau", tau)
 
@@ -90,8 +88,8 @@ class HamiltonianSpec:
 class QiftParams:
     """Hamiltonian-encoder hyperparameters: coupling strength, step, topology.
 
-    Checked on construction like ``HamiltonianSpec``, raising ``ConfigError``.
-    An explicit topology is copied, checked and frozen.
+    Checked on construction like ``HamiltonianSpec``, raising ``ConfigError``;
+    an explicit topology is taken in as ``HamiltonianSpec`` takes its coupling.
     """
 
     mu: float = 1.0
@@ -106,12 +104,7 @@ class QiftParams:
             if self.topology not in COUPLINGS:
                 raise ConfigError(f"unknown topology preset {self.topology!r}; expected one of {tuple(COUPLINGS)}")
             return
-        try:  # a copy, so the caller's array stays writable
-            j = np.asarray(self.topology).astype(np.float64, casting="safe")
-        except (TypeError, ValueError):  # strings, objects, ragged rows
-            raise ConfigError("topology must be a preset name or a real square matrix") from None
-        _check_coupling(j, error=ConfigError)
-        object.__setattr__(self, "topology", _freeze(j))
+        _check_coupling(_own(self, "topology", np.float64, ConfigError), error=ConfigError)
 
     def coupling_for(self, n: int) -> np.ndarray:
         if isinstance(self.topology, str):
@@ -142,8 +135,8 @@ class CurvatureScan:
     commutator_norm: float
 
     def __post_init__(self):
-        taus = np.ascontiguousarray(self.taus, dtype=np.float64)
-        errors = np.ascontiguousarray(self.errors, dtype=np.float64)
+        taus = _own(self, "taus", np.float64)
+        errors = _own(self, "errors", np.float64)
         scalars = (self.fitted_slope, self.fit_residual, self.commutator_norm)
         _require_finite("curvature scan", taus, errors, *(v for v in scalars if v is not None))
         d = np.diff(taus)
@@ -151,8 +144,6 @@ class CurvatureScan:
             raise StatekitError("tau grid must be strictly monotone")
         if np.any(errors < 0):
             raise StatekitError("errors must be non-negative")
-        object.__setattr__(self, "taus", _freeze(taus))
-        object.__setattr__(self, "errors", _freeze(errors))
 
 
 def _check_step(mu, tau, *fields, error: type[StatekitError] = StatekitError) -> tuple[float, float]:

@@ -17,7 +17,7 @@ from .errors import StatekitError
 from .qift import HamiltonianSpec, effective_hamiltonian
 from .statevec import (
     HermitianOperator,
-    _freeze,
+    _own,
     _require_finite,
     hermitian_spectral_decomposition,
 )
@@ -34,11 +34,10 @@ class SpectralProfile:
     degenerate: bool
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.eigenvalues, dtype=np.float64)
+        vals = _own(self, "eigenvalues", np.float64)
         _require_finite("spectral profile", vals, self.mass_gap)
         if np.any(np.diff(vals) < 0):
             raise StatekitError("eigenvalues must be ascending")
-        object.__setattr__(self, "eigenvalues", _freeze(vals))
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,13 +49,11 @@ class ZeemanTrace:
     stability_score: float
 
     def __post_init__(self):
-        eps = np.ascontiguousarray(self.epsilons, dtype=np.float64)
-        gaps = np.ascontiguousarray(self.gaps, dtype=np.float64)
+        eps = _own(self, "epsilons", np.float64)
+        gaps = _own(self, "gaps", np.float64)
         _require_finite("Zeeman trace", eps, gaps, self.stability_score)
         if eps.size != gaps.size:
             raise StatekitError("epsilon and gap traces differ in length")
-        object.__setattr__(self, "epsilons", _freeze(eps))
-        object.__setattr__(self, "gaps", _freeze(gaps))
 
 
 @dataclass(frozen=True)
@@ -119,8 +116,8 @@ def zeeman_sweep(spec: HamiltonianSpec, epsilons: Sequence[float] | np.ndarray) 
 
 def _verdict(a: SpectralProfile, b: SpectralProfile, tolerance: float) -> ResonanceVerdict:
     """Resonance verdict of two computed profiles; no eigendecomposition."""
-    if tolerance <= 0:
-        raise StatekitError("tolerance must be positive")
+    if not 0 < tolerance < np.inf:
+        raise StatekitError(f"tolerance must be finite and > 0, got {tolerance}")
     delta = abs(a.mass_gap - b.mass_gap)
     same_size = a.eigenvalues.size == b.eigenvalues.size
     dist = float(np.abs(a.eigenvalues - b.eigenvalues).max()) if same_size else float("nan")

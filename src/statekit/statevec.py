@@ -6,7 +6,9 @@ has index ``q0 * 2^(n-1) + q1 * 2^(n-2) + ...``, and operators on qubit 0
 occupy the leftmost Kronecker factor.
 
 All values are immutable; operations are pure functions and safe to share
-across threads.
+across threads. Every domain type takes in its arrays through one intake,
+``_own``: it rejects bools, strings and ragged rows, copies memory a caller
+can still write, adopts a read-only owner's memory, and freezes what it keeps.
 """
 from __future__ import annotations
 
@@ -56,6 +58,31 @@ def _require_finite(what: str, *arrays, error: type[StatekitError] = StatekitErr
     """Raise ``error`` when any of ``arrays`` holds a NaN or an infinity."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise error(f"non-finite value in {what}")
+
+
+def _own(obj, name: str, dtype, error=StatekitError, finite: str | None = None, flat=False, value=None):
+    """Set field ``name`` of ``obj`` to ``value`` (default: the field itself) as
+    a frozen C-contiguous ``dtype`` array, flattened if ``flat``, and return it.
+    ``finite`` names the array when a NaN or an infinity raises ``error``."""
+    value = getattr(obj, name) if value is None else value
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged rows
+        arr = np.asarray(None)  # an object array, rejected below
+    if arr.dtype.kind not in "iufc" or not np.can_cast(arr.dtype, dtype, "safe"):  # bools, strings, lossy casts
+        raise error(f"{name} must be an array of numbers safely castable to {np.dtype(dtype)}")
+    out = np.ascontiguousarray(arr, dtype=dtype)
+    out = out.ravel() if flat else out
+    owner = out
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if (owner.flags.writeable or owner.base is not None) and (not out.size or np.may_share_memory(out, value)):
+        out = owner = out.copy()  # memory the caller can still write, or an empty array
+    if finite:
+        _require_finite(finite, out, error=error)
+    owner.flags.writeable = out.flags.writeable = False
+    object.__setattr__(obj, name, out)
+    return out
 
 
 def _raise_first_failure(error: type[StatekitError], *checks) -> None:
@@ -139,9 +166,7 @@ class StateVector:
     padded_from: int | None = None
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128).ravel()
-        _check_state_rows(amps[None])
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        _check_state_rows(_own(self, "amplitudes", np.complex128, flat=True)[None])
 
     @property
     def n_qubits(self) -> int:
@@ -165,11 +190,10 @@ class StateStack:
     padded_from: int | None = None
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+        amps = _own(self, "amplitudes", np.complex128)
         if amps.ndim != 2:
             raise StatekitError(f"a state stack must be 2-D, got shape {amps.shape}")
         _check_state_rows(amps)
-        object.__setattr__(self, "amplitudes", _freeze(amps))
 
     def __len__(self) -> int:
         return self.amplitudes.shape[0]
@@ -192,13 +216,11 @@ class DenseOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=np.complex128)
+        m = _own(self, "matrix", np.complex128, finite="operator")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StatekitError(f"operator must be square, got shape {m.shape}")
-        _require_finite("operator", m)
         if not _is_pow2(m.shape[0]):
             raise StatekitError(f"operator dimension {m.shape[0]} is not a power of 2")
-        object.__setattr__(self, "matrix", _freeze(m))
 
     @property
     def dim(self) -> int:
@@ -224,22 +246,19 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.eigenvalues, dtype=np.float64).ravel()
-        vecs = np.ascontiguousarray(self.eigenvectors, dtype=np.complex128)
-        _require_finite("eigenpairs", vals, vecs, error=EigensolverError)
+        vals = _own(self, "eigenvalues", np.float64, EigensolverError, finite="eigenpairs", flat=True)
+        vecs = _own(self, "eigenvectors", np.complex128, EigensolverError, finite="eigenpairs")
         if np.any(np.diff(vals) < 0):
             raise EigensolverError("eigenvalues are not sorted ascending")
         gram = vecs.conj().T @ vecs
         resid = np.linalg.norm(gram - np.eye(vecs.shape[0]))
         if resid > TOLS.spectral_residual:
             raise EigensolverError(f"eigenvector orthonormality residual {resid:.3e}")
-        object.__setattr__(self, "eigenvalues", _freeze(vals))
-        object.__setattr__(self, "eigenvectors", _freeze(vecs))
 
     def evolution(self, t: float) -> DenseOperator:
         """exp(-i t H) = V exp(-i t Lambda) V^dag for the H decomposed here."""
         phases = np.exp(-1j * t * self.eigenvalues)
-        return DenseOperator((self.eigenvectors * phases) @ self.eigenvectors.conj().T)
+        return DenseOperator(_freeze((self.eigenvectors * phases) @ self.eigenvectors.conj().T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,9 +274,9 @@ class Distribution:
     original_length: int = field(init=False)
 
     def __post_init__(self):
-        p = np.ascontiguousarray(self.probabilities, dtype=np.float64).ravel()
+        p = _own(self, "probabilities", np.float64, InvalidDistributionError, flat=True)
         object.__setattr__(self, "original_length", p.size)
-        object.__setattr__(self, "probabilities", _freeze(_distribution_rows(p[None])[0]))
+        _own(self, "probabilities", np.float64, value=_distribution_rows(p[None])[0])
 
     @property
     def dim(self) -> int:
@@ -322,7 +341,7 @@ def hermitian_spectral_decomposition(h: HermitianOperator) -> SpectralDecomposit
     bound = TOLS.spectral_residual * max(1.0, np.linalg.norm(h.matrix))
     if resid > bound:
         raise EigensolverError(f"reconstruction residual {resid:.3e} exceeds {bound:.3e}")
-    return SpectralDecomposition(vals, vecs)
+    return SpectralDecomposition(_freeze(vals), _freeze(vecs))  # adopted, not copied
 
 
 def evolve(h: HermitianOperator, t: float) -> DenseOperator:

@@ -246,6 +246,22 @@ class TestResonance:
         assert summary["resonant"] == "False"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "--encoder", "amplitude", "--values", "3,4"],
+        ["resonance", "--x-a", "0.1,0.2", "--x-b", "0.1,0.21"],
+    ],
+    ids=["encode", "resonance"],
+)
+def test_per_call_tolerance_is_finite_and_positive(capsys, argv, tol):
+    code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tol") and err.count("\n") == 1
+
+
 class TestParityExp:
     def test_stdout_contrast(self, capsys):
         code, out, _ = run_cli(capsys, "parity-exp")
@@ -402,7 +418,16 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", str(path))
         assert code == 2
         assert out == ""
-        assert err == "error: topology must be a preset name or a real square matrix\n"
+        assert err == "error: topology must be an array of numbers safely castable to float64\n"
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_resonance_tolerance_is_finite(self, capsys, tmp_path, tol):
+        path = self.write_config(tmp_path, experiment="resonance", n_features=2, count=3, encoders=[])
+        code, out, err = run_cli(capsys, "run", str(path), f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: tolerance must be finite and > 0, got {tol}\n"
         assert not (tmp_path / "run_out").exists()
 
     def test_invalid_json_fails(self, capsys, tmp_path):

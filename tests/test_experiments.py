@@ -330,6 +330,49 @@ class TestDistinguishability:
             sk.distinguishability([psi, psi], [1, 1])
 
 
+# labels that are not +1 or -1: fractions that int64 would truncate to +-1,
+# a zero, bools, strings, a complex number and ragged rows
+BAD_LABELS = {
+    "fractions": [1.5, -1.9],
+    "zero": [1, 0],
+    "bools": [True, False],
+    "a-bool-among-ints": [True, -1],
+    "strings": ["1", "-1"],
+    "complex": [1 + 0j, -1],
+    "ragged": [[1], [1, -1]],
+}
+
+
+class TestLabels:
+    @pytest.mark.parametrize("labels", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
+    def test_labeled_dataset(self, labels):
+        with pytest.raises(StatekitError, match=r"^labels must be \+1 or -1$"):
+            sk.LabeledDataset(np.ones((2, 2)), labels, 0)
+
+    @pytest.mark.parametrize("labels", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
+    def test_nn_classify_loo(self, labels):
+        with pytest.raises(StatekitError, match=r"^labels must be \+1 or -1$"):
+            sk.nn_classify_loo(np.eye(2), labels)
+
+    @pytest.mark.parametrize("labels", list(BAD_LABELS.values()), ids=list(BAD_LABELS))
+    def test_distinguishability(self, labels):
+        psi = sk.probability_loading([0.5, 0.5])
+        with pytest.raises(StatekitError, match=r"^labels must be \+1 or -1$"):
+            sk.distinguishability([psi, psi], labels)
+
+    def test_no_label_is_dropped(self):
+        # a third state labelled 2 used to be left out of both classes
+        states = [sk.probability_loading(p) for p in ([1.0, 0.0], [0.0, 1.0], [1.0, 0.0])]
+        with pytest.raises(StatekitError, match=r"^labels must be \+1 or -1$"):
+            sk.distinguishability(states, [1, -1, 2])
+
+    @pytest.mark.parametrize("labels", [[1, -1], [1.0, -1.0], np.array([1, -1], dtype=np.int8)])
+    def test_integral_floats_and_small_ints_are_read(self, labels):
+        ds = sk.LabeledDataset(np.eye(2), labels, 0)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, -1]
+        assert sk.nn_classify_loo(np.eye(2), labels) == 0.0
+
+
 class TestExperimentConfig:
     def test_unknown_key_rejected(self, tmp_path):
         raw = parity_config(tmp_path, extra=1)
@@ -413,8 +456,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "topology, message",
         [
-            ([["a", "b"], ["c", "d"]], "^topology must be a preset name or a real square matrix$"),
-            ([[0.0, 1.0], [1.0]], "^topology must be a preset name or a real square matrix$"),
+            ([["a", "b"], ["c", "d"]], "^topology must be an array of numbers safely castable to float64$"),
+            ([[0.0, 1.0], [1.0]], "^topology must be an array of numbers safely castable to float64$"),
             ([[0.0, 1.0], [2.0, 0.0]], "^coupling matrix must be exactly symmetric$"),
             ([[1.0, 1.0], [1.0, 0.0]], "^coupling matrix must have zero diagonal$"),
         ],

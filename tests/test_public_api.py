@@ -153,3 +153,23 @@ def test_every_top_level_name_is_read():
         if name not in read and f"{module}.{name}" not in READ_ONLY_BY_PERFBENCH
     )
     assert dead == []
+
+
+# calls that a __post_init__ leaves to the one array intake, statevec._own
+INTAKE_CALLS = {"np.ascontiguousarray", "np.asarray", "_freeze"}
+
+
+def intake_bypasses(tree):
+    """``Class.__post_init__: call`` for each call of ``INTAKE_CALLS`` in a __post_init__."""
+    found = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for fn in cls.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                calls = (ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call))
+                found += [f"{cls.name}.__post_init__: {c}" for c in calls if c in INTAKE_CALLS]
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_post_init_takes_arrays_through_the_intake(module):
+    assert intake_bypasses(ast.parse((SRC / module).read_text())) == []

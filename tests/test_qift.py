@@ -79,10 +79,10 @@ class TestQiftParams:
             ({"mu": True}, r"^mu must be a real number, got True$"),
             ({"tau": "0.1"}, r"^tau must be a real number, got '0.1'$"),
             ({"topology": "Ring"}, r"^unknown topology preset 'Ring'; expected one of \('ring', 'complete'\)$"),
-            ({"topology": [["0", "1"], ["1", "0"]]}, r"^topology must be a preset name or a real square matrix$"),
-            ({"topology": [[0.0, 1.0], [1.0]]}, r"^topology must be a preset name or a real square matrix$"),
-            ({"topology": [[0, 1j], [-1j, 0]]}, r"^topology must be a preset name or a real square matrix$"),
-            ({"topology": {"ring": 1}}, r"^topology must be a preset name or a real square matrix$"),
+            ({"topology": [["0", "1"], ["1", "0"]]}, r"^topology must be an array of numbers safely castable to float64$"),
+            ({"topology": [[0.0, 1.0], [1.0]]}, r"^topology must be an array of numbers safely castable to float64$"),
+            ({"topology": [[0, 1j], [-1j, 0]]}, r"^topology must be an array of numbers safely castable to float64$"),
+            ({"topology": {"ring": 1}}, r"^topology must be an array of numbers safely castable to float64$"),
             ({"topology": np.zeros(3)}, r"^coupling must be square, got shape \(3,\)$"),
             ({"topology": [[0.0, 1.0], [2.0, 0.0]]}, r"^coupling matrix must be exactly symmetric$"),
             ({"topology": np.eye(2)}, r"^coupling matrix must have zero diagonal$"),
