@@ -32,7 +32,7 @@ from .experiments import (
 from .interference import interference_decompositions
 from .qift import QiftParams, information_curvature
 from .spectral import resonance_similarity, spectral_profile, zeeman_sweep
-from .statevec import DenseOperator, Distribution, as_rng, haar_random_unitary
+from .statevec import DenseOperator, Distribution, _as_array, _freeze, as_rng, haar_random_unitary
 from .tolerances import TOLS
 
 
@@ -111,9 +111,10 @@ def _cmd_encode(args) -> int:
     else:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
-                row = np.asarray(json.load(fh), dtype=np.float64).ravel()
+                raw = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read input vector: {exc}") from exc
+        row = _as_array(raw, "input vector", np.float64, ConfigError, flat=True)
     params = None
     if args.encoder == "qift":
         _require_qubits(row.size, "the qift encoder")
@@ -143,12 +144,12 @@ def _cmd_interfere(args) -> int:
     _require_qubits((size - 1).bit_length(), "interfere")  # qubits of the padded register
     rng = as_rng(_seed(args))
     if probs is not None:
-        dist = Distribution(probs)
+        dist = Distribution(_freeze(probs))
     else:
-        dist = Distribution(rng.dirichlet(np.ones(args.dim)))
+        dist = Distribution(_freeze(rng.dirichlet(np.ones(args.dim))))
     dim = dist.dim
     if args.unitary == "hadamard":
-        u = DenseOperator(_hadamard_layer(dim))
+        u = DenseOperator(_freeze(_hadamard_layer(dim)))
     else:
         u = haar_random_unitary(dim, rng)
     phases = _parse_floats(args.phases, "--phases") if args.phases else None

@@ -27,7 +27,9 @@ from .statevec import (
     Distribution,
     StateStack,
     StateVector,
+    _as_array,
     _distribution_rows,
+    _freeze,
     _pad_pow2,
     _raise_first_failure,
     _require_finite,
@@ -67,12 +69,7 @@ PhaseLike = Union[Sequence[float], np.ndarray]
 
 
 def _as_distribution(p: DistributionLike) -> Distribution:
-    return p if isinstance(p, Distribution) else Distribution(np.asarray(p))
-
-
-def _one_row(x: Sequence[float] | np.ndarray) -> np.ndarray:
-    """``x`` flattened to float64, as a one-row stack."""
-    return np.ascontiguousarray(np.asarray(x), dtype=np.float64).ravel()[None]
+    return p if isinstance(p, Distribution) else Distribution(p)
 
 
 def _padding_of(original: int, dim: int) -> int | None:
@@ -81,18 +78,18 @@ def _padding_of(original: int, dim: int) -> int | None:
 
 def _loading_stack(probs: np.ndarray) -> np.ndarray:
     """Amplitudes sqrt(p_i) for each checked distribution row of ``probs``."""
-    return np.sqrt(probs).astype(np.complex128)
+    return _freeze(np.sqrt(probs).astype(np.complex128))
 
 
 def _amplitude_stack(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Each checked data row of ``values`` divided by its norm from ``norms``."""
-    return (values / norms[:, None]).astype(np.complex128)
+    return _freeze((values / norms[:, None]).astype(np.complex128))
 
 
 def _phase_stack(probs: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """Amplitudes sqrt(p_i) exp(i phi_i) row by row; ``probs`` may be one row
     shared by every row of ``phases``."""
-    return np.sqrt(probs) * np.exp(1j * phases)
+    return _freeze(np.sqrt(probs) * np.exp(1j * phases))
 
 
 def probability_loading(p: DistributionLike) -> StateVector:
@@ -108,7 +105,7 @@ def probability_loading(p: DistributionLike) -> StateVector:
 
 def amplitude_encoding(x: Sequence[float] | np.ndarray) -> StateVector:
     """Normalize a nonzero real data vector into amplitudes, preserving component signs."""
-    row = _one_row(x)
+    row = _as_array(x, "data vector", np.float64, flat=True)[None]
     values, norms = _data_rows(row)
     return StateVector(_amplitude_stack(values, norms), _padding_of(row.shape[1], values.shape[1]))
 
@@ -116,7 +113,7 @@ def amplitude_encoding(x: Sequence[float] | np.ndarray) -> StateVector:
 def phase_encoding(p: DistributionLike, phi: PhaseLike) -> StateVector:
     """Amplitudes sqrt(p_i) * exp(i phi_i); Born statistics stay equal to ``p``."""
     dist = _as_distribution(p)
-    phases = _phase_rows(_one_row(phi))
+    phases = _phase_rows(_as_array(phi, "phase profile", np.float64, flat=True)[None])
     if phases.shape[1] != dist.dim:
         raise DimensionMismatchError(
             f"phase profile length {phases.shape[1]} != distribution length {dist.dim}"

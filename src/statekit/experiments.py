@@ -41,6 +41,7 @@ from .statevec import (
     Distribution,
     StateStack,
     StateVector,
+    _as_array,
     _freeze,
     _is_pow2,
     _own,
@@ -282,7 +283,7 @@ def gen_parity_dataset(
     bits = (indices[:, None] >> np.arange(n_components)[None, :]) & 1
     vectors = 1.0 - 2.0 * bits
     labels = np.prod(vectors, axis=1).astype(np.int64)
-    return LabeledDataset(vectors=vectors, labels=labels, seed=seed)
+    return LabeledDataset(vectors=_freeze(vectors), labels=labels, seed=seed)
 
 
 def encode_dataset(
@@ -344,7 +345,7 @@ def nn_classify_loo(gram: Union[GramMatrix, np.ndarray], labels: Sequence[int]) 
     convention it predicts the label of the dataset's first sample, keeping
     the output deterministic.
     """
-    k = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
+    k = gram.entries if isinstance(gram, GramMatrix) else _as_array(gram, "similarity matrix", np.float64)
     labels = _labels(labels)
     m = labels.size
     if k.shape != (m, m):
@@ -354,7 +355,7 @@ def nn_classify_loo(gram: Union[GramMatrix, np.ndarray], labels: Sequence[int]) 
     if np.unique(labels).size < 2:
         raise StatekitError("degenerate single-class input: both classes are required")
     _require_finite("similarity matrix", k)
-    sim = np.array(k, dtype=np.float64)
+    sim = k.copy()
     np.fill_diagonal(sim, -np.inf)
     nearest = sim.argmax(axis=1)  # the lowest index among tied maxima
     ties = (sim == sim[np.arange(m), nearest][:, None]).sum(axis=1)
@@ -373,6 +374,8 @@ def distinguishability(
     """
     labels = _labels(labels)
     gram = fidelity_gram(states)
+    if gram.n_samples != labels.size:
+        raise DimensionMismatchError(f"{gram.n_samples} states do not match {labels.size} labels")
     return _distinguishability_from_gram(gram, labels)
 
 
@@ -468,11 +471,11 @@ def _run_interference_audit(config: ExperimentConfig) -> tuple[dict, list[Table]
     rows = []
     for case in range(int(config.count)):
         u = haar_random_unitary(dim, rng)
-        p = Distribution(rng.dirichlet(np.ones(dim)))
+        p = Distribution(_freeze(rng.dirichlet(np.ones(dim))))
         phased = case % 2 == 1
         phi = rng.uniform(0.0, 2.0 * math.pi, dim) if phased else None
         decomp_resid = max(r.residual for r in interference_decompositions(u, p, phi, range(dim)))
-        d = DenseOperator(np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, dim))))
+        d = DenseOperator(_freeze(np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, dim)))))
         trap_resid = diagonal_trap_residual(p, d)
         rows.append((case, phased, decomp_resid, trap_resid))
     decomp = max(r[2] for r in rows)

@@ -96,7 +96,7 @@ def _amplitudes(u, dist, phi):
 
 
 def _check_outcome(u: DenseOperator, outcome: int) -> None:
-    if not 0 <= outcome < u.dim:
+    if isinstance(outcome, bool) or not isinstance(outcome, (int, np.integer)) or not 0 <= outcome < u.dim:
         raise StatekitError(f"outcome {outcome} out of range for dim {u.dim}")
 
 
@@ -165,7 +165,8 @@ def sign_lock_check(
     _require_unitary(u)
     _check_outcome(u, outcome)
     x, xp = pair
-    if not (0 <= x < u.dim and 0 <= xp < u.dim) or x == xp:
+    integers = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in pair)
+    if not (integers and 0 <= x < u.dim and 0 <= xp < u.dim) or x == xp:
         raise StatekitError(f"pair must be two distinct basis indices in [0, {u.dim}), got {pair}")
     if not distributions:
         raise StatekitError("at least one distribution is required")
@@ -186,7 +187,7 @@ def sign_lock_check(
                 f"pair term ({x}, {xp}) vanishes at outcome {outcome}; argument undefined"
             )
         args.append(np.angle(value))
-    args = np.array(args)
+    args = _freeze(np.array(args))
     # spread measured after unwrapping relative to the first argument
     rel = np.angle(np.exp(1j * (args - args[0])))
     spread = float(rel.max() - rel.min())

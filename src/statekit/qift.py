@@ -36,6 +36,8 @@ from .statevec import (
     DenseOperator,
     HermitianOperator,
     StateVector,
+    _as_array,
+    _freeze,
     _own,
     _require_finite,
     commutator,
@@ -115,7 +117,7 @@ class QiftParams:
 
     def spec(self, fields: Sequence[float] | np.ndarray) -> HamiltonianSpec:
         """The Hamiltonian of ``fields`` under these parameters, one qubit per field."""
-        return HamiltonianSpec(fields, self.coupling_for(np.size(fields)), mu=self.mu, tau=self.tau)
+        return HamiltonianSpec(fields, _freeze(self.coupling_for(np.size(fields))), mu=self.mu, tau=self.tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +197,7 @@ COUPLINGS = {"ring": ring_coupling, "complete": complete_coupling}
 
 def build_h_data(fields: Sequence[float] | np.ndarray) -> HermitianOperator:
     """Local-field term sum_j x_j sigma_y_j (traceless, Hermitian)."""
-    x = np.asarray(fields, dtype=np.float64).ravel()
+    x = _as_array(fields, "fields", np.float64, flat=True)
     if x.size < 1:
         raise StatekitError("at least one field strength is required")
     n = x.size
@@ -205,7 +207,7 @@ def build_h_data(fields: Sequence[float] | np.ndarray) -> HermitianOperator:
         # sigma_y on qubit q flips bit n-1-q of the index: +i from a 0 bit, -i from a 1
         bit = (idx >> (n - 1 - q)) & 1
         h.imag[idx ^ (1 << (n - 1 - q)), idx] = x[q] * (1 - 2 * bit)
-    return HermitianOperator(h)
+    return HermitianOperator(_freeze(h))
 
 
 def build_h_topo(coupling: np.ndarray, mu: float) -> HermitianOperator:
@@ -214,28 +216,29 @@ def build_h_topo(coupling: np.ndarray, mu: float) -> HermitianOperator:
     Uses the diagonal fast path; ``build_h_topo_dense`` is the brute-force
     Pauli-string oracle for cross-checks.
     """
-    j = np.asarray(coupling, dtype=np.float64)
+    j = _as_array(coupling, "coupling", np.float64)
     _check_coupling(j)
     diag = mu * _kernels.zz_diagonal(j)
-    return HermitianOperator(np.diag(diag.astype(np.complex128)))
+    return HermitianOperator(_freeze(np.diag(diag.astype(np.complex128))))
 
 
 def build_h_topo_dense(coupling: np.ndarray, mu: float) -> HermitianOperator:
     """Same operator as ``build_h_topo`` via explicit Pauli-string sums."""
-    j = np.asarray(coupling, dtype=np.float64)
+    j = _as_array(coupling, "coupling", np.float64)
+    _check_coupling(j)
     n = j.shape[0]
     h = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     for a in range(n):
         for b in range(a + 1, n):
             if j[a, b] != 0.0:
                 h += mu * j[a, b] * pauli_string(n, {a: "Z", b: "Z"}).matrix
-    return HermitianOperator(h)
+    return HermitianOperator(_freeze(h))
 
 
 def effective_hamiltonian(spec: HamiltonianSpec) -> HermitianOperator:
     """H_data + H_topo for one spec."""
     return HermitianOperator(
-        build_h_data(spec.fields).matrix + build_h_topo(spec.coupling, spec.mu).matrix
+        _freeze(build_h_data(spec.fields).matrix + build_h_topo(spec.coupling, spec.mu).matrix)
     )
 
 
@@ -254,11 +257,11 @@ def sandwich_unitary(spec: HamiltonianSpec, method: str = "factorized") -> Dense
     if method == "factorized":
         # the rotation layer applied to every basis column is its dense matrix
         rot = _kernels.ry_layer(np.eye(spec.dim), (spec.tau / 2.0) * spec.fields)
-        return DenseOperator(rot @ (_diagonal_phase(spec)[:, None] * rot))
+        return DenseOperator(_freeze(rot @ (_diagonal_phase(spec)[:, None] * rot)))
     if method == "dense":
         half = evolve(build_h_data(spec.fields), spec.tau / 2.0).matrix
         mid = evolve(build_h_topo(spec.coupling, spec.mu), spec.tau).matrix
-        return DenseOperator(half @ mid @ half)
+        return DenseOperator(_freeze(half @ mid @ half))
     raise StatekitError(f"unknown method {method!r} (expected 'factorized' or 'dense')")
 
 
@@ -283,7 +286,7 @@ def information_curvature(
     non-commuting spec the fitted log-log slope sits in the third-order
     window; a commuting spec is flagged instead of fitted.
     """
-    grid = np.asarray(DEFAULT_TAU_GRID if taus is None else taus, dtype=np.float64)
+    grid = _as_array(DEFAULT_TAU_GRID if taus is None else taus, "tau grid", np.float64)
     if grid.size < 5:
         raise StatekitError("tau grid needs at least 5 points")
     if np.any(grid <= 0):
@@ -297,10 +300,10 @@ def information_curvature(
     comm = commutator_norm(spec_base)
     # H does not depend on tau: one decomposition gives every exact U(tau)
     dec = hermitian_spectral_decomposition(effective_hamiltonian(spec_base))
-    errors = np.array([
+    errors = _freeze(np.array([
         operator_distance(sandwich_unitary(replace(spec_base, tau=t)), dec.evolution(t))
         for t in grid.tolist()
-    ])
+    ]))
     commuting = bool(errors.max() < TOLS.curvature_floor)
     slope = resid = None
     mask = errors > TOLS.curvature_floor
@@ -333,7 +336,7 @@ def _vacuum_stack(spec: HamiltonianSpec, fields: np.ndarray) -> np.ndarray:
     amps = np.zeros((spec.dim, len(fields)), dtype=np.complex128)
     amps[0] = 1.0
     amps = _kernels.ry_layer(amps, half_angles)
-    return _kernels.ry_layer(amps * _diagonal_phase(spec)[:, None], half_angles).T
+    return _freeze(_kernels.ry_layer(amps * _diagonal_phase(spec)[:, None], half_angles)).T
 
 
 def evolve_vacuum(spec: HamiltonianSpec) -> StateVector:

@@ -17,6 +17,8 @@ from .errors import StatekitError
 from .qift import HamiltonianSpec, effective_hamiltonian
 from .statevec import (
     HermitianOperator,
+    _as_array,
+    _freeze,
     _own,
     _require_finite,
     hermitian_spectral_decomposition,
@@ -93,7 +95,7 @@ def zeeman_operator(n_qubits: int) -> HermitianOperator:
     """Uniform longitudinal field sum_j Z_j, built as its diagonal n - 2 popcount(i)."""
     idx = np.arange(1 << n_qubits)
     popcount = ((idx[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
-    return HermitianOperator(np.diag((n_qubits - 2 * popcount).astype(np.complex128)))
+    return HermitianOperator(_freeze(np.diag((n_qubits - 2 * popcount).astype(np.complex128))))
 
 
 def zeeman_sweep(spec: HamiltonianSpec, epsilons: Sequence[float] | np.ndarray) -> ZeemanTrace:
@@ -102,14 +104,14 @@ def zeeman_sweep(spec: HamiltonianSpec, epsilons: Sequence[float] | np.ndarray) 
     The grid must contain 0 (the unperturbed reference); the stability
     score is the largest absolute gap deviation from that reference.
     """
-    eps = np.asarray(epsilons, dtype=np.float64).ravel()
+    eps = _as_array(epsilons, "epsilon grid", np.float64, flat=True)
     if eps.size == 0:
         raise StatekitError("epsilon grid is empty")
     if not np.any(eps == 0.0):
         raise StatekitError("epsilon grid must contain 0 as the reference point")
     h0 = effective_hamiltonian(spec).matrix
     zee = zeeman_operator(spec.n_qubits).matrix
-    gaps = np.array([_profile_of(HermitianOperator(h0 + e * zee)).mass_gap for e in eps])
+    gaps = _freeze(np.array([_profile_of(HermitianOperator(_freeze(h0 + e * zee))).mass_gap for e in eps]))
     ref = gaps[np.flatnonzero(eps == 0.0)[0]]
     return ZeemanTrace(epsilons=eps, gaps=gaps, stability_score=float(np.abs(gaps - ref).max()))
 

@@ -6,9 +6,9 @@ has index ``q0 * 2^(n-1) + q1 * 2^(n-2) + ...``, and operators on qubit 0
 occupy the leftmost Kronecker factor.
 
 All values are immutable; operations are pure functions and safe to share
-across threads. Every domain type takes in its arrays through one intake,
-``_own``: it rejects bools, strings and ragged rows, copies memory a caller
-can still write, adopts a read-only owner's memory, and freezes what it keeps.
+across threads. Arrays enter through ``_as_array``, which rejects bools,
+strings and ragged rows; ``_own`` also copies memory a caller can still write,
+adopts read-only memory and freezes what a type keeps, so builders freeze theirs.
 """
 from __future__ import annotations
 
@@ -50,7 +50,10 @@ def _pad_pow2(v: np.ndarray) -> np.ndarray:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    view = arr
+    while isinstance(view, np.ndarray):  # and every array it views, so _own adopts it
+        view.flags.writeable = False
+        view = view.base
     return arr
 
 
@@ -60,11 +63,9 @@ def _require_finite(what: str, *arrays, error: type[StatekitError] = StatekitErr
         raise error(f"non-finite value in {what}")
 
 
-def _own(obj, name: str, dtype, error=StatekitError, finite: str | None = None, flat=False, value=None):
-    """Set field ``name`` of ``obj`` to ``value`` (default: the field itself) as
-    a frozen C-contiguous ``dtype`` array, flattened if ``flat``, and return it.
-    ``finite`` names the array when a NaN or an infinity raises ``error``."""
-    value = getattr(obj, name) if value is None else value
+def _as_array(value, name: str, dtype, error=StatekitError, flat=False) -> np.ndarray:
+    """``value`` as a C-contiguous ``dtype`` array, flattened if ``flat``, by safe
+    casts only; ``error`` names ``name`` for bools, strings, objects and ragged rows."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged rows
@@ -72,8 +73,14 @@ def _own(obj, name: str, dtype, error=StatekitError, finite: str | None = None, 
     if arr.dtype.kind not in "iufc" or not np.can_cast(arr.dtype, dtype, "safe"):  # bools, strings, lossy casts
         raise error(f"{name} must be an array of numbers safely castable to {np.dtype(dtype)}")
     out = np.ascontiguousarray(arr, dtype=dtype)
-    out = out.ravel() if flat else out
-    owner = out
+    return out.ravel() if flat else out
+
+
+def _own(obj, name: str, dtype, error=StatekitError, finite: str | None = None, flat=False, value=None):
+    """Set field ``name`` of ``obj`` to a frozen ``_as_array`` of ``value`` (default: the
+    field itself) and return it; ``finite`` names it when a NaN or an infinity raises ``error``."""
+    value = getattr(obj, name) if value is None else value
+    out = owner = _as_array(value, name, dtype, error, flat)
     while isinstance(owner.base, np.ndarray):
         owner = owner.base
     if (owner.flags.writeable or owner.base is not None) and (not out.size or np.may_share_memory(out, value)):
@@ -311,7 +318,7 @@ def pauli_string(n_qubits: int, assignments: Mapping[int, str]) -> HermitianOper
     op = np.ones((1, 1), dtype=np.complex128)
     for site in range(n_qubits):
         op = np.kron(op, PAULI_MATRICES[assignments.get(site, "I")])
-    return HermitianOperator(op)
+    return HermitianOperator(_freeze(op))
 
 
 def is_unitary(u: DenseOperator) -> bool:
@@ -360,7 +367,7 @@ def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
     """AB - BA."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"operator dims differ: {a.dim} vs {b.dim}")
-    return DenseOperator(a.matrix @ b.matrix - b.matrix @ a.matrix)
+    return DenseOperator(_freeze(a.matrix @ b.matrix - b.matrix @ a.matrix))
 
 
 def haar_random_unitary(dim: int, seed_or_rng: Union[int, np.random.Generator]) -> DenseOperator:
@@ -370,5 +377,5 @@ def haar_random_unitary(dim: int, seed_or_rng: Union[int, np.random.Generator]) 
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    return DenseOperator(q * (d / np.abs(d)))
+    return DenseOperator(_freeze(q * (d / np.abs(d))))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import statekit as sk
-from statekit.errors import ConfigError, StatekitError
+from statekit.errors import ConfigError, DimensionMismatchError, StatekitError
 from statekit.experiments import compute_experiment
 
 
@@ -328,6 +328,14 @@ class TestDistinguishability:
         psi = sk.probability_loading([0.5, 0.5])
         with pytest.raises(StatekitError):
             sk.distinguishability([psi, psi], [1, 1])
+
+    @pytest.mark.parametrize(
+        "n_states, labels", [(2, [1, -1, 1]), (3, [1, -1])], ids=["more-labels", "more-states"]
+    )
+    def test_label_count_must_match_state_count(self, n_states, labels):
+        states = [sk.probability_loading(p) for p in ([1.0, 0.0], [0.0, 1.0], [1.0, 0.0])][:n_states]
+        with pytest.raises(DimensionMismatchError, match=f"^{n_states} states do not match {len(labels)} labels$"):
+            sk.distinguishability(states, labels)
 
 
 # labels that are not +1 or -1: fractions that int64 would truncate to +-1,

@@ -133,6 +133,17 @@ class TestDecompositions:
         with pytest.raises(StatekitError, match=f"^outcome {outcome} out of range for dim 4$"):
             list(sk.interference_decompositions(u, [0.25] * 4, None, [0, outcome]))
 
+    @pytest.mark.parametrize(
+        "outcome", [None, 1.0, np.float64(1.0), True, np.True_], ids=["None", "float", "np-float", "bool", "np-bool"]
+    )
+    def test_rejects_an_outcome_that_is_not_an_integer(self, outcome):
+        with pytest.raises(StatekitError, match=f"^outcome {outcome} out of range for dim 2$"):
+            sk.interference_decomposition(HADAMARD, [0.5, 0.5], None, outcome)
+
+    def test_reads_a_numpy_integer_outcome(self):
+        rep = sk.interference_decomposition(HADAMARD, [0.3, 0.7], None, np.int64(1))
+        assert rep.total == sk.interference_decomposition(HADAMARD, [0.3, 0.7], None, 1).total
+
 
 class TestSignLock:
     def test_locked_over_dirichlet_ensemble(self, rng):
@@ -165,6 +176,19 @@ class TestSignLock:
     def test_rejects_pair_outside_dimension(self, pair):
         with pytest.raises(StatekitError, match=r"^pair must be two distinct basis indices in \[0, 2\)"):
             sk.sign_lock_check(HADAMARD, 0, pair, [[0.5, 0.5]])
+
+    @pytest.mark.parametrize(
+        "pair", [(0, 1.0), (np.float64(0), 1), (True, 0), (0, np.True_), (0, None)],
+        ids=["float", "np-float", "bool", "np-bool", "None"],
+    )
+    def test_rejects_a_pair_index_that_is_not_an_integer(self, pair):
+        with pytest.raises(StatekitError, match=r"^pair must be two distinct basis indices in \[0, 2\)"):
+            sk.sign_lock_check(HADAMARD, 0, pair, [[0.5, 0.5]])
+
+    @pytest.mark.parametrize("outcome", [None, 1.0, True])
+    def test_rejects_an_outcome_that_is_not_an_integer(self, outcome):
+        with pytest.raises(StatekitError, match=f"^outcome {outcome} out of range for dim 2$"):
+            sk.sign_lock_check(HADAMARD, outcome, (0, 1), [[0.5, 0.5]])
 
     def test_rejects_pair_outside_a_smaller_distribution(self):
         u = sk.DenseOperator(np.eye(4))
@@ -243,3 +267,8 @@ class TestPairwiseTermSigns:
             if reference is None:
                 reference = signs
             assert signs == reference
+
+    @pytest.mark.parametrize("outcome", [None, 1.0, True])
+    def test_rejects_an_outcome_that_is_not_an_integer(self, outcome):
+        with pytest.raises(StatekitError, match=f"^outcome {outcome} out of range for dim 2$"):
+            sk.pairwise_term_signs(HADAMARD, [0.5, 0.5], outcome)

@@ -4,6 +4,8 @@ Each array field passes through one intake: it keeps no memory the caller
 can still write, never makes the caller's array read-only, adopts an array
 whose memory owner is already read-only, and rejects strings, bools, ragged
 rows and complex values in a real field with the type's own error class.
+Functions convert the arrays they take by the same rules, and statekit's
+builders hand over what they build frozen, so it is adopted, not copied.
 """
 import tracemalloc
 import warnings
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import statekit as sk
+from statekit import cli
 from statekit.errors import ConfigError, EigensolverError, InvalidDistributionError, StatekitError
 
 
@@ -212,3 +215,182 @@ def test_zeeman_sweep_keeps_no_view_of_the_epsilon_grid():
     before = trace.epsilons.copy()
     eps[...] = np.nan
     assert np.array_equal(trace.epsilons, before)
+
+
+# ---------------------------------------------------------------------------
+# functions take outside arrays through the same conversion
+# ---------------------------------------------------------------------------
+
+def spec2():
+    return sk.HamiltonianSpec([0.4, -0.7], sk.ring_coupling(2))
+
+
+HADAMARD = sk.DenseOperator(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+
+# "function(argument)" -> (valid input, call with that input, error class).
+# Entries are 0 or 1 where the function allows, so a bool array would pass
+# every later check if it were read as numbers.
+FUNCTION_CASES = {
+    "build_h_data(fields)": ([0, 1], sk.build_h_data, StatekitError),
+    "build_h_topo(coupling)": ([[0, 1], [1, 0]], lambda j: sk.build_h_topo(j, 1.0), StatekitError),
+    "build_h_topo_dense(coupling)": ([[0, 1], [1, 0]], lambda j: sk.build_h_topo_dense(j, 1.0), StatekitError),
+    "information_curvature(taus)": (
+        np.geomspace(1e-1, 1e-3, 5).tolist(), lambda t: sk.information_curvature(spec2(), t), StatekitError,
+    ),
+    "zeeman_sweep(epsilons)": ([0, 1], lambda e: sk.zeeman_sweep(spec2(), e), StatekitError),
+    "nn_classify_loo(gram)": ([[1, 0], [0, 1]], lambda k: sk.nn_classify_loo(k, [1, -1]), StatekitError),
+    "amplitude_encoding(x)": ([0, 1], sk.amplitude_encoding, StatekitError),
+    "phase_encoding(phi)": ([0, 1], lambda phi: sk.phase_encoding([0.5, 0.5], phi), StatekitError),
+    "sign_lock_check(phases)": (
+        [0, 1], lambda phi: sk.sign_lock_check(HADAMARD, 0, (0, 1), [[0.5, 0.5]], [phi]), StatekitError,
+    ),
+    "probability_loading(p)": ([0, 1], sk.probability_loading, InvalidDistributionError),
+}
+
+
+def function_bad_inputs(name):
+    arr = np.array(FUNCTION_CASES[name][0])
+    flat = arr.ravel().tolist()
+    return {
+        "strings": arr.astype(str),
+        "bools": arr != 0,
+        "ragged": [flat[:1], flat],
+        "complex": arr.astype(np.complex128),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, kind", [(name, kind) for name in FUNCTION_CASES for kind in function_bad_inputs(name)]
+)
+def test_functions_reject_strings_bools_ragged_rows_and_complex(name, kind):
+    _, call, error = FUNCTION_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning is not a rejection
+        with pytest.raises(error, match="must be an array of numbers safely castable to float64$"):
+            call(function_bad_inputs(name)[kind])
+
+
+@pytest.mark.parametrize("name", FUNCTION_CASES)
+def test_functions_leave_the_caller_array_writable_and_unchanged(name):
+    valid, call, _ = FUNCTION_CASES[name]
+    arr = np.array(valid, dtype=np.float64)
+    call(arr)
+    assert arr.flags.writeable and np.array_equal(arr, valid)
+
+
+@pytest.mark.parametrize("content", ["[true, false]", '["3", "4"]', "[[3], [3, 4]]", '[3, "4"]'])
+def test_encode_input_rejects_what_is_not_an_array_of_numbers(capsys, tmp_path, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    code = cli.main(["encode", "--encoder", "amplitude", "--input", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: input vector must be an array of numbers safely castable to float64\n"
+
+
+# ---------------------------------------------------------------------------
+# builders hand over what they build
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def handovers(monkeypatch):
+    """(type, field, given, stored) for each array a constructor is handed, in order."""
+    seen = []
+    own = sk.statevec._own
+
+    def spy(obj, name, *args, value=None, **kwargs):
+        given = getattr(obj, name)
+        stored = own(obj, name, *args, value=value, **kwargs)
+        if value is None:  # the constructor's argument, not an array the type derived from it
+            seen.append((type(obj).__name__, name, given, stored))
+        return stored
+
+    for module in (sk.statevec, sk.qift, sk.spectral, sk.experiments, sk.interference):
+        monkeypatch.setattr(module, "_own", spy)
+    return seen
+
+
+OPERATOR_BUILDERS = {
+    "build_h_data": lambda s: sk.build_h_data(s.fields),
+    "build_h_topo": lambda s: sk.build_h_topo(s.coupling, s.mu),
+    "build_h_topo_dense": lambda s: sk.build_h_topo_dense(s.coupling, s.mu),
+    "effective_hamiltonian": sk.effective_hamiltonian,
+    "sandwich_unitary": sk.sandwich_unitary,
+    "sandwich_unitary-dense": lambda s: sk.sandwich_unitary(s, "dense"),
+    "exact_unitary": sk.exact_unitary,
+    "commutator": lambda s: sk.commutator(sk.build_h_data(s.fields), sk.build_h_topo(s.coupling, s.mu)),
+    "pauli_string": lambda s: sk.pauli_string(s.n_qubits, {0: "Y"}),
+    "zeeman_operator": lambda s: sk.spectral.zeeman_operator(s.n_qubits),
+    "haar_random_unitary": lambda s: sk.haar_random_unitary(s.dim, 0),
+}
+
+
+@pytest.mark.parametrize("name", OPERATOR_BUILDERS)
+def test_operator_builders_hand_over_their_matrix_without_a_copy(handovers, name):
+    op = OPERATOR_BUILDERS[name](sk.HamiltonianSpec([0.4, -0.7, 0.2], sk.ring_coupling(3)))
+    matrices = [(given, stored) for _, field, given, stored in handovers if field == "matrix"]
+    assert matrices and matrices[-1][1] is op.matrix
+    assert all(stored is given for given, stored in matrices)
+
+
+# builder -> its tracemalloc peak in MiB at n = 9 when the intake copied its
+# 2^9 x 2^9 complex128 matrix (4 MiB); handed over frozen, it is not copied
+COPYING_PEAK_MIB = {
+    "build_h_data": 16.1,
+    "build_h_topo": 16.1,
+    "effective_hamiltonian": 20.1,
+    "commutator_norm": 20.1,
+}
+
+
+@pytest.mark.parametrize("name", COPYING_PEAK_MIB)
+def test_builder_peak_at_nine_qubits_holds_no_copy(name):
+    spec = sk.HamiltonianSpec(np.linspace(-1.0, 1.0, 9), sk.ring_coupling(9))
+    build = {**OPERATOR_BUILDERS, "commutator_norm": sk.commutator_norm}[name]
+    build(spec)  # first-call allocations stay out of the measurement
+    tracemalloc.start()
+    try:
+        build(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (COPYING_PEAK_MIB[name] - 2) * 2**20
+
+
+STATE_BUILDERS = {
+    "probability_loading": lambda: sk.probability_loading([0.2, 0.3, 0.5]),
+    "amplitude_encoding": lambda: sk.amplitude_encoding([0.2, -0.3, 0.5]),
+    "phase_encoding": lambda: sk.phase_encoding([0.2, 0.3, 0.5], [0.1, 0.2, 0.3]),
+    "evolve_vacuum": lambda: sk.evolve_vacuum(sk.HamiltonianSpec([0.4, -0.7], sk.ring_coupling(2))),
+    **{
+        f"encode_dataset-{enc}": lambda enc=enc: sk.encode_dataset(
+            sk.LabeledDataset(np.array([[0.2, -0.3, 0.5], [0.1, 0.4, -0.2]]), [1, -1], 0), enc
+        )
+        for enc in sk.ENCODER_IDS
+        if enc != "qift"
+    },
+    # the qift encoder evolves a stack of rows as columns, so a stack of two or
+    # more rows is made C-contiguous by one copy; one row is handed over as is
+    "encode_dataset-qift-one-row": lambda: sk.encode_dataset(
+        sk.LabeledDataset(np.array([[0.2, -0.3, 0.5]]), [1], 0), "qift"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", STATE_BUILDERS)
+def test_state_builders_hand_over_their_amplitudes_without_a_copy(handovers, name):
+    state = STATE_BUILDERS[name]()
+    (given, stored), = [(g, s) for kind, _, g, s in handovers if kind in ("StateVector", "StateStack")]
+    assert stored is state.amplitudes and np.shares_memory(stored, given)
+
+
+def test_experiment_and_cli_builders_hand_over_without_a_copy(handovers, capsys, tmp_path):
+    config = sk.ExperimentConfig("interference-audit", n_features=2, count=2, seed=3, output_dir=str(tmp_path))
+    sk.experiments.compute_experiment(config)
+    assert cli.main(["interfere", "--dim", "3", "--seed", "1"]) == 0
+    assert cli.main(["interfere", "--probs", "0.5,0.5"]) == 0
+    sk.gen_parity_dataset(4, "all", 0)
+    capsys.readouterr()
+    assert {"Distribution", "DenseOperator", "LabeledDataset"} <= {kind for kind, *_ in handovers}
+    copied = {f"{kind}.{field}" for kind, field, given, stored in handovers if not np.shares_memory(stored, given)}
+    assert copied == set()

@@ -173,3 +173,30 @@ def intake_bypasses(tree):
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_post_init_takes_arrays_through_the_intake(module):
     assert intake_bypasses(ast.parse((SRC / module).read_text())) == []
+
+
+# the one conversion of outside arrays, and two calls that convert no array:
+# _labels reads each label as a Python object, _check_step packs two scalars
+CONVERSIONS = {"statevec._as_array", "experiments._labels", "qift._check_step"}
+
+
+def conversions(module, tree):
+    """``module.name`` of the top-level function or class around each
+    ``np.asarray`` or ``np.ascontiguousarray`` call of ``tree``."""
+    return [
+        f"{module}.{getattr(top, 'name', '<module>')}"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.asarray", "np.ascontiguousarray")
+    ]
+
+
+def test_outside_arrays_are_converted_in_one_place():
+    # _kernels.py sees only arrays that statekit has converted already
+    found = [
+        name
+        for path in SRC.glob("*.py")
+        if path.name != "_kernels.py"
+        for name in conversions(path.stem, ast.parse(path.read_text()))
+    ]
+    assert sorted(set(found) - CONVERSIONS) == []

@@ -200,6 +200,20 @@ class TestBuildHTopo:
         with pytest.raises(StatekitError, match=message):
             sk.HamiltonianSpec([1.0, 1.0], np.array(j))
 
+    @pytest.mark.parametrize(
+        "j, message",
+        [
+            ([[0.0, 1.0], [2.0, 0.0]], "^coupling matrix must be exactly symmetric$"),
+            ([[1.0, 0.0], [0.0, 0.0]], "^coupling matrix must have zero diagonal$"),
+            ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], r"^coupling must be square, got shape \(2, 3\)$"),
+        ],
+    )
+    def test_dense_oracle_rejects_what_the_fast_path_rejects(self, j, message):
+        with pytest.raises(StatekitError, match=message):
+            sk.build_h_topo(j, 1.0)
+        with pytest.raises(StatekitError, match=message):
+            sk.build_h_topo_dense(j, 1.0)
+
     def test_coupling_shape_messages(self):
         with pytest.raises(StatekitError, match="must be square"):
             sk.build_h_topo(np.zeros((2, 3)), 1.0)
