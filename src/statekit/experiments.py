@@ -354,11 +354,17 @@ def nn_classify_loo(gram: Union[GramMatrix, np.ndarray], labels: Sequence[int]) 
         raise StatekitError("need at least 2 samples for leave-one-out classification")
     if np.unique(labels).size < 2:
         raise StatekitError("degenerate single-class input: both classes are required")
-    _require_finite("similarity matrix", k)
-    sim = k.copy()
-    np.fill_diagonal(sim, -np.inf)
-    nearest = sim.argmax(axis=1)  # the lowest index among tied maxima
-    ties = (sim == sim[np.arange(m), nearest][:, None]).sum(axis=1)
+    if not isinstance(gram, GramMatrix):  # a GramMatrix is frozen and was checked on construction
+        _require_finite("similarity matrix", k)
+    nearest = np.empty(m, dtype=np.intp)
+    ties = np.empty(m, dtype=np.intp)
+    for start in range(0, m, _GRAM_TILE):  # copy one block of rows, which stays in cache, not all of k
+        sim = k[start:start + _GRAM_TILE].copy()
+        rows = np.arange(sim.shape[0])
+        sim[rows, start + rows] = -np.inf
+        block = slice(start, start + rows.size)
+        nearest[block] = sim.argmax(axis=1)  # the lowest index among tied maxima
+        ties[block] = (sim == sim[rows, nearest[block]][:, None]).sum(axis=1)
     pred = np.where((ties > 1) & (ties == m - 1), labels[0], labels[nearest])
     return int((pred == labels).sum()) / m
 
@@ -384,8 +390,10 @@ def _distinguishability_from_gram(gram: GramMatrix, labels: np.ndarray) -> float
     neg = np.flatnonzero(labels == -1)
     if pos.size == 0 or neg.size == 0:
         raise StatekitError("both classes must be nonempty")
-    cross = gram.entries[np.ix_(pos, neg)]
-    return float(np.sqrt(np.maximum(0.0, 1.0 - cross)).min())
+    # sqrt(max(0, 1 - x)) never increases with x, so its minimum over the cross
+    # pairs is its value at the largest cross fidelity, bit for bit
+    top = max(gram.entries[pos[i:i + _GRAM_TILE, None], neg].max() for i in range(0, pos.size, _GRAM_TILE))
+    return float(np.sqrt(np.maximum(0.0, 1.0 - top)))
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +402,8 @@ def _distinguishability_from_gram(gram: GramMatrix, labels: np.ndarray) -> float
 
 def _run_parity(config: ExperimentConfig) -> tuple[dict, list[Table]]:
     ds = gen_parity_dataset(config.n_features, config.count, config.seed)
-    per_encoder = {}
-    rows = []
-    for enc in config.encoders:
-        params = config.qift_params() if enc == "qift" else None
-        states = encode_dataset(ds, enc, params)
-        gram = fidelity_gram(states, enc)
-        acc = nn_classify_loo(gram, ds.labels)
-        dist = _distinguishability_from_gram(gram, ds.labels)
-        per_encoder[enc] = {"accuracy": acc, "distinguishability": dist}
-        rows.append((enc, acc, dist))
+    rows = [(enc, *_parity_scores(ds, enc, config.qift_params() if enc == "qift" else None)) for enc in config.encoders]
+    per_encoder = {enc: {"accuracy": acc, "distinguishability": dist} for enc, acc, dist in rows}
     results = {"n_samples": len(ds), "per_encoder": per_encoder}
     table = Table(
         name="parity_results",
@@ -411,6 +411,13 @@ def _run_parity(config: ExperimentConfig) -> tuple[dict, list[Table]]:
         rows=tuple(rows),
     )
     return results, [table]
+
+
+def _parity_scores(ds: LabeledDataset, enc: str, params: QiftParams | None) -> tuple[float, float]:
+    """Leave-one-out accuracy and distinguishability of one encoder; its Gram
+    is freed on return, before the next encoder's is built."""
+    gram = fidelity_gram(encode_dataset(ds, enc, params), enc)
+    return nn_classify_loo(gram, ds.labels), _distinguishability_from_gram(gram, ds.labels)
 
 
 def _run_curvature(config: ExperimentConfig) -> tuple[dict, list[Table]]:

@@ -117,7 +117,8 @@ class QiftParams:
 
     def spec(self, fields: Sequence[float] | np.ndarray) -> HamiltonianSpec:
         """The Hamiltonian of ``fields`` under these parameters, one qubit per field."""
-        return HamiltonianSpec(fields, _freeze(self.coupling_for(np.size(fields))), mu=self.mu, tau=self.tau)
+        fields = _as_array(fields, "fields", np.float64, flat=True)  # sized only once it is checked
+        return HamiltonianSpec(fields, _freeze(self.coupling_for(fields.size)), mu=self.mu, tau=self.tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,19 +150,26 @@ class CurvatureScan:
 
 
 def _check_step(mu, tau, *fields, error: type[StatekitError] = StatekitError) -> tuple[float, float]:
-    """``mu`` and ``tau`` as floats; raise ``error`` unless both are real numbers,
-    not bools, and they and ``fields`` are finite with tau > 0."""
+    """``mu`` and ``tau`` as floats; raise ``error`` unless each passes ``_check_real``,
+    ``fields`` are finite and tau > 0."""
     what = "fields, mu or tau" if fields else "mu or tau"
-    for name, value in (("mu", mu), ("tau", tau)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise error(f"{name} must be a real number, got {value!r}")
-    try:
-        _require_finite(what, *fields, np.asarray([mu, tau], dtype=np.float64), error=error)
-    except OverflowError:  # an int beyond the float range
-        raise error(f"non-finite value in {what}") from None
+    mu, tau = (_check_real(name, value, what, error) for name, value in (("mu", mu), ("tau", tau)))
+    _require_finite(what, *fields, error=error)
     if not tau > 0:
         raise error(f"tau must be > 0, got {tau}")
-    return float(mu), float(tau)
+    return mu, tau
+
+
+def _check_real(name: str, value, what: str, error: type[StatekitError] = StatekitError) -> float:
+    """``value`` as a float; raise ``error`` unless it is a real number, not a bool,
+    and finite (a non-finite value is reported as one in ``what``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        _require_finite(what, np.float64(value), error=error)
+    except OverflowError:  # an int beyond the float range
+        raise error(f"non-finite value in {what}") from None
+    return float(value)
 
 
 def _check_coupling(j: np.ndarray, n_fields: int | None = None, error=StatekitError) -> None:
@@ -218,7 +226,7 @@ def build_h_topo(coupling: np.ndarray, mu: float) -> HermitianOperator:
     """
     j = _as_array(coupling, "coupling", np.float64)
     _check_coupling(j)
-    diag = mu * _kernels.zz_diagonal(j)
+    diag = _check_real("mu", mu, "mu") * _kernels.zz_diagonal(j)
     return HermitianOperator(_freeze(np.diag(diag.astype(np.complex128))))
 
 
@@ -226,6 +234,7 @@ def build_h_topo_dense(coupling: np.ndarray, mu: float) -> HermitianOperator:
     """Same operator as ``build_h_topo`` via explicit Pauli-string sums."""
     j = _as_array(coupling, "coupling", np.float64)
     _check_coupling(j)
+    mu = _check_real("mu", mu, "mu")
     n = j.shape[0]
     h = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     for a in range(n):

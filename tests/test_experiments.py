@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -289,6 +290,21 @@ class TestNNClassifyLOO:
                 cases += 1
         assert cases == 200
 
+    @pytest.mark.parametrize("m", [127, 128, 129, 300])
+    def test_matches_python_loop_across_row_block_edges(self, rng, m):
+        # entries in {0, 0.5, 1} with a unit diagonal: a valid Gram full of ties
+        for trial in range(3):
+            k = rng.integers(0, 3, (m, m)) / 2.0
+            k = np.maximum(k, k.T)
+            np.fill_diagonal(k, 1.0)
+            if trial == 0:
+                k[m - 1] = k[:, m - 1] = 1.0  # a fully degenerate last row, in the edge block
+            labels = rng.choice([-1, 1], m)
+            labels[:2] = (-1, 1)
+            expected = loo_oracle(k, labels)
+            assert sk.nn_classify_loo(k, labels) == expected, (m, trial)
+            assert sk.nn_classify_loo(sk.GramMatrix(k), labels) == expected, (m, trial)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gram_rejected(self, bad):
         k = np.eye(3)
@@ -309,7 +325,46 @@ class TestNNClassifyLOO:
             sk.nn_classify_loo(np.eye(3), [1, -1])
 
 
+def cross_block_distinguishability(k, labels):
+    """The whole cross-block formula that the row-block maximum reproduces bit for bit."""
+    pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == -1)
+    return float(np.sqrt(np.maximum(0.0, 1.0 - k[np.ix_(pos, neg)])).min())
+
+
+def parity_rows_oracle(ds, encoders):
+    """Parity table rows from the untiled Gram, the python LOO loop and the cross block."""
+    rows = []
+    for enc in encoders:
+        k = untiled_gram(sk.encode_dataset(ds, enc))
+        rows.append((enc, loo_oracle(k, ds.labels), cross_block_distinguishability(k, ds.labels)))
+    return rows
+
+
 class TestDistinguishability:
+    @pytest.mark.parametrize("m", [2, 129, 300])
+    def test_bitwise_equal_to_cross_block_on_random_grams(self, rng, m):
+        labels = rng.choice([-1, 1], m)
+        labels[:2] = (1, -1)
+        pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == -1)
+        # the largest cross pair in the first and last row of each 128-row block of
+        # the positive class; below 1, at 1, and just above 1, where max(0, .) clamps
+        edges = {0, pos.size - 1, *range(127, pos.size, 128), *range(128, pos.size, 128)}
+        for r, top in itertools.product(sorted(edges), (0.99, 1.0, 1.0 + 0.5 * sk.TOLS.gram_range)):
+            k = rng.uniform(0.0, 0.9, (m, m))
+            k = 0.5 * (k + k.T)
+            np.fill_diagonal(k, 1.0)
+            i, j = pos[r], neg[rng.integers(neg.size)]
+            k[i, j] = k[j, i] = top
+            got = sk.experiments._distinguishability_from_gram(sk.GramMatrix(k), labels)
+            assert got.hex() == cross_block_distinguishability(k, labels).hex(), (m, r, top)
+
+    @pytest.mark.parametrize("enc", sk.ENCODER_IDS)
+    def test_bitwise_equal_to_cross_block_on_parity_grams(self, enc):
+        ds = sk.gen_parity_dataset(8, "all", 0)
+        gram = sk.fidelity_gram(sk.encode_dataset(ds, enc), enc)
+        got = sk.experiments._distinguishability_from_gram(gram, ds.labels)
+        assert got.hex() == cross_block_distinguishability(gram.entries, ds.labels).hex()
+
     def test_collapse_gives_zero(self):
         ds = sk.gen_parity_dataset(4, "all", 0)
         states = sk.encode_dataset(ds, "probability_loading")
@@ -655,6 +710,16 @@ class TestRunExperiment:
         # per case: one Haar U for all 8 outcomes, one diagonal D for the trap
         assert len(unitary_checks) == 4
         assert [u.dim for u in unitary_checks] == [8] * 4
+
+    @pytest.mark.parametrize(
+        "n_features, count, encoders",
+        [(16, 300, ("probability_loading", "amplitude", "phase")), (8, "all", sk.ENCODER_IDS)],
+    )
+    def test_parity_rows_equal_the_oracle_recomputation(self, tmp_path, n_features, count, encoders):
+        raw = parity_config(tmp_path, n_features=n_features, count=count, seed=5, encoders=list(encoders))
+        _, (table,) = compute_experiment(sk.ExperimentConfig.from_dict(raw))
+        expected = parity_rows_oracle(sk.gen_parity_dataset(n_features, count, 5), encoders)
+        assert repr(table.rows) == repr(tuple(expected))
 
     def test_compute_experiment_touches_no_files(self, tmp_path):
         cfg = sk.ExperimentConfig.from_dict(parity_config(tmp_path))

@@ -159,6 +159,37 @@ def test_read_only_gram_is_adopted_without_a_copy():
     assert peak < k.nbytes / 2
 
 
+def test_scoring_a_frozen_gram_copies_no_matrix():
+    ds = sk.gen_parity_dataset(16, 1024, 0)
+    gram = sk.fidelity_gram(sk.encode_dataset(ds, "amplitude"), "amplitude")
+    k = gram.entries
+    tracemalloc.start()
+    try:
+        sk.nn_classify_loo(gram, ds.labels)
+        sk.experiments._distinguishability_from_gram(gram, ds.labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < k.nbytes / 2
+
+
+def test_parity_holds_one_gram_at_a_time(tmp_path):
+    # while a Gram is built, the m x m complex product and its abs hold 3 * 8 m^2
+    # bytes; the previous encoder's Gram, if still alive, would add 8 m^2 more
+    m = 1024
+    config = sk.ExperimentConfig(
+        experiment="parity", n_features=16, count=m, seed=0, output_dir=str(tmp_path),
+        encoders=("probability_loading", "amplitude", "phase"),
+    )
+    tracemalloc.start()
+    try:
+        sk.experiments.compute_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * m * m
+
+
 def test_fidelity_gram_hands_over_its_gram_without_a_copy(monkeypatch):
     handed = []
 

@@ -93,6 +93,10 @@ class TestQiftParams:
         with pytest.raises(ConfigError, match=message):
             sk.QiftParams(**kwargs)
 
+    def test_ragged_fields_rejected(self):
+        with pytest.raises(StatekitError, match="^fields must be an array of numbers safely castable to float64$"):
+            sk.QiftParams().spec([[1.0], [2.0, 3.0]])
+
     def test_mu_and_tau_are_stored_as_floats(self):
         params = sk.QiftParams(mu=1, tau=np.float64(0.5))
         assert type(params.mu) is float and type(params.tau) is float
@@ -157,6 +161,21 @@ class TestBuildHTopo:
     def test_two_qubit_zz(self):
         h = sk.build_h_topo(sk.ring_coupling(2), 1.0)
         assert np.array_equal(np.diagonal(h.matrix).real, [1, -1, -1, 1])
+
+    @pytest.mark.parametrize("build", [sk.build_h_topo, sk.build_h_topo_dense])
+    @pytest.mark.parametrize(
+        "mu, message",
+        [
+            ("1", "^mu must be a real number, got '1'$"),
+            (True, "^mu must be a real number, got True$"),
+            (float("nan"), "^non-finite value in mu$"),
+            (10**400, "^non-finite value in mu$"),
+        ],
+        ids=["string", "bool", "nan", "int-beyond-float"],
+    )
+    def test_mu_checked(self, build, mu, message):
+        with pytest.raises(StatekitError, match=message):
+            build(sk.ring_coupling(2), mu)
 
     def test_ring_matches_pauli_sum_oracle(self):
         h = sk.build_h_topo(sk.ring_coupling(3), 0.5)
