@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: encode, interfere, trotter-scan, spectrum, resonance,
-parity-exp, and run (config-driven). Results print to stdout as CSV or
-JSON; with ``--out DIR`` they are also written as files (CSV tables plus a
-summary/report JSON).
+Subcommands: encode, interfere, trotter-scan, spectrum, resonance, and
+run, which runs any of the experiments from a JSON config. Results print
+to stdout as CSV or JSON; with ``--out DIR`` they are also written as
+files (CSV tables plus a summary/report JSON).
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .errors import ConfigError, StatekitError
 from .experiments import (
     ExperimentConfig,
     Table,
-    compute_experiment,
     dumps,
     render_csv,
     run_experiment,
@@ -58,15 +57,6 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
     if points < 1:
         raise ConfigError(f"{name} needs at least one point")
     return np.linspace(start, stop, points)
-
-
-def _count_arg(text: str):
-    if text == "all":
-        return "all"
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("count must be an integer or 'all'") from exc
 
 
 def _hadamard_layer(dim: int) -> np.ndarray:
@@ -240,32 +230,6 @@ def _cmd_resonance(args) -> int:
     return 0
 
 
-def _build_parity_config(args, output_dir: str) -> ExperimentConfig:
-    raw = {
-        "experiment": "parity",
-        "n_features": args.n_components,
-        "count": args.count,
-        "seed": _seed(args),
-        "encoders": [e.strip() for e in args.encoders.split(",") if e.strip()],
-        "output_dir": output_dir,
-    }
-    if "qift" in raw["encoders"]:
-        raw["qift"] = {"mu": args.mu, "tau": args.tau, "topology": args.topology}
-    return ExperimentConfig.from_dict(raw)
-
-
-def _cmd_parity_exp(args) -> int:
-    config = _build_parity_config(args, args.out or ".")
-    if args.out:
-        report = run_experiment(config)
-        for path in report.written:
-            print(path)
-        return 0
-    results, tables = compute_experiment(config)
-    _emit(args, {"experiment": "parity", **results}, tables)
-    return 0
-
-
 def _cmd_run(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -274,10 +238,11 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.out is not None:
-        raw["output_dir"] = args.out
+    if isinstance(raw, dict):  # from_dict reports any other JSON value
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        if args.out is not None:
+            raw["output_dir"] = args.out
     config = ExperimentConfig.from_dict(raw)
     report = run_experiment(config, resonance_tolerance=args.tol)
     print(dumps({"results": report.results, "written": list(report.written)}, indent=2))
@@ -344,12 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-b", required=True, help="fields of the second spec")
     p.add_argument("--tol", type=float, default=None, help="gap-coincidence tolerance")
     p.set_defaults(func=_cmd_resonance)
-
-    p = sub.add_parser("parity-exp", parents=[common, step_opts], help="parity separability contrast")
-    p.add_argument("--n-components", type=int, default=4)
-    p.add_argument("--count", type=_count_arg, default="all")
-    p.add_argument("--encoders", default="probability_loading,amplitude")
-    p.set_defaults(func=_cmd_parity_exp)
 
     p = sub.add_parser("run", parents=[common], help="run an experiment from a JSON config")
     p.add_argument("config", help="path to the config JSON file")

@@ -57,6 +57,7 @@ EXPERIMENT_IDS = ("parity", "curvature-scan", "resonance", "interference-audit")
 MAX_QUBITS = 12  # dense 2^n x 2^n complex128 operators; also the qift encoder's register
 MAX_PARITY_COMPONENTS = 32  # the largest power of 2 whose 2^n enumeration index fits int64
 MAX_PARITY_SAMPLES = 4096  # the Gram matrix and the leave-one-out pass grow as samples^2
+MAX_RESONANCE_SPECS = 1024  # the resonance pair table grows as specs^2
 
 # Edge of the square tiles in which the Gram matrix is symmetrised and checked:
 # a pair of 128 x 128 float64 tiles (256 KB) stays in cache, where a full k.T
@@ -191,6 +192,8 @@ class ExperimentConfig:
         if self.experiment == "resonance":
             if self.count == "all" or int(self.count) < 2:
                 raise ConfigError("resonance experiment requires an integer count >= 2")
+            if int(self.count) > MAX_RESONANCE_SPECS:
+                raise ConfigError(f"resonance supports at most {MAX_RESONANCE_SPECS} specs, got {self.count}")
         if self.experiment in ("curvature-scan", "interference-audit") and self.count == "all":
             raise ConfigError(f"{self.experiment} requires an integer count")
 
@@ -552,7 +555,8 @@ def write_outputs(
     """Write each table as ``<name>.csv`` and ``payload`` as ``json_name`` into ``outdir``.
 
     Creates the directory as needed and returns the written paths in order;
-    a filesystem failure is raised as ``ConfigError``.
+    a filesystem failure removes the files already written and is raised as
+    ``ConfigError``.
     """
     outdir = Path(outdir)
     written = []
@@ -568,6 +572,8 @@ def write_outputs(
             fh.write(dumps(payload, indent=2) + "\n")
         written.append(str(path))
     except OSError as exc:
+        for done in written:  # a failed run leaves none of its files behind
+            Path(done).unlink(missing_ok=True)
         raise ConfigError(f"cannot write into {outdir}: {exc}") from exc
     return tuple(written)
 

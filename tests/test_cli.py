@@ -1,12 +1,22 @@
+import argparse
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from statekit.cli import main
+from statekit.cli import build_parser, main
 from statekit.experiments import ENCODER_IDS, LabeledDataset, encode_dataset
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# Adding or removing a subcommand is an edit of this list, so every change to
+# the CLI surface shows up in a test diff.
+SUBCOMMANDS = ["encode", "interfere", "trotter-scan", "spectrum", "resonance", "run"]
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +109,22 @@ class TestEncode:
         assert len(rows) == 5
 
 
+class TestSubcommands:
+    def test_parser_offers_exactly_the_pinned_subcommands(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == SUBCOMMANDS
+
+    def test_readme_lists_the_pinned_subcommands(self):
+        sentence = re.search(r"with subcommands (.*?)\.\s", README.read_text(encoding="utf-8"), re.DOTALL)
+        assert re.findall(r"`([^`]+)`", sentence.group(1)) == SUBCOMMANDS
+
+    def test_parity_exp_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["parity-exp", "--n-components", "4"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'parity-exp'" in capsys.readouterr().err
+
+
 class TestFlagsASubcommandDoesNotRead:
     @pytest.mark.parametrize(
         "argv",
@@ -106,7 +132,6 @@ class TestFlagsASubcommandDoesNotRead:
             ["interfere", "--probs", "0.5,0.5", "--tol", "-7"],
             ["spectrum", "--x", "0.5", "--tol", "1e-3"],
             ["trotter-scan", "--n", "2", "--tol", "1e-3"],
-            ["parity-exp", "--n-components", "2", "--tol", "1e-3"],
             ["trotter-scan", "--n", "2", "--tau", "5"],
             ["spectrum", "--x", "0.5", "--tau", "0.2"],
         ],
@@ -262,36 +287,6 @@ def test_per_call_tolerance_is_finite_and_positive(capsys, argv, tol):
     assert err.startswith("error: tol") and err.count("\n") == 1
 
 
-class TestParityExp:
-    def test_stdout_contrast(self, capsys):
-        code, out, _ = run_cli(capsys, "parity-exp")
-        assert code == 0
-        _, rows = parse_csv_tables(out)
-        table = {r[0]: (float(r[1]), float(r[2])) for r in rows[1:]}
-        assert table["probability_loading"] == (0.5, 0.0)
-        assert table["amplitude"][0] == 1.0
-
-    def test_out_writes_files(self, capsys, tmp_path):
-        out_dir = tmp_path / "exp"
-        code, out, _ = run_cli(capsys, "parity-exp", "--out", str(out_dir))
-        assert code == 0
-        assert (out_dir / "parity_results.csv").exists()
-        assert (out_dir / "report.json").exists()
-        assert str(out_dir / "report.json") in out
-
-    def test_oversized_components_fail_cleanly(self, capsys):
-        code, out, err = run_cli(capsys, "parity-exp", "--n-components", "64", "--count", "4")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "32 components" in err
-
-    def test_duplicate_encoders_fail_cleanly(self, capsys):
-        code, out, err = run_cli(capsys, "parity-exp", "--encoders", "amplitude,amplitude")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "'amplitude' is listed more than once" in err
-
-
 class Tripwire(Exception):
     """Raised by a stand-in for the dense work a subcommand starts after its cap."""
 
@@ -402,6 +397,25 @@ class TestRun:
         with open(other / "report.json", encoding="utf-8") as fh:
             report = json.load(fh)
         assert report["provenance"]["seed"] == 9
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--out", "elsewhere"]], ids=["seed", "out"])
+    @pytest.mark.parametrize("document", ["[1, 2]", '"parity"', "7"], ids=["list", "string", "number"])
+    def test_config_not_an_object_fails_cleanly(self, capsys, tmp_path, flag, document):
+        path = tmp_path / "config.json"
+        path.write_text(document)
+        code, out, err = run_cli(capsys, "run", str(path), *flag)
+        assert code == 2
+        assert out == ""
+        assert err == "error: config must be a JSON object\n"
+
+    def test_failed_write_leaves_no_files(self, capsys, tmp_path):
+        path = self.write_config(tmp_path)
+        (tmp_path / "run_out" / "report.json").mkdir(parents=True)
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write into") and err.count("\n") == 1
+        assert not (tmp_path / "run_out" / "parity_results.csv").exists()
 
     def test_unknown_key_fails(self, capsys, tmp_path):
         path = self.write_config(tmp_path, bogus=1)

@@ -584,6 +584,15 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError, match="4096 samples"):
                 sk.ExperimentConfig.from_dict(parity_config(tmp_path, n_features=n, count=count))
 
+    def test_resonance_specs_capped(self, tmp_path):
+        limit = sk.experiments.MAX_RESONANCE_SPECS
+        assert limit == 1024
+        raw = parity_config(tmp_path, experiment="resonance", n_features=2, encoders=[])
+        assert sk.ExperimentConfig.from_dict(dict(raw, count=limit)).count == limit
+        for count in (limit + 1, 10_000):
+            with pytest.raises(ConfigError, match="at most 1024 specs"):
+                sk.ExperimentConfig.from_dict(dict(raw, count=count))
+
     def test_qift_encoder_capped_at_12_qubits(self, tmp_path):
         raw = parity_config(tmp_path, n_features=16, count=4, encoders=["amplitude"])
         assert sk.ExperimentConfig.from_dict(raw)
