@@ -254,9 +254,11 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    common.add_argument("--out", type=str, default=None, help="directory to write CSV/JSON files")
+    # run always prints one JSON document, so it takes no --format
+    run_opts = argparse.ArgumentParser(add_help=False)
+    run_opts.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
+    run_opts.add_argument("--out", type=str, default=None, help="directory to write CSV/JSON files")
+    common = argparse.ArgumentParser(add_help=False, parents=[run_opts])
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="stdout format")
 
     # a subcommand takes only the options it reads: the spectrum and the
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None, help="gap-coincidence tolerance")
     p.set_defaults(func=_cmd_resonance)
 
-    p = sub.add_parser("run", parents=[common], help="run an experiment from a JSON config")
+    p = sub.add_parser("run", parents=[run_opts], help="run an experiment from a JSON config")
     p.add_argument("config", help="path to the config JSON file")
     p.add_argument("--tol", type=float, default=None, help="resonance gap-coincidence tolerance")
     p.set_defaults(func=_cmd_run)

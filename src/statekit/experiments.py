@@ -59,7 +59,7 @@ MAX_PARITY_COMPONENTS = 32  # the largest power of 2 whose 2^n enumeration index
 MAX_PARITY_SAMPLES = 4096  # the Gram matrix and the leave-one-out pass grow as samples^2
 MAX_RESONANCE_SPECS = 1024  # the resonance pair table grows as specs^2
 
-# Edge of the square tiles in which the Gram matrix is symmetrised and checked:
+# Edge of the square tiles in which the Gram matrix is built, symmetrised and checked:
 # a pair of 128 x 128 float64 tiles (256 KB) stays in cache, where a full k.T
 # pass reads memory at a stride of one row per element.
 _GRAM_TILE = 128
@@ -310,7 +310,9 @@ def fidelity_gram(
     states: Union[StateStack, Sequence[StateVector]],
     encoder_id: str = "custom",
 ) -> GramMatrix:
-    """All pairwise fidelities |<a|b>|^2, symmetrized."""
+    """All pairwise fidelities |<a|b>|^2, symmetrized and built tile by tile, so the
+    float64 Gram is the only m x m array; bit for bit 0.5 * (K + K.T) with
+    K = |stack.conj() @ stack.T|^2."""
     if not states:
         raise StatekitError("at least one state is required")
     if isinstance(states, StateStack):
@@ -320,12 +322,12 @@ def fidelity_gram(
         if any(s.dim != dim for s in states):
             raise DimensionMismatchError("states have mixed dimensions")
         stack = np.vstack([s.amplitudes for s in states])
-    k = np.abs(stack.conj() @ stack.T)
-    np.square(k, out=k)
-    # 0.5 * (k + k.T) in place, one mirrored pair of tiles at a time; each entry
-    # gets the same two float operations, so the result is bit for bit the same
+    conj = stack.conj()
+    k = np.empty((stack.shape[0],) * 2)
     for rows, cols in _tile_pairs(k.shape[0]):
-        blk = 0.5 * (k[rows, cols] + k[cols, rows].T)
+        a = np.square(np.abs(conj[rows] @ stack[cols].T))
+        b = a if rows == cols else np.square(np.abs(conj[cols] @ stack[rows].T))
+        blk = 0.5 * (a + b.T)
         k[rows, cols] = blk
         k[cols, rows] = blk.T
     return GramMatrix(entries=_freeze(k), encoder_id=encoder_id)  # adopted, not copied
@@ -333,8 +335,13 @@ def fidelity_gram(
 
 def _tile_pairs(m: int):
     """Yield the (rows, cols) slice pairs of the upper-triangle tiles of an m x m
-    matrix, cols >= rows; their mirrors (cols, rows) cover the lower triangle."""
-    edges = [slice(start, start + _GRAM_TILE) for start in range(0, m, _GRAM_TILE)]
+    matrix, cols >= rows; their mirrors (cols, rows) cover the lower triangle. A
+    one-row remainder joins the last block: a one-row product takes another BLAS
+    route, whose bits differ from the whole-matrix product's."""
+    starts = list(range(0, m, _GRAM_TILE))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    edges = [slice(start, end) for start, end in zip(starts, starts[1:] + [m])]
     for i, rows in enumerate(edges):
         for cols in edges[i:]:
             yield rows, cols

@@ -134,6 +134,7 @@ class TestFlagsASubcommandDoesNotRead:
             ["trotter-scan", "--n", "2", "--tol", "1e-3"],
             ["trotter-scan", "--n", "2", "--tau", "5"],
             ["spectrum", "--x", "0.5", "--tau", "0.2"],
+            ["run", "cfg.json", "--format", "csv"],
         ],
     )
     def test_is_a_usage_error(self, capsys, argv):

@@ -6,7 +6,7 @@ import pytest
 
 import statekit as sk
 from statekit.errors import ConfigError, DimensionMismatchError, StatekitError
-from statekit.experiments import compute_experiment
+from statekit.experiments import _tile_pairs, compute_experiment
 
 
 def parity_config(tmp_path, **overrides):
@@ -155,12 +155,28 @@ def random_states(m, d, seed):
 
 
 class TestTiledGram:
-    """``fidelity_gram`` symmetrises in 128 x 128 tiles; the bytes must not change."""
+    """``fidelity_gram`` builds the Gram in 128 x 128 tiles; the bytes must not change."""
 
     @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
     def test_bitwise_equal_to_untiled_formula(self, m):
         states = random_states(m, 8, m)
         assert sk.fidelity_gram(states).entries.tobytes() == untiled_gram(states).tobytes()
+
+    # m = 1 mod 128 would leave a one-row block, whose product takes another BLAS route
+    @pytest.mark.parametrize("m", [257, 385, 2049])
+    def test_ragged_edge_bitwise_equal_to_untiled_formula(self, m):
+        states = sk.StateStack(np.vstack([s.amplitudes for s in random_states(m, 16, m)]))
+        assert sk.fidelity_gram(states).entries.tobytes() == untiled_gram(states).tobytes()
+
+    def test_tiles_have_no_one_wide_block_and_cover_each_entry_once(self):
+        for m in range(1, 1001):
+            hits = np.zeros((m, m), dtype=np.int8)
+            for rows, cols in _tile_pairs(m):
+                assert m == 1 or min(hits[rows, cols].shape) > 1, (m, rows, cols)
+                hits[rows, cols] += 1
+                if rows != cols:
+                    hits[cols, rows] += 1
+            assert (hits == 1).all(), m
 
     def test_symmetrisation_exercised(self):
         states = random_states(129, 8, 0)
@@ -172,9 +188,10 @@ class TestTiledGram:
         assert sk.fidelity_gram(states).entries.tobytes() == untiled_gram(states).tobytes()
 
     def test_real_amplitude_encoding(self):
-        states = sk.encode_dataset(sk.gen_parity_dataset(16, 300, 3), "amplitude")
-        gram = sk.fidelity_gram(states, "amplitude")
-        assert gram.entries.tobytes() == untiled_gram(states).tobytes()
+        for m in (300, 257):
+            states = sk.encode_dataset(sk.gen_parity_dataset(16, m, 3), "amplitude")
+            gram = sk.fidelity_gram(states, "amplitude")
+            assert gram.entries.tobytes() == untiled_gram(states).tobytes(), m
 
 
 def gram_with_asymmetry(m, i, j, delta):

@@ -173,9 +173,24 @@ def test_scoring_a_frozen_gram_copies_no_matrix():
     assert peak < k.nbytes / 2
 
 
+@pytest.mark.parametrize("encoder", ["amplitude", "phase"])
+def test_fidelity_gram_builds_no_m_by_m_intermediate(encoder):
+    # the float64 Gram is 8 m^2 bytes; a whole m x m complex product and its abs
+    # would add 3 * 8 m^2, where the tiles add a few 128 x 128 blocks
+    m = 1024
+    states = sk.encode_dataset(sk.gen_parity_dataset(16, m, 0), encoder)
+    tracemalloc.start()
+    try:
+        sk.fidelity_gram(states, encoder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * m * m
+
+
 def test_parity_holds_one_gram_at_a_time(tmp_path):
-    # while a Gram is built, the m x m complex product and its abs hold 3 * 8 m^2
-    # bytes; the previous encoder's Gram, if still alive, would add 8 m^2 more
+    # one Gram (8 m^2 bytes) is alive while it is built and scored; the previous
+    # encoder's Gram, if still alive, would add 8 m^2 more
     m = 1024
     config = sk.ExperimentConfig(
         experiment="parity", n_features=16, count=m, seed=0, output_dir=str(tmp_path),
@@ -187,7 +202,7 @@ def test_parity_holds_one_gram_at_a_time(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * 8 * m * m
+    assert peak < 2.0 * 8 * m * m
 
 
 def test_fidelity_gram_hands_over_its_gram_without_a_copy(monkeypatch):
