@@ -95,20 +95,17 @@ class GramMatrix:
     encoder_id: str = "custom"
 
     def __post_init__(self):
-        k = _own(self, "entries", np.float64, finite="Gram matrix")
+        k = _own(self, "entries", np.float64)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise StatekitError(f"Gram matrix must be square, got {k.shape}")
         if k.size == 0:
             raise StatekitError("Gram matrix must not be empty")
+        _check_gram_block(k, diagonal=True)
         # max |k - k.T| over mirrored tile pairs, without a strided full-matrix pass
         pairs = _tile_pairs(k.shape[0])
         asymmetry = max(np.abs(k[r, c] - k[c, r].T).max() for r, c in pairs)
         if asymmetry > TOLS.gram_symmetry:
             raise StatekitError(f"Gram matrix is not symmetric within {TOLS.gram_symmetry}")
-        if np.abs(np.diagonal(k) - 1.0).max() > TOLS.gram_diagonal:
-            raise StatekitError(f"Gram diagonal deviates from 1 beyond {TOLS.gram_diagonal}")
-        if k.min() < 0 or k.max() > 1 + TOLS.gram_range:
-            raise StatekitError("Gram entries leave [0, 1] beyond tolerance")
 
     @property
     def n_samples(self) -> int:
@@ -227,6 +224,17 @@ class ExperimentReport:
         return {"config": self.config, "results": self.results, "provenance": self.provenance}
 
 
+def _check_gram_block(k: np.ndarray, diagonal: bool) -> None:
+    """Raise unless the Gram entries ``k`` are finite and in [0, 1] within tolerance,
+    and, if ``diagonal``, ``np.diagonal(k)`` is the Gram's diagonal and is 1 within
+    tolerance. ``GramMatrix`` checks its whole matrix, parity each tile it scores."""
+    _require_finite("Gram matrix", k)
+    if diagonal and np.abs(np.diagonal(k) - 1.0).max() > TOLS.gram_diagonal:
+        raise StatekitError(f"Gram diagonal deviates from 1 beyond {TOLS.gram_diagonal}")
+    if k.min() < 0 or k.max() > 1 + TOLS.gram_range:
+        raise StatekitError("Gram entries leave [0, 1] beyond tolerance")
+
+
 def _labels(labels) -> np.ndarray:
     """``labels`` as a flat int64 array; raise unless each is +1 or -1, not a bool."""
     flat = np.asarray(labels, dtype=object).ravel()
@@ -322,22 +330,31 @@ def fidelity_gram(
         if any(s.dim != dim for s in states):
             raise DimensionMismatchError("states have mixed dimensions")
         stack = np.vstack([s.amplitudes for s in states])
-    conj = stack.conj()
     k = np.empty((stack.shape[0],) * 2)
-    for rows, cols in _tile_pairs(k.shape[0]):
-        a = np.square(np.abs(conj[rows] @ stack[cols].T))
-        b = a if rows == cols else np.square(np.abs(conj[cols] @ stack[rows].T))
-        blk = 0.5 * (a + b.T)
+    for rows, cols, blk in _gram_tiles(stack):
         k[rows, cols] = blk
         k[cols, rows] = blk.T
     return GramMatrix(entries=_freeze(k), encoder_id=encoder_id)  # adopted, not copied
+
+
+def _gram_tiles(stack: np.ndarray):
+    """Yield ``(rows, cols, blk)`` for each tile pair of ``_tile_pairs``: ``blk`` is
+    the Gram's tile ``k[rows, cols]`` and ``blk.T`` its mirror ``k[cols, rows]``.
+    Each tile comes from its own two products, bit for bit 0.5 * (K + K.T) with
+    K = |stack.conj() @ stack.T|^2."""
+    conj = stack.conj()
+    for rows, cols in _tile_pairs(stack.shape[0]):
+        a = np.square(np.abs(conj[rows] @ stack[cols].T))
+        b = a if rows == cols else np.square(np.abs(conj[cols] @ stack[rows].T))
+        yield rows, cols, 0.5 * (a + b.T)
 
 
 def _tile_pairs(m: int):
     """Yield the (rows, cols) slice pairs of the upper-triangle tiles of an m x m
     matrix, cols >= rows; their mirrors (cols, rows) cover the lower triangle. A
     one-row remainder joins the last block: a one-row product takes another BLAS
-    route, whose bits differ from the whole-matrix product's."""
+    route, whose bits differ from the whole-matrix product's. Each block of rows
+    meets its column blocks in ascending order, mirrors included."""
     starts = list(range(0, m, _GRAM_TILE))
     if len(starts) > 1 and m - starts[-1] == 1:
         starts.pop()
@@ -360,23 +377,52 @@ def nn_classify_loo(gram: Union[GramMatrix, np.ndarray], labels: Sequence[int]) 
     m = labels.size
     if k.shape != (m, m):
         raise DimensionMismatchError(f"Gram shape {k.shape} does not match {m} labels")
-    if m < 2:
-        raise StatekitError("need at least 2 samples for leave-one-out classification")
-    if np.unique(labels).size < 2:
-        raise StatekitError("degenerate single-class input: both classes are required")
+    _require_both_classes(labels)
     if not isinstance(gram, GramMatrix):  # a GramMatrix is frozen and was checked on construction
         _require_finite("similarity matrix", k)
-    nearest = np.empty(m, dtype=np.intp)
-    ties = np.empty(m, dtype=np.intp)
+    nearest = _Nearest(m)
     for start in range(0, m, _GRAM_TILE):  # copy one block of rows, which stays in cache, not all of k
         sim = k[start:start + _GRAM_TILE].copy()
         rows = np.arange(sim.shape[0])
         sim[rows, start + rows] = -np.inf
-        block = slice(start, start + rows.size)
-        nearest[block] = sim.argmax(axis=1)  # the lowest index among tied maxima
-        ties[block] = (sim == sim[rows, nearest[block]][:, None]).sum(axis=1)
-    pred = np.where((ties > 1) & (ties == m - 1), labels[0], labels[nearest])
-    return int((pred == labels).sum()) / m
+        nearest.merge(slice(start, start + rows.size), 0, sim)
+    return nearest.accuracy(labels)
+
+
+def _require_both_classes(labels: np.ndarray) -> None:
+    if labels.size < 2:
+        raise StatekitError("need at least 2 samples for leave-one-out classification")
+    if np.unique(labels).size < 2:
+        raise StatekitError("degenerate single-class input: both classes are required")
+
+
+class _Nearest:
+    """Leave-one-out nearest neighbours, merged one block of similarities (diagonal
+    masked to -inf) at a time. Each row keeps its best similarity, the lowest column
+    that reaches it and the tie count there. Comparisons are exact and blocks reach
+    each row in ascending column order, so the result is that of one pass over it."""
+
+    def __init__(self, m: int):
+        self.best = np.full(m, -np.inf)
+        self.index = np.zeros(m, dtype=np.intp)
+        self.ties = np.zeros(m, dtype=np.intp)
+
+    def merge(self, rows: slice, start: int, sim: np.ndarray) -> None:
+        """Merge ``sim``, the similarities of ``rows`` to the columns from ``start`` on."""
+        arg = sim.argmax(axis=1)  # the lowest index among tied maxima
+        top = sim[np.arange(arg.size), arg]
+        count = (sim == top[:, None]).sum(axis=1)
+        best, index, ties = self.best[rows], self.index[rows], self.ties[rows]  # views
+        ties += np.where(top == best, count, 0)
+        new = top > best
+        best[new], index[new], ties[new] = top[new], start + arg[new], count[new]
+
+    def accuracy(self, labels: np.ndarray) -> float:
+        """Share of samples whose nearest neighbour shares their label; a fully
+        degenerate row predicts the first sample's label (see ``nn_classify_loo``)."""
+        m = labels.size
+        pred = np.where((self.ties > 1) & (self.ties == m - 1), labels[0], labels[self.index])
+        return int((pred == labels).sum()) / m
 
 
 def distinguishability(
@@ -396,13 +442,23 @@ def distinguishability(
 
 
 def _distinguishability_from_gram(gram: GramMatrix, labels: np.ndarray) -> float:
-    pos = np.flatnonzero(labels == 1)
-    neg = np.flatnonzero(labels == -1)
-    if pos.size == 0 or neg.size == 0:
+    if np.unique(labels).size < 2:
         raise StatekitError("both classes must be nonempty")
-    # sqrt(max(0, 1 - x)) never increases with x, so its minimum over the cross
-    # pairs is its value at the largest cross fidelity, bit for bit
-    top = max(gram.entries[pos[i:i + _GRAM_TILE, None], neg].max() for i in range(0, pos.size, _GRAM_TILE))
+    k = gram.entries
+    strips = range(0, k.shape[0], _GRAM_TILE)
+    top = max(_cross_max(k[i:i + _GRAM_TILE], labels[i:i + _GRAM_TILE], labels) for i in strips)
+    return _distance(top)
+
+
+def _cross_max(block: np.ndarray, row_labels: np.ndarray, col_labels: np.ndarray) -> float:
+    """The largest entry of ``block`` in a +1 row and a -1 column; -inf if none."""
+    return np.max(block[row_labels == 1][:, col_labels == -1], initial=-np.inf)
+
+
+def _distance(top: float) -> float:
+    """The minimum cross-class distance, given the largest cross-class fidelity
+    ``top``: sqrt(max(0, 1 - x)) never increases with x, so its minimum over the
+    cross pairs is its value at ``top``, bit for bit."""
     return float(np.sqrt(np.maximum(0.0, 1.0 - top)))
 
 
@@ -412,7 +468,9 @@ def _distinguishability_from_gram(gram: GramMatrix, labels: np.ndarray) -> float
 
 def _run_parity(config: ExperimentConfig) -> tuple[dict, list[Table]]:
     ds = gen_parity_dataset(config.n_features, config.count, config.seed)
-    rows = [(enc, *_parity_scores(ds, enc, config.qift_params() if enc == "qift" else None)) for enc in config.encoders]
+    params = {enc: config.qift_params() if enc == "qift" else None for enc in config.encoders}
+    # one encoder's states at a time: each stack is freed once it is scored
+    rows = [(enc, *_parity_scores(encode_dataset(ds, enc, params[enc]).amplitudes, ds.labels)) for enc in config.encoders]
     per_encoder = {enc: {"accuracy": acc, "distinguishability": dist} for enc, acc, dist in rows}
     results = {"n_samples": len(ds), "per_encoder": per_encoder}
     table = Table(
@@ -423,11 +481,25 @@ def _run_parity(config: ExperimentConfig) -> tuple[dict, list[Table]]:
     return results, [table]
 
 
-def _parity_scores(ds: LabeledDataset, enc: str, params: QiftParams | None) -> tuple[float, float]:
-    """Leave-one-out accuracy and distinguishability of one encoder; its Gram
-    is freed on return, before the next encoder's is built."""
-    gram = fidelity_gram(encode_dataset(ds, enc, params), enc)
-    return nn_classify_loo(gram, ds.labels), _distinguishability_from_gram(gram, ds.labels)
+def _parity_scores(stack: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+    """Leave-one-out accuracy and distinguishability of the states ``stack`` under
+    checked ``labels``, equal to ``nn_classify_loo`` and ``_distinguishability_from_gram``
+    of ``fidelity_gram``, but scored from each Gram tile as it is built, so the Gram
+    is never held whole. Tiles get ``GramMatrix``'s checks bar symmetry: a tile and
+    its mirror are one array."""
+    _require_both_classes(labels)
+    nearest = _Nearest(labels.size)
+    top = -np.inf
+    for rows, cols, blk in _gram_tiles(stack):
+        _check_gram_block(blk, diagonal=rows == cols)
+        top = max(top, _cross_max(blk, labels[rows], labels[cols]))
+        if rows == cols:
+            np.fill_diagonal(blk, -np.inf)
+        else:  # the mirror tile k[cols, rows]
+            top = max(top, _cross_max(blk.T, labels[cols], labels[rows]))
+            nearest.merge(cols, rows.start, blk.T)
+        nearest.merge(rows, cols.start, blk)
+    return nearest.accuracy(labels), _distance(top)
 
 
 def _run_curvature(config: ExperimentConfig) -> tuple[dict, list[Table]]:

@@ -6,7 +6,7 @@ import pytest
 
 import statekit as sk
 from statekit.errors import ConfigError, DimensionMismatchError, StatekitError
-from statekit.experiments import _tile_pairs, compute_experiment
+from statekit.experiments import _check_gram_block, _tile_pairs, compute_experiment
 
 
 def parity_config(tmp_path, **overrides):
@@ -408,6 +408,99 @@ class TestDistinguishability:
         states = [sk.probability_loading(p) for p in ([1.0, 0.0], [0.0, 1.0], [1.0, 0.0])][:n_states]
         with pytest.raises(DimensionMismatchError, match=f"^{n_states} states do not match {len(labels)} labels$"):
             sk.distinguishability(states, labels)
+
+
+def stream_stack(kind, m):
+    """(m, d) complex states: basis states cycled with period 4, so fidelities are
+    exactly 0 or 1 and ties cross tile edges; one state repeated, so every row is
+    fully degenerate; or random states."""
+    if kind == "basis":
+        return np.eye(4, dtype=complex)[np.arange(m) % 4]
+    if kind == "identical":
+        return np.full((m, 4), 0.5, dtype=complex)
+    return np.vstack([s.amplitudes for s in random_states(m, 8, m)])
+
+
+class TestParityScoreStream:
+    """Parity scores each Gram tile as it is built; it must match the stored Gram."""
+
+    @pytest.mark.parametrize("kind", ["basis", "identical", "random"])
+    @pytest.mark.parametrize("m", [2, 3, 129, 257, 300, 385])
+    def test_equal_to_scores_of_the_stored_gram(self, rng, kind, m):
+        stack = stream_stack(kind, m)
+        labels = rng.choice([-1, 1], m)
+        labels[:2] = (1, -1)
+        gram = sk.fidelity_gram(sk.StateStack(stack))
+        acc, dist = sk.experiments._parity_scores(stack, labels)
+        assert acc == sk.nn_classify_loo(gram, labels)
+        assert dist.hex() == sk.experiments._distinguishability_from_gram(gram, labels).hex()
+
+    def test_basis_stack_exercises_ties_and_degenerate_rows(self):
+        k = sk.fidelity_gram(sk.StateStack(stream_stack("basis", 300))).entries
+        assert set(np.unique(k)) == {0.0, 1.0}
+        assert (sk.fidelity_gram(sk.StateStack(stream_stack("identical", 300))).entries == 1.0).all()
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([1], "need at least 2 samples"), ([1, 1, 1], "degenerate single-class input")],
+    )
+    def test_label_checks_match_nn_classify_loo(self, labels, message):
+        stack = stream_stack("random", len(labels))
+        with pytest.raises(StatekitError, match=message):
+            sk.experiments._parity_scores(stack, np.array(labels))
+        with pytest.raises(StatekitError, match=message):
+            sk.nn_classify_loo(sk.fidelity_gram(sk.StateStack(stack)), labels)
+
+    @pytest.mark.parametrize("fault", ["nan", "diagonal"])
+    def test_tiles_are_checked(self, fault):
+        stack = stream_stack("random", 300)
+        if fault == "nan":
+            stack[200, 3] = np.nan
+        else:  # |<a|a>|^2 = (1 + eps)^4 with 4 eps = 2 * TOLS.gram_diagonal
+            stack[200] *= 1 + 0.5 * sk.TOLS.gram_diagonal
+        message = GRAM_FAULTS[fault][1]
+        with pytest.raises(StatekitError, match=f"^{message}$"):
+            sk.experiments._parity_scores(stack, np.tile([1, -1], 150))
+
+
+GRAM_FAULTS = {
+    "nan": (np.nan, "non-finite value in Gram matrix"),
+    "diagonal": (1 + 2 * sk.TOLS.gram_diagonal, f"Gram diagonal deviates from 1 beyond {sk.TOLS.gram_diagonal}"),
+    "negative": (-1e-3, r"Gram entries leave \[0, 1\] beyond tolerance"),
+}
+
+
+class TestGramBlockCheck:
+    """``GramMatrix`` checks its whole matrix, parity each tile, with one helper."""
+
+    # faults in the first and in the ragged last diagonal tile, and in an off-diagonal
+    # tile; a negative diagonal entry would fail the diagonal check first
+    @pytest.mark.parametrize(
+        "fault, i, j",
+        [
+            ("nan", 5, 5), ("nan", 290, 290), ("nan", 5, 200),
+            ("diagonal", 5, 5), ("diagonal", 290, 290),
+            ("negative", 5, 200), ("negative", 260, 290),
+        ],
+    )
+    def test_tile_raises_gram_matrix_message(self, fault, i, j):
+        value, message = GRAM_FAULTS[fault]
+        k = np.eye(300)
+        k[i, j] = k[j, i] = value
+        with pytest.raises(StatekitError, match=f"^{message}$"):
+            sk.GramMatrix(k)
+        for rows, cols in _tile_pairs(300):
+            tile = k[rows, cols]
+            if rows.start <= i < rows.stop and cols.start <= j < cols.stop:
+                with pytest.raises(StatekitError, match=f"^{message}$"):
+                    _check_gram_block(tile, diagonal=rows == cols)
+            else:
+                _check_gram_block(tile, diagonal=rows == cols)
+
+    def test_off_diagonal_tile_skips_the_diagonal_check(self):
+        _check_gram_block(np.zeros((128, 128)), diagonal=False)
+        with pytest.raises(StatekitError, match="Gram diagonal deviates"):
+            _check_gram_block(np.zeros((128, 128)), diagonal=True)
 
 
 # labels that are not +1 or -1: fractions that int64 would truncate to +-1,

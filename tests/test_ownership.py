@@ -205,6 +205,23 @@ def test_parity_holds_one_gram_at_a_time(tmp_path):
     assert peak < 2.0 * 8 * m * m
 
 
+def test_parity_holds_no_m_by_m_array(tmp_path):
+    # parity scores each Gram tile as it is built, so no m x m array (8 m^2 bytes
+    # as float64) is alive at any time, only tiles and the m-row states
+    m = 1024
+    config = sk.ExperimentConfig(
+        experiment="parity", n_features=16, count=m, seed=0, output_dir=str(tmp_path),
+        encoders=("probability_loading", "amplitude", "phase"),
+    )
+    tracemalloc.start()
+    try:
+        sk.experiments.compute_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * m * m
+
+
 def test_fidelity_gram_hands_over_its_gram_without_a_copy(monkeypatch):
     handed = []
 

@@ -8,6 +8,7 @@ from statekit.errors import (
     NotHermitianError,
     StatekitError,
 )
+from statekit.statevec import _row_norms
 
 from conftest import pauli_matrix_oracle, random_hermitian
 
@@ -188,3 +189,13 @@ class TestHaarRandomUnitary:
         with pytest.raises(StatekitError):
             sk.haar_random_unitary(4, -1)
 
+
+@pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("d", [2, 4, 16, 256])
+@pytest.mark.parametrize("m", [1, 2, 300])
+def test_row_norms_bitwise_equal_to_norm_of_each_row(rng, m, d, complex_rows):
+    rows = rng.normal(size=(m, d)) / 3.0
+    if complex_rows:
+        rows = rows + 1j * rng.normal(size=(m, d)) / 3.0
+    expected = np.array([np.linalg.norm(row) for row in rows])
+    assert _row_norms(rows).tobytes() == expected.tobytes()
