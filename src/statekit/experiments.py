@@ -23,10 +23,11 @@ import itertools
 import json
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -227,7 +228,7 @@ class ExperimentReport:
 def _check_gram_block(k: np.ndarray, diagonal: bool) -> None:
     """Raise unless the Gram entries ``k`` are finite and in [0, 1] within tolerance,
     and, if ``diagonal``, ``np.diagonal(k)`` is the Gram's diagonal and is 1 within
-    tolerance. ``GramMatrix`` checks its whole matrix, parity each tile it scores."""
+    tolerance. ``GramMatrix`` checks its whole matrix, ``_gram_tiles`` each tile."""
     _require_finite("Gram matrix", k)
     if diagonal and np.abs(np.diagonal(k) - 1.0).max() > TOLS.gram_diagonal:
         raise StatekitError(f"Gram diagonal deviates from 1 beyond {TOLS.gram_diagonal}")
@@ -321,40 +322,52 @@ def fidelity_gram(
     """All pairwise fidelities |<a|b>|^2, symmetrized and built tile by tile, so the
     float64 Gram is the only m x m array; bit for bit 0.5 * (K + K.T) with
     K = |stack.conj() @ stack.T|^2."""
-    if not states:
-        raise StatekitError("at least one state is required")
-    if isinstance(states, StateStack):
-        stack = states.amplitudes
-    else:
-        dim = states[0].dim
-        if any(s.dim != dim for s in states):
-            raise DimensionMismatchError("states have mixed dimensions")
-        stack = np.vstack([s.amplitudes for s in states])
+    stack = _state_rows(states)
     k = np.empty((stack.shape[0],) * 2)
     for rows, cols, blk in _gram_tiles(stack):
         k[rows, cols] = blk
-        k[cols, rows] = blk.T
     return GramMatrix(entries=_freeze(k), encoder_id=encoder_id)  # adopted, not copied
 
 
+def _state_rows(states: Union[StateStack, Sequence[StateVector]]) -> np.ndarray:
+    """The (m, d) amplitudes of ``states``, m >= 1: a ``StateStack``'s own array, or
+    the rows of a sequence of ``StateVector``s of one dimension stacked."""
+    if not isinstance(states, StateStack) and not (
+        isinstance(states, Sequence) and all(isinstance(s, StateVector) for s in states)
+    ):
+        raise StatekitError("states must be a StateStack or a sequence of StateVectors")
+    if len(states) == 0:
+        raise StatekitError("at least one state is required")
+    if isinstance(states, StateStack):
+        return states.amplitudes
+    if any(s.dim != states[0].dim for s in states):
+        raise DimensionMismatchError("states have mixed dimensions")
+    return np.vstack([s.amplitudes for s in states])
+
+
 def _gram_tiles(stack: np.ndarray):
-    """Yield ``(rows, cols, blk)`` for each tile pair of ``_tile_pairs``: ``blk`` is
-    the Gram's tile ``k[rows, cols]`` and ``blk.T`` its mirror ``k[cols, rows]``.
-    Each tile comes from its own two products, bit for bit 0.5 * (K + K.T) with
-    K = |stack.conj() @ stack.T|^2."""
+    """Yield ``(rows, cols, blk)`` for every tile ``k[rows, cols]`` of the Gram of
+    ``stack``, each checked as ``GramMatrix`` checks a whole Gram, bar symmetry. Each
+    tile pair of ``_tile_pairs`` comes from its own two products, bit for bit
+    0.5 * (K + K.T) with K = |stack.conj() @ stack.T|^2; the tile is yielded first and
+    its mirror ``blk.T`` right after, so each block of rows meets its column blocks
+    in ascending order."""
     conj = stack.conj()
     for rows, cols in _tile_pairs(stack.shape[0]):
         a = np.square(np.abs(conj[rows] @ stack[cols].T))
         b = a if rows == cols else np.square(np.abs(conj[cols] @ stack[rows].T))
-        yield rows, cols, 0.5 * (a + b.T)
+        blk = 0.5 * (a + b.T)
+        _check_gram_block(blk, diagonal=rows == cols)
+        yield rows, cols, blk
+        if rows != cols:
+            yield cols, rows, blk.T
 
 
 def _tile_pairs(m: int):
     """Yield the (rows, cols) slice pairs of the upper-triangle tiles of an m x m
     matrix, cols >= rows; their mirrors (cols, rows) cover the lower triangle. A
     one-row remainder joins the last block: a one-row product takes another BLAS
-    route, whose bits differ from the whole-matrix product's. Each block of rows
-    meets its column blocks in ascending order, mirrors included."""
+    route, whose bits differ from the whole-matrix product's."""
     starts = list(range(0, m, _GRAM_TILE))
     if len(starts) > 1 and m - starts[-1] == 1:
         starts.pop()
@@ -432,34 +445,16 @@ def distinguishability(
     """Minimum cross-class fidelity distance sqrt(1 - |<a|b>|^2).
 
     Zero means some pair with opposite labels is indistinguishable by any
-    measurement on these states.
+    measurement on these states. Scored from each Gram tile as it is built,
+    so no m x m array is held.
     """
     labels = _labels(labels)
-    gram = fidelity_gram(states)
-    if gram.n_samples != labels.size:
-        raise DimensionMismatchError(f"{gram.n_samples} states do not match {labels.size} labels")
-    return _distinguishability_from_gram(gram, labels)
-
-
-def _distinguishability_from_gram(gram: GramMatrix, labels: np.ndarray) -> float:
+    stack = _state_rows(states)
+    if stack.shape[0] != labels.size:
+        raise DimensionMismatchError(f"{stack.shape[0]} states do not match {labels.size} labels")
     if np.unique(labels).size < 2:
         raise StatekitError("both classes must be nonempty")
-    k = gram.entries
-    strips = range(0, k.shape[0], _GRAM_TILE)
-    top = max(_cross_max(k[i:i + _GRAM_TILE], labels[i:i + _GRAM_TILE], labels) for i in strips)
-    return _distance(top)
-
-
-def _cross_max(block: np.ndarray, row_labels: np.ndarray, col_labels: np.ndarray) -> float:
-    """The largest entry of ``block`` in a +1 row and a -1 column; -inf if none."""
-    return np.max(block[row_labels == 1][:, col_labels == -1], initial=-np.inf)
-
-
-def _distance(top: float) -> float:
-    """The minimum cross-class distance, given the largest cross-class fidelity
-    ``top``: sqrt(max(0, 1 - x)) never increases with x, so its minimum over the
-    cross pairs is its value at ``top``, bit for bit."""
-    return float(np.sqrt(np.maximum(0.0, 1.0 - top)))
+    return _gram_scores(stack, labels)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +465,7 @@ def _run_parity(config: ExperimentConfig) -> tuple[dict, list[Table]]:
     ds = gen_parity_dataset(config.n_features, config.count, config.seed)
     params = {enc: config.qift_params() if enc == "qift" else None for enc in config.encoders}
     # one encoder's states at a time: each stack is freed once it is scored
-    rows = [(enc, *_parity_scores(encode_dataset(ds, enc, params[enc]).amplitudes, ds.labels)) for enc in config.encoders]
+    rows = [(enc, *_gram_scores(encode_dataset(ds, enc, params[enc]).amplitudes, ds.labels)) for enc in config.encoders]
     per_encoder = {enc: {"accuracy": acc, "distinguishability": dist} for enc, acc, dist in rows}
     results = {"n_samples": len(ds), "per_encoder": per_encoder}
     table = Table(
@@ -481,25 +476,22 @@ def _run_parity(config: ExperimentConfig) -> tuple[dict, list[Table]]:
     return results, [table]
 
 
-def _parity_scores(stack: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
+def _gram_scores(stack: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Leave-one-out accuracy and distinguishability of the states ``stack`` under
-    checked ``labels``, equal to ``nn_classify_loo`` and ``_distinguishability_from_gram``
-    of ``fidelity_gram``, but scored from each Gram tile as it is built, so the Gram
-    is never held whole. Tiles get ``GramMatrix``'s checks bar symmetry: a tile and
-    its mirror are one array."""
+    checked ``labels``: ``nn_classify_loo`` of ``fidelity_gram`` and the smallest
+    cross-class distance of the same Gram, scored from each tile as ``_gram_tiles``
+    yields it, so the Gram is never held whole."""
     _require_both_classes(labels)
     nearest = _Nearest(labels.size)
     top = -np.inf
     for rows, cols, blk in _gram_tiles(stack):
-        _check_gram_block(blk, diagonal=rows == cols)
-        top = max(top, _cross_max(blk, labels[rows], labels[cols]))
+        top = max(top, np.max(blk[labels[rows] == 1][:, labels[cols] == -1], initial=-np.inf))
         if rows == cols:
             np.fill_diagonal(blk, -np.inf)
-        else:  # the mirror tile k[cols, rows]
-            top = max(top, _cross_max(blk.T, labels[cols], labels[rows]))
-            nearest.merge(cols, rows.start, blk.T)
         nearest.merge(rows, cols.start, blk)
-    return nearest.accuracy(labels), _distance(top)
+    # sqrt(max(0, 1 - x)) never increases with x, so the minimum distance over the
+    # cross pairs is its value at the largest cross-class fidelity, bit for bit
+    return nearest.accuracy(labels), float(np.sqrt(np.maximum(0.0, 1.0 - top)))
 
 
 def _run_curvature(config: ExperimentConfig) -> tuple[dict, list[Table]]:

@@ -1,4 +1,3 @@
-import itertools
 import json
 
 import numpy as np
@@ -358,29 +357,33 @@ def parity_rows_oracle(ds, encoders):
 
 
 class TestDistinguishability:
+    # the largest cross pair at the first and last row of each 128-row tile: an
+    # opposite-label copy of a state has fidelity 1 up to rounding, and a copy
+    # scaled by 1 + 1e-13 (a norm within TOLS.state_norm) fidelity above 1, where
+    # max(0, .) clamps; with no copy the largest cross fidelity is below 1
+    @pytest.mark.parametrize("scale", [None, 1.0, 1.0 + 1e-13], ids=["no-copy", "copy", "scaled-copy"])
     @pytest.mark.parametrize("m", [2, 129, 300])
-    def test_bitwise_equal_to_cross_block_on_random_grams(self, rng, m):
-        labels = rng.choice([-1, 1], m)
-        labels[:2] = (1, -1)
-        pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == -1)
-        # the largest cross pair in the first and last row of each 128-row block of
-        # the positive class; below 1, at 1, and just above 1, where max(0, .) clamps
-        edges = {0, pos.size - 1, *range(127, pos.size, 128), *range(128, pos.size, 128)}
-        for r, top in itertools.product(sorted(edges), (0.99, 1.0, 1.0 + 0.5 * sk.TOLS.gram_range)):
-            k = rng.uniform(0.0, 0.9, (m, m))
-            k = 0.5 * (k + k.T)
-            np.fill_diagonal(k, 1.0)
-            i, j = pos[r], neg[rng.integers(neg.size)]
-            k[i, j] = k[j, i] = top
-            got = sk.experiments._distinguishability_from_gram(sk.GramMatrix(k), labels)
-            assert got.hex() == cross_block_distinguishability(k, labels).hex(), (m, r, top)
+    def test_bitwise_equal_to_cross_block_at_tile_edges(self, rng, m, scale):
+        for r in sorted({0, 127, 128, 255, 256, m - 1} & set(range(m))):
+            labels = rng.choice([-1, 1], m)
+            labels[:2] = (1, -1)
+            stack = np.vstack([s.amplitudes for s in random_states(m, 8, int(rng.integers(2**31)))])
+            if scale is not None:
+                stack[r] = scale * stack[rng.choice(np.flatnonzero(labels != labels[r]))]
+            states = sk.StateStack(stack)
+            expected = cross_block_distinguishability(untiled_gram(states), labels)
+            assert sk.distinguishability(states, labels).hex() == expected.hex(), (m, r, scale)
+            if scale is None:
+                assert expected > 0.0, (m, r)
+            elif scale > 1:
+                assert expected == 0.0, (m, r)  # set by the clamp
 
     @pytest.mark.parametrize("enc", sk.ENCODER_IDS)
-    def test_bitwise_equal_to_cross_block_on_parity_grams(self, enc):
+    def test_bitwise_equal_to_cross_block_on_parity_states(self, enc):
         ds = sk.gen_parity_dataset(8, "all", 0)
-        gram = sk.fidelity_gram(sk.encode_dataset(ds, enc), enc)
-        got = sk.experiments._distinguishability_from_gram(gram, ds.labels)
-        assert got.hex() == cross_block_distinguishability(gram.entries, ds.labels).hex()
+        states = sk.encode_dataset(ds, enc)
+        expected = cross_block_distinguishability(untiled_gram(states), ds.labels)
+        assert sk.distinguishability(states, ds.labels).hex() == expected.hex()
 
     def test_collapse_gives_zero(self):
         ds = sk.gen_parity_dataset(4, "all", 0)
@@ -410,6 +413,25 @@ class TestDistinguishability:
             sk.distinguishability(states, labels)
 
 
+NOT_STATES_MESSAGE = "states must be a StateStack or a sequence of StateVectors"
+# what is not a StateStack or a sequence of StateVectors, and an empty sequence
+NOT_STATES = {
+    "ndarray": (np.eye(4, dtype=complex), NOT_STATES_MESSAGE),
+    "list-with-an-array": ([sk.StateVector(np.eye(4)[0]), np.eye(4)[1]], NOT_STATES_MESSAGE),
+    "list-of-lists": (np.eye(4).tolist(), NOT_STATES_MESSAGE),
+    "empty": ([], "at least one state is required"),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_STATES)
+@pytest.mark.parametrize("call", ["fidelity_gram", "distinguishability"])
+def test_states_intake_rejects_what_is_not_states(call, kind):
+    states, message = NOT_STATES[kind]
+    args = (states,) if call == "fidelity_gram" else (states, [1, -1, 1, -1])
+    with pytest.raises(StatekitError, match=f"^{message}$"):
+        getattr(sk, call)(*args)
+
+
 def stream_stack(kind, m):
     """(m, d) complex states: basis states cycled with period 4, so fidelities are
     exactly 0 or 1 and ties cross tile edges; one state repeated, so every row is
@@ -421,8 +443,9 @@ def stream_stack(kind, m):
     return np.vstack([s.amplitudes for s in random_states(m, 8, m)])
 
 
-class TestParityScoreStream:
-    """Parity scores each Gram tile as it is built; it must match the stored Gram."""
+class TestGramScoreStream:
+    """Parity and ``distinguishability`` score each Gram tile as it is built; the
+    scores must be those of the stored Gram."""
 
     @pytest.mark.parametrize("kind", ["basis", "identical", "random"])
     @pytest.mark.parametrize("m", [2, 3, 129, 257, 300, 385])
@@ -430,15 +453,30 @@ class TestParityScoreStream:
         stack = stream_stack(kind, m)
         labels = rng.choice([-1, 1], m)
         labels[:2] = (1, -1)
-        gram = sk.fidelity_gram(sk.StateStack(stack))
-        acc, dist = sk.experiments._parity_scores(stack, labels)
-        assert acc == sk.nn_classify_loo(gram, labels)
-        assert dist.hex() == sk.experiments._distinguishability_from_gram(gram, labels).hex()
+        states = sk.StateStack(stack)
+        acc, dist = sk.experiments._gram_scores(stack, labels)
+        assert acc == sk.nn_classify_loo(sk.fidelity_gram(states), labels)
+        assert dist.hex() == cross_block_distinguishability(untiled_gram(states), labels).hex()
 
     def test_basis_stack_exercises_ties_and_degenerate_rows(self):
         k = sk.fidelity_gram(sk.StateStack(stream_stack("basis", 300))).entries
         assert set(np.unique(k)) == {0.0, 1.0}
         assert (sk.fidelity_gram(sk.StateStack(stream_stack("identical", 300))).entries == 1.0).all()
+
+    # the nearest-neighbour merge needs each block of rows to meet its column
+    # blocks in ascending order, so that the lowest tied column is kept
+    @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 257, 385])
+    def test_tiles_cover_the_gram_once_in_ascending_column_order(self, m):
+        states = sk.StateStack(stream_stack("random", m))
+        k = untiled_gram(states)
+        hits = np.zeros((m, m), dtype=np.int8)
+        met = {}
+        for rows, cols, blk in sk.experiments._gram_tiles(states.amplitudes):
+            assert blk.tobytes() == k[rows, cols].tobytes(), (m, rows, cols)
+            hits[rows, cols] += 1
+            met.setdefault(rows.start, []).append(cols.start)
+        assert (hits == 1).all(), m
+        assert all(starts == sorted(starts) for starts in met.values()), m
 
     @pytest.mark.parametrize(
         "labels, message",
@@ -447,7 +485,7 @@ class TestParityScoreStream:
     def test_label_checks_match_nn_classify_loo(self, labels, message):
         stack = stream_stack("random", len(labels))
         with pytest.raises(StatekitError, match=message):
-            sk.experiments._parity_scores(stack, np.array(labels))
+            sk.experiments._gram_scores(stack, np.array(labels))
         with pytest.raises(StatekitError, match=message):
             sk.nn_classify_loo(sk.fidelity_gram(sk.StateStack(stack)), labels)
 
@@ -460,7 +498,7 @@ class TestParityScoreStream:
             stack[200] *= 1 + 0.5 * sk.TOLS.gram_diagonal
         message = GRAM_FAULTS[fault][1]
         with pytest.raises(StatekitError, match=f"^{message}$"):
-            sk.experiments._parity_scores(stack, np.tile([1, -1], 150))
+            sk.experiments._gram_scores(stack, np.tile([1, -1], 150))
 
 
 GRAM_FAULTS = {

@@ -166,11 +166,25 @@ def test_scoring_a_frozen_gram_copies_no_matrix():
     tracemalloc.start()
     try:
         sk.nn_classify_loo(gram, ds.labels)
-        sk.experiments._distinguishability_from_gram(gram, ds.labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < k.nbytes / 2
+
+
+def test_distinguishability_holds_no_m_by_m_array():
+    # scored from each Gram tile as it is built: the whole float64 Gram
+    # (8 m^2 bytes) would be twice the bound
+    m = 1024
+    ds = sk.gen_parity_dataset(16, m, 0)
+    states = sk.encode_dataset(ds, "amplitude")
+    tracemalloc.start()
+    try:
+        sk.distinguishability(states, ds.labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * m * m
 
 
 @pytest.mark.parametrize("encoder", ["amplitude", "phase"])
