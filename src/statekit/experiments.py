@@ -60,9 +60,9 @@ MAX_PARITY_COMPONENTS = 32  # the largest power of 2 whose 2^n enumeration index
 MAX_PARITY_SAMPLES = 4096  # the Gram matrix and the leave-one-out pass grow as samples^2
 MAX_RESONANCE_SPECS = 1024  # the resonance pair table grows as specs^2
 
-# Edge of the square tiles in which the Gram matrix is built, symmetrised and checked:
-# a pair of 128 x 128 float64 tiles (256 KB) stays in cache, where a full k.T
-# pass reads memory at a stride of one row per element.
+# Edge of the square tiles in which the Gram is built, symmetrised, checked and scored:
+# a tile pair's two 128 x 128 float64 blocks (256 KB) stay in cache while the pair is
+# added and its mirror copied, where a full k.T pass strides one row per element.
 _GRAM_TILE = 128
 
 
@@ -229,10 +229,11 @@ def _check_gram_block(k: np.ndarray, diagonal: bool) -> None:
     """Raise unless the Gram entries ``k`` are finite and in [0, 1] within tolerance,
     and, if ``diagonal``, ``np.diagonal(k)`` is the Gram's diagonal and is 1 within
     tolerance. ``GramMatrix`` checks its whole matrix, ``_gram_tiles`` each tile."""
-    _require_finite("Gram matrix", k)
+    low, high = k.min(), k.max()  # a NaN or an infinity reaches one of them
+    _require_finite("Gram matrix", low, high)
     if diagonal and np.abs(np.diagonal(k) - 1.0).max() > TOLS.gram_diagonal:
         raise StatekitError(f"Gram diagonal deviates from 1 beyond {TOLS.gram_diagonal}")
-    if k.min() < 0 or k.max() > 1 + TOLS.gram_range:
+    if low < 0 or high > 1 + TOLS.gram_range:
         raise StatekitError("Gram entries leave [0, 1] beyond tolerance")
 
 
@@ -351,12 +352,14 @@ def _gram_tiles(stack: np.ndarray):
     tile pair of ``_tile_pairs`` comes from its own two products, bit for bit
     0.5 * (K + K.T) with K = |stack.conj() @ stack.T|^2; the tile is yielded first and
     its mirror ``blk.T`` right after, so each block of rows meets its column blocks
-    in ascending order."""
+    in ascending order. States with real amplitudes, such as phase-locked ones, skip the
+    modulus: their overlaps' imaginary parts are +-0, and hypot(x, +-0)^2 = x^2 exactly."""
     conj = stack.conj()
+    part = np.abs if stack.imag.any() else np.real
     for rows, cols in _tile_pairs(stack.shape[0]):
-        a = np.square(np.abs(conj[rows] @ stack[cols].T))
-        b = a if rows == cols else np.square(np.abs(conj[cols] @ stack[rows].T))
-        blk = 0.5 * (a + b.T)
+        blk = np.square(part(conj[rows] @ stack[cols].T))
+        blk += blk.T if rows == cols else np.square(part(conj[cols] @ stack[rows].T)).T
+        blk *= 0.5
         _check_gram_block(blk, diagonal=rows == cols)
         yield rows, cols, blk
         if rows != cols:
@@ -395,10 +398,8 @@ def nn_classify_loo(gram: Union[GramMatrix, np.ndarray], labels: Sequence[int]) 
         _require_finite("similarity matrix", k)
     nearest = _Nearest(m)
     for start in range(0, m, _GRAM_TILE):  # copy one block of rows, which stays in cache, not all of k
-        sim = k[start:start + _GRAM_TILE].copy()
-        rows = np.arange(sim.shape[0])
-        sim[rows, start + rows] = -np.inf
-        nearest.merge(slice(start, start + rows.size), 0, sim)
+        rows = slice(start, start + _GRAM_TILE)
+        nearest.merge(rows, 0, k[rows].copy())
     return nearest.accuracy(labels)
 
 
@@ -410,31 +411,39 @@ def _require_both_classes(labels: np.ndarray) -> None:
 
 
 class _Nearest:
-    """Leave-one-out nearest neighbours, merged one block of similarities (diagonal
-    masked to -inf) at a time. Each row keeps its best similarity, the lowest column
-    that reaches it and the tie count there. Comparisons are exact and blocks reach
+    """Leave-one-out nearest neighbours, merged one block of similarities at a time.
+    Each row keeps its best and its smallest similarity, its own column left out, and
+    the lowest column that reaches the best. Comparisons are exact and blocks reach
     each row in ascending column order, so the result is that of one pass over it."""
 
     def __init__(self, m: int):
         self.best = np.full(m, -np.inf)
         self.index = np.zeros(m, dtype=np.intp)
-        self.ties = np.zeros(m, dtype=np.intp)
+        self.low = np.full(m, np.inf)
 
-    def merge(self, rows: slice, start: int, sim: np.ndarray) -> None:
-        """Merge ``sim``, the similarities of ``rows`` to the columns from ``start`` on."""
+    def merge(self, rows: slice, start: int, sim: np.ndarray) -> np.ndarray:
+        """Merge ``sim``, the similarities of ``rows`` to the columns from ``start`` on, and
+        return each row's best there; ``sim`` is overwritten at each row's own column."""
+        i = np.arange(sim.shape[0])
+        own = (i, i + rows.start - start) if start <= rows.start < start + sim.shape[1] else None
+        if own is not None:
+            sim[own] = -np.inf
         arg = sim.argmax(axis=1)  # the lowest index among tied maxima
-        top = sim[np.arange(arg.size), arg]
-        count = (sim == top[:, None]).sum(axis=1)
-        best, index, ties = self.best[rows], self.index[rows], self.ties[rows]  # views
-        ties += np.where(top == best, count, 0)
-        new = top > best
-        best[new], index[new], ties[new] = top[new], start + arg[new], count[new]
+        top = sim[i, arg]
+        if own is not None:
+            sim[own] = top  # moves neither the row's maximum nor its minimum
+        low = sim[i, sim.argmin(axis=1)]  # argmin and a gather beat min(axis=1)
+        best, index, lows = self.best[rows], self.index[rows], self.low[rows]  # views
+        np.copyto(index, start + arg, where=top > best)
+        np.maximum(best, top, out=best)
+        np.minimum(lows, low, out=lows)
+        return top
 
     def accuracy(self, labels: np.ndarray) -> float:
-        """Share of samples whose nearest neighbour shares their label; a fully
-        degenerate row predicts the first sample's label (see ``nn_classify_loo``)."""
+        """Share of samples whose nearest neighbour shares their label; a fully degenerate
+        row (m > 2, its smallest similarity its best) predicts the first sample's label."""
         m = labels.size
-        pred = np.where((self.ties > 1) & (self.ties == m - 1), labels[0], labels[self.index])
+        pred = np.where((m > 2) & (self.low == self.best), labels[0], labels[self.index])
         return int((pred == labels).sum()) / m
 
 
@@ -454,7 +463,8 @@ def distinguishability(
         raise DimensionMismatchError(f"{stack.shape[0]} states do not match {labels.size} labels")
     if np.unique(labels).size < 2:
         raise StatekitError("both classes must be nonempty")
-    return _gram_scores(stack, labels)[1]
+    tiles = (t for t in _gram_tiles(stack) if t[0].start <= t[1].start)  # mirrors hold no new pair
+    return _distance(max(_cross_top(*t, labels) for t in tiles))
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +495,23 @@ def _gram_scores(stack: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     nearest = _Nearest(labels.size)
     top = -np.inf
     for rows, cols, blk in _gram_tiles(stack):
-        top = max(top, np.max(blk[labels[rows] == 1][:, labels[cols] == -1], initial=-np.inf))
-        if rows == cols:
-            np.fill_diagonal(blk, -np.inf)
-        nearest.merge(rows, cols.start, blk)
-    # sqrt(max(0, 1 - x)) never increases with x, so the minimum distance over the
-    # cross pairs is its value at the largest cross-class fidelity, bit for bit
-    return nearest.accuracy(labels), float(np.sqrt(np.maximum(0.0, 1.0 - top)))
+        mirror = rows.start > cols.start  # a view of the tile before it, whose pairs it holds
+        row_best = nearest.merge(rows, cols.start, blk.copy() if mirror else blk)  # a copy's rows are contiguous
+        if not mirror and row_best.max() > top:  # else no cross pair of the tile beats top
+            top = max(top, _cross_top(rows, cols, blk, labels))
+    return nearest.accuracy(labels), _distance(top)
+
+
+def _cross_top(rows: slice, cols: slice, blk: np.ndarray, labels: np.ndarray) -> float:
+    """The largest fidelity in the tile ``blk`` between states of opposite labels; it is
+    also that of the tile's mirror, which holds the same pairs."""
+    cross = (labels[rows, None] > 0) != (labels[cols] > 0)  # cheaper than comparing int64 pairs
+    return np.where(cross, blk, -np.inf).max()
+
+
+def _distance(top: float) -> float:
+    """The smallest cross-class distance, bit for bit: sqrt(max(0, 1 - x)) falls with x."""
+    return float(np.sqrt(np.maximum(0.0, 1.0 - top)))
 
 
 def _run_curvature(config: ExperimentConfig) -> tuple[dict, list[Table]]:

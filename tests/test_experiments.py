@@ -192,6 +192,30 @@ class TestTiledGram:
             gram = sk.fidelity_gram(states, "amplitude")
             assert gram.entries.tobytes() == untiled_gram(states).tobytes(), m
 
+    # a stack with no nonzero imaginary part squares the real part of each product,
+    # others take the modulus; a route wrongly chosen would change the bytes
+    @pytest.mark.parametrize("kind", ["real", "negative-zero-imaginary", "one-imaginary-entry"])
+    @pytest.mark.parametrize("m", [127, 129, 257, 300, 2049])
+    def test_real_overlap_route_bitwise_equal_to_untiled_formula(self, monkeypatch, m, kind):
+        stack = sk.encode_dataset(sk.gen_parity_dataset(16, m, m), "amplitude").amplitudes.copy()
+        if kind == "negative-zero-imaginary":
+            stack.imag = -0.0
+        elif kind == "one-imaginary-entry":
+            stack[m // 2, 3] *= np.exp(0.3j)  # a phase keeps the norm
+        states = sk.StateStack(stack)
+        assert np.signbit(states.amplitudes.imag).all() == (kind == "negative-zero-imaginary")
+        expected = untiled_gram(states).tobytes()
+        complex_moduli = []
+        absolute = np.abs
+
+        def spy(x, *args, **kwargs):
+            complex_moduli.append(np.iscomplexobj(x))
+            return absolute(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "abs", spy)
+        assert sk.fidelity_gram(states).entries.tobytes() == expected, (m, kind)
+        assert any(complex_moduli) == (kind == "one-imaginary-entry"), (m, kind)
+
 
 def gram_with_asymmetry(m, i, j, delta):
     k = np.eye(m)
@@ -321,6 +345,40 @@ class TestNNClassifyLOO:
             assert sk.nn_classify_loo(k, labels) == expected, (m, trial)
             assert sk.nn_classify_loo(sk.GramMatrix(k), labels) == expected, (m, trial)
 
+    # a constant off-diagonal makes every row fully degenerate, with the diagonal
+    # above it or below it; at m = 2 a row's one candidate is a genuine neighbour
+    @pytest.mark.parametrize("diagonal", [1.0, 0.25], ids=["diagonal-above", "diagonal-below"])
+    @pytest.mark.parametrize("m", [2, 3, 129, 300])
+    def test_constant_off_diagonal_rows_are_degenerate(self, rng, m, diagonal):
+        k = np.full((m, m), 0.5)
+        np.fill_diagonal(k, diagonal)
+        labels = rng.choice([-1, 1], m)
+        labels[:2] = (-1, 1)
+        expected = 0.0 if m == 2 else np.count_nonzero(labels == labels[0]) / m
+        assert loo_oracle(k, labels) == expected
+        assert sk.nn_classify_loo(k, labels) == expected, (m, diagonal)
+
+    # one entry off the constant, in the last column block (row 0) or in the last
+    # 128-row strip, makes its row no longer degenerate; the columns are chosen so
+    # that the row's neighbour has the label opposite to the first sample's
+    @pytest.mark.parametrize("value", [0.25, 0.75], ids=["below", "above"])
+    @pytest.mark.parametrize("where", ["last-column-block", "last-row-strip"])
+    @pytest.mark.parametrize("diagonal", [1.0, 0.25], ids=["diagonal-above", "diagonal-below"])
+    @pytest.mark.parametrize("m", [3, 129, 300])
+    def test_one_differing_entry_breaks_the_degeneracy(self, rng, m, diagonal, where, value):
+        k = np.full((m, m), 0.5)
+        np.fill_diagonal(k, diagonal)
+        if where == "last-column-block":
+            k[0, m - 1 if value > 0.5 else 1] = value  # a lower entry leaves column 1 nearest
+        else:
+            k[m - 1, 1 if value > 0.5 else 0] = value  # a lower entry at 0 leaves column 1 nearest
+        labels = rng.choice([-1, 1], m)
+        labels[:2], labels[-1] = (-1, 1), 1
+        degenerate = np.count_nonzero(labels == labels[0]) / m
+        expected = loo_oracle(k, labels)
+        assert expected != degenerate
+        assert sk.nn_classify_loo(k, labels) == expected, (m, diagonal, where, value)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gram_rejected(self, bad):
         k = np.eye(3)
@@ -435,11 +493,15 @@ def test_states_intake_rejects_what_is_not_states(call, kind):
 def stream_stack(kind, m):
     """(m, d) complex states: basis states cycled with period 4, so fidelities are
     exactly 0 or 1 and ties cross tile edges; one state repeated, so every row is
-    fully degenerate; or random states."""
+    fully degenerate; the same with the last state replaced, so that only the last
+    row is, and the others differ only in the last column block; or random states."""
     if kind == "basis":
         return np.eye(4, dtype=complex)[np.arange(m) % 4]
-    if kind == "identical":
-        return np.full((m, 4), 0.5, dtype=complex)
+    if kind in ("identical", "last-apart"):
+        stack = np.full((m, 4), 0.5, dtype=complex)
+        if kind == "last-apart":
+            stack[-1] = (1, 0, 0, 0)  # fidelity 1/4 with the others
+        return stack
     return np.vstack([s.amplitudes for s in random_states(m, 8, m)])
 
 
@@ -447,7 +509,7 @@ class TestGramScoreStream:
     """Parity and ``distinguishability`` score each Gram tile as it is built; the
     scores must be those of the stored Gram."""
 
-    @pytest.mark.parametrize("kind", ["basis", "identical", "random"])
+    @pytest.mark.parametrize("kind", ["basis", "identical", "random", "last-apart"])
     @pytest.mark.parametrize("m", [2, 3, 129, 257, 300, 385])
     def test_equal_to_scores_of_the_stored_gram(self, rng, kind, m):
         stack = stream_stack(kind, m)
@@ -457,6 +519,16 @@ class TestGramScoreStream:
         acc, dist = sk.experiments._gram_scores(stack, labels)
         assert acc == sk.nn_classify_loo(sk.fidelity_gram(states), labels)
         assert dist.hex() == cross_block_distinguishability(untiled_gram(states), labels).hex()
+
+    # identical states have fidelity 1 everywhere: every row is fully degenerate and
+    # predicts the first label, except at m = 2, where each has one genuine neighbour
+    @pytest.mark.parametrize("m", [2, 3, 129, 300])
+    def test_identical_states_predict_the_first_label(self, rng, m):
+        labels = rng.choice([-1, 1], m)
+        labels[:2] = (1, -1)
+        acc, dist = sk.experiments._gram_scores(stream_stack("identical", m), labels)
+        assert acc == (0.0 if m == 2 else np.count_nonzero(labels == labels[0]) / m)
+        assert dist == 0.0
 
     def test_basis_stack_exercises_ties_and_degenerate_rows(self):
         k = sk.fidelity_gram(sk.StateStack(stream_stack("basis", 300))).entries
@@ -503,6 +575,8 @@ class TestGramScoreStream:
 
 GRAM_FAULTS = {
     "nan": (np.nan, "non-finite value in Gram matrix"),
+    "inf": (np.inf, "non-finite value in Gram matrix"),
+    "-inf": (-np.inf, "non-finite value in Gram matrix"),  # reaches only the minimum
     "diagonal": (1 + 2 * sk.TOLS.gram_diagonal, f"Gram diagonal deviates from 1 beyond {sk.TOLS.gram_diagonal}"),
     "negative": (-1e-3, r"Gram entries leave \[0, 1\] beyond tolerance"),
 }
@@ -517,6 +591,7 @@ class TestGramBlockCheck:
         "fault, i, j",
         [
             ("nan", 5, 5), ("nan", 290, 290), ("nan", 5, 200),
+            ("inf", 290, 290), ("inf", 5, 200), ("-inf", 5, 200), ("-inf", 260, 290),
             ("diagonal", 5, 5), ("diagonal", 290, 290),
             ("negative", 5, 200), ("negative", 260, 290),
         ],
