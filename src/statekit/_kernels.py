@@ -72,13 +72,14 @@ def pair_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
 def pair_terms(t: np.ndarray) -> np.ndarray:
     """One-sided cross terms t_x conj(t_x') for all pairs x < x', in np.triu_indices order."""
     t = np.ascontiguousarray(t, dtype=np.complex128)
-    return np.outer(t, t.conj())[pair_indices(t.size)]
+    rows, cols = pair_indices(t.size)
+    return t[rows] * t.conj()[cols]  # out of place: an in-place *= rounds N = 2 differently
 
 
 def pair_sum(terms: np.ndarray) -> float:
     """Real-valued cross-term sum over all pairs x != x' from the ``pair_terms`` array.
 
-    Each term is combined with its mirror, the complex conjugate, so the
-    imaginary parts cancel exactly and the result is real.
+    Twice the real part of the terms' sum, which numpy adds in one pairwise tree with
+    the imaginary parts apart: bit for bit the sum of each term plus its conjugate.
     """
-    return float((terms + terms.conj()).sum().real)
+    return float(2.0 * terms.sum().real)

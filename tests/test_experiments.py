@@ -884,6 +884,17 @@ class TestRunExperiment:
         assert csv_text.startswith("tau,error")
         assert len(csv_text.strip().splitlines()) == 14  # header + 13 points
 
+    def test_curvature_scan_ignores_count(self, tmp_path):
+        # count is validated but unused; README documents it as ignored
+        reports = []
+        for count in (1, 7):
+            raw = {"experiment": "curvature-scan", "n_features": 3, "count": count, "seed": 11,
+                   "output_dir": str(tmp_path / f"scan{count}")}
+            reports.append(sk.run_experiment(sk.ExperimentConfig.from_dict(raw)))
+        assert reports[0].results == reports[1].results
+        csv_1 = (tmp_path / "scan1" / "curvature_scan.csv").read_bytes()
+        assert csv_1 == (tmp_path / "scan7" / "curvature_scan.csv").read_bytes()
+
     def test_resonance_run(self, tmp_path):
         raw = {
             "experiment": "resonance",

@@ -95,6 +95,50 @@ class TestPairSum:
         assert terms.shape == (0,)
         assert _kernels.pair_sum(terms) == 0.0
 
+    # reference formulas whose bits the kernels keep: the outer product's upper
+    # triangle, and each term plus its conjugate
+    @staticmethod
+    def outer_product_terms(t):
+        return np.outer(t, t.conj())[np.triu_indices(t.size, 1)]
+
+    @staticmethod
+    def conjugate_pair_sum(terms):
+        return float((terms + terms.conj()).sum().real)
+
+    @staticmethod
+    def pair_input(kind, dim, rng):
+        t = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        if kind == "real":  # phase-locked: imaginary parts +0 and -0
+            t = t.real + 1j * np.copysign(0.0, t.imag)
+        elif kind == "zeros":
+            t[rng.random(dim) < 0.3] = 0.0
+            t[dim // 2] = 0.0
+        return t
+
+    @pytest.mark.parametrize("kind", ["complex", "real", "zeros"])
+    @pytest.mark.parametrize("dim", [*range(1, 65), 128, 256, 1024])
+    def test_bit_equal_to_outer_product_formula(self, dim, kind, rng):
+        t = self.pair_input(kind, dim, rng)
+        terms = _kernels.pair_terms(t)
+        expected = self.outer_product_terms(t)
+        assert terms.tobytes() == expected.tobytes()
+        got = np.float64(_kernels.pair_sum(terms))
+        assert got.tobytes() == np.float64(self.conjugate_pair_sum(expected)).tobytes()
+
+    def test_two_elements_bit_equal_to_outer_product_formula(self, rng):
+        # N = 2 is one product, where an in-place product rounds differently
+        for kind in ["complex", "real", "zeros"]:
+            for _ in range(200):
+                t = self.pair_input(kind, 2, rng)
+                assert _kernels.pair_terms(t).tobytes() == self.outer_product_terms(t).tobytes()
+
+    # term counts straddling numpy's pairwise-sum unroll and block edges
+    @pytest.mark.parametrize("count", [*range(1, 18), 63, 64, 65, 127, 128, 129, 255, 256, 257, 2016, 32640])
+    def test_sum_bit_equal_to_conjugate_pair_sum(self, count, rng):
+        terms = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        got = np.float64(_kernels.pair_sum(terms))
+        assert got.tobytes() == np.float64(self.conjugate_pair_sum(terms)).tobytes()
+
 
 def test_dispatchers_accept_loose_dtypes():
     out = _kernels.ry_layer(np.array([1, 0]), np.array([0.0]))
