@@ -46,6 +46,14 @@ def ry_layer(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
     return out
 
 
+def ry_matrix(angles: np.ndarray) -> np.ndarray:
+    """Dense matrix of the ``ry_layer`` rotation layer: the left-to-right Kronecker product of
+    the 2 x 2 rotations, qubit 0 first, so each entry is the product ``ry_layer`` of the identity forms."""
+    c, s = np.cos(angles), np.sin(angles)
+    blocks = np.array([[c, -s], [s, c]], dtype=np.complex128).transpose(2, 0, 1)  # one 2 x 2 block per qubit
+    return functools.reduce(np.kron, blocks, np.ones((1, 1), dtype=np.complex128))
+
+
 def zz_diagonal(coupling: np.ndarray) -> np.ndarray:
     """Diagonal energies of sum_{j<k} J_jk Z_j Z_k over all 2^n basis states."""
     coupling = np.ascontiguousarray(coupling, dtype=np.float64)

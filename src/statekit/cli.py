@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .interference import interference_decompositions
 from .qift import QiftParams, information_curvature
-from .spectral import resonance_similarity, spectral_profile, zeeman_sweep
+from .spectral import _profile_and_zeeman, resonance_similarity, spectral_profile
 from .statevec import DenseOperator, Distribution, _as_array, _freeze, as_rng, haar_random_unitary
 from .tolerances import TOLS
 
@@ -189,7 +189,10 @@ def _cmd_spectrum(args) -> int:
     x = _parse_floats(args.x, "--x")
     _require_qubits(x.size, "spectrum")
     spec = QiftParams(mu=args.mu, topology=args.topology).spec(x)
-    profile = spectral_profile(spec)
+    if args.zeeman:
+        profile, trace = _profile_and_zeeman(spec, _parse_grid(args.zeeman, "--zeeman"))
+    else:
+        profile = spectral_profile(spec)
     tables = [
         Table(
             "spectrum",
@@ -203,7 +206,6 @@ def _cmd_spectrum(args) -> int:
         "degenerate": profile.degenerate,
     }
     if args.zeeman:
-        trace = zeeman_sweep(spec, _parse_grid(args.zeeman, "--zeeman"))
         summary["stability_score"] = trace.stability_score
         tables.append(
             Table(

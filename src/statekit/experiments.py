@@ -515,11 +515,8 @@ def _distance(top: float) -> float:
 
 
 def _run_curvature(config: ExperimentConfig) -> tuple[dict, list[Table]]:
-    params = config.qift_params()
-    n = config.n_features
-    rng = as_rng(config.seed)
-    x = rng.uniform(-math.pi, math.pi, n)
-    results, tables = _curvature_results(information_curvature(params.spec(x)))
+    x = as_rng(config.seed).uniform(-math.pi, math.pi, config.n_features)
+    results, tables = _curvature_results(information_curvature(config.qift_params().spec(x)))
     results["fields"] = x.tolist()
     return results, tables
 
@@ -542,9 +539,8 @@ def _curvature_results(scan: CurvatureScan) -> tuple[dict, list[Table]]:
 
 def _run_resonance(config: ExperimentConfig, tolerance: float) -> tuple[dict, list[Table]]:
     params = config.qift_params()
-    n = config.n_features
     rng = as_rng(config.seed)
-    specs = [params.spec(rng.uniform(-math.pi, math.pi, n)) for _ in range(int(config.count))]
+    specs = [params.spec(rng.uniform(-math.pi, math.pi, config.n_features)) for _ in range(int(config.count))]
     profiles = [spectral_profile(s) for s in specs]  # one eigendecomposition per spec
     rows = []
     for a, b in itertools.combinations(range(len(specs)), 2):

@@ -40,7 +40,6 @@ from .statevec import (
     _freeze,
     _own,
     _require_finite,
-    commutator,
     evolve,
     hermitian_spectral_decomposition,
     operator_distance,
@@ -245,10 +244,10 @@ def build_h_topo_dense(coupling: np.ndarray, mu: float) -> HermitianOperator:
 
 
 def effective_hamiltonian(spec: HamiltonianSpec) -> HermitianOperator:
-    """H_data + H_topo for one spec."""
-    return HermitianOperator(
-        _freeze(build_h_data(spec.fields).matrix + build_h_topo(spec.coupling, spec.mu).matrix)
-    )
+    """H_data + H_topo for one spec: H_topo's diagonal added onto a copy of H_data."""
+    h = build_h_data(spec.fields).matrix.copy()
+    h[np.diag_indices(spec.dim)] += spec.mu * _kernels.zz_diagonal(spec.coupling)
+    return HermitianOperator(_freeze(h))
 
 
 def _diagonal_phase(spec: HamiltonianSpec) -> np.ndarray:
@@ -264,8 +263,7 @@ def sandwich_unitary(spec: HamiltonianSpec, method: str = "factorized") -> Dense
     spectral-norm distance of 1e-12.
     """
     if method == "factorized":
-        # the rotation layer applied to every basis column is its dense matrix
-        rot = _kernels.ry_layer(np.eye(spec.dim), (spec.tau / 2.0) * spec.fields)
+        rot = _kernels.ry_matrix((spec.tau / 2.0) * spec.fields)
         return DenseOperator(_freeze(rot @ (_diagonal_phase(spec)[:, None] * rot)))
     if method == "dense":
         half = evolve(build_h_data(spec.fields), spec.tau / 2.0).matrix
@@ -281,8 +279,13 @@ def exact_unitary(spec: HamiltonianSpec) -> DenseOperator:
 
 def commutator_norm(spec: HamiltonianSpec) -> float:
     """Spectral norm of [H_data, H_topo]; zero iff the two terms commute."""
-    comm = commutator(build_h_data(spec.fields), build_h_topo(spec.coupling, spec.mu))
-    return float(np.linalg.norm(comm.matrix, 2))
+    return _commutator_norm(effective_hamiltonian(spec).matrix)
+
+
+def _commutator_norm(h: np.ndarray) -> float:
+    """Spectral norm of [H, D] = [H_data, H_topo], D the diagonal of H = H_data + H_topo, formed elementwise."""
+    d = np.diagonal(h).real
+    return float(np.linalg.norm(h * d - d[:, None] * h, 2))
 
 
 def information_curvature(
@@ -306,9 +309,11 @@ def information_curvature(
     if math.log10(grid.max() / grid.min()) < 1.5:
         raise StatekitError("tau grid must span at least 1.5 decades")
 
-    comm = commutator_norm(spec_base)
+    h = effective_hamiltonian(spec_base)
+    comm = _commutator_norm(h.matrix)
     # H does not depend on tau: one decomposition gives every exact U(tau)
-    dec = hermitian_spectral_decomposition(effective_hamiltonian(spec_base))
+    dec = hermitian_spectral_decomposition(h)
+    del h  # 2^n x 2^n: not held across the tau loop
     errors = _freeze(np.array([
         operator_distance(sandwich_unitary(replace(spec_base, tau=t)), dec.evolution(t))
         for t in grid.tolist()

@@ -99,21 +99,25 @@ def zeeman_operator(n_qubits: int) -> HermitianOperator:
 
 
 def zeeman_sweep(spec: HamiltonianSpec, epsilons: Sequence[float] | np.ndarray) -> ZeemanTrace:
-    """Mass gap of H_eff + epsilon * sum_j Z_j across a perturbation grid.
+    """Mass gap of H_eff + epsilon * sum_j Z_j across a perturbation grid, which must
+    contain 0 (the unperturbed reference); the stability score is the largest
+    absolute gap deviation from that reference."""
+    return _profile_and_zeeman(spec, epsilons)[1]
 
-    The grid must contain 0 (the unperturbed reference); the stability
-    score is the largest absolute gap deviation from that reference.
-    """
+
+def _profile_and_zeeman(spec: HamiltonianSpec, epsilons) -> tuple[SpectralProfile, ZeemanTrace]:
+    """``spectral_profile`` and ``zeeman_sweep`` of ``spec``; epsilon = 0 reuses the profile's decomposition."""
     eps = _as_array(epsilons, "epsilon grid", np.float64, flat=True)
     if eps.size == 0:
         raise StatekitError("epsilon grid is empty")
     if not np.any(eps == 0.0):
         raise StatekitError("epsilon grid must contain 0 as the reference point")
-    h0 = effective_hamiltonian(spec).matrix
+    h0 = effective_hamiltonian(spec)
+    profile = _profile_of(h0)
     zee = zeeman_operator(spec.n_qubits).matrix
-    gaps = _freeze(np.array([_profile_of(HermitianOperator(_freeze(h0 + e * zee))).mass_gap for e in eps]))
-    ref = gaps[np.flatnonzero(eps == 0.0)[0]]
-    return ZeemanTrace(epsilons=eps, gaps=gaps, stability_score=float(np.abs(gaps - ref).max()))
+    profiles = (profile if e == 0 else _profile_of(HermitianOperator(_freeze(h0.matrix + e * zee))) for e in eps)
+    gaps = _freeze(np.array([p.mass_gap for p in profiles]))
+    return profile, ZeemanTrace(eps, gaps, stability_score=float(np.abs(gaps - profile.mass_gap).max()))
 
 
 def _verdict(a: SpectralProfile, b: SpectralProfile, tolerance: float) -> ResonanceVerdict:

@@ -3,6 +3,7 @@
 These deliberately avoid the package's own construction routes (np.kron
 chains, kernel dispatch) so that agreement is evidence, not tautology.
 """
+import importlib
 import sys
 
 import numpy as np
@@ -97,23 +98,21 @@ def rng():
     return np.random.default_rng(20260811)
 
 
-def count_calls(monkeypatch, name):
-    """List of the first arguments passed to ``statekit.statevec.<name>``, through
+def count_calls(monkeypatch, name, module="statevec"):
+    """List of the first arguments passed to ``statekit.<module>.<name>``, through
     any statekit module's binding of it, while the test runs."""
-    import statekit.statevec
-
-    original = getattr(statekit.statevec, name)
+    original = getattr(importlib.import_module(f"statekit.{module}"), name)
     calls = []
 
     def counting(first, *args, **kwargs):
         calls.append(first)
         return original(first, *args, **kwargs)
 
-    for modname, module in list(sys.modules.items()):
+    for modname, namespace in list(sys.modules.items()):
         if modname == "statekit" or modname.startswith("statekit."):
-            for attr, value in list(vars(module).items()):
+            for attr, value in list(vars(namespace).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+                    monkeypatch.setattr(namespace, attr, counting)
     return calls
 
 

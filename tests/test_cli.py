@@ -11,6 +11,8 @@ import pytest
 from statekit.cli import build_parser, main
 from statekit.experiments import ENCODER_IDS, LabeledDataset, encode_dataset
 
+from conftest import count_calls
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -238,6 +240,14 @@ class TestSpectrum:
         assert err.startswith("error: ")
         assert out == ""
 
+    def test_zeeman_builds_and_decomposes_once(self, capsys, monkeypatch, eigh_calls):
+        builds = count_calls(monkeypatch, "effective_hamiltonian", "qift")
+        code, out, _ = run_cli(capsys, "spectrum", "--x", "1.0,0.5,-0.3", "--zeeman=0:0:1")
+        assert code == 0
+        summary, rows = parse_csv_tables(out)
+        assert rows[-1][0] == "0" and float(rows[-1][1]) == float(summary["mass_gap"])
+        assert (len(builds), len(eigh_calls)) == (1, 1)
+
     def test_zeeman_without_reference_fails(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--x", "1", "--zeeman", "0.1:0.2:3")
         assert code == 2
@@ -304,7 +314,7 @@ def tripwire(monkeypatch):
     for name in (
         "as_rng", "Distribution", "haar_random_unitary", "_hadamard_layer",
         "interference_decompositions", "QiftParams",
-        "information_curvature", "spectral_profile", "zeeman_sweep", "resonance_similarity",
+        "information_curvature", "spectral_profile", "_profile_and_zeeman", "resonance_similarity",
     ):
         monkeypatch.setattr(cli, name, trip)
     monkeypatch.setattr(cli, "ENCODERS", {enc: trip for enc in ENCODER_IDS})

@@ -33,7 +33,7 @@ class TestRyLayer:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_identity_columns_give_dense_operator(self, n, rng):
         angles = rng.uniform(-np.pi, np.pi, n)
-        # the same products in the same order: sandwich_unitary relies on exact equality
+        # the same products in the same order, as ry_matrix forms them
         assert np.array_equal(_kernels.ry_layer(np.eye(1 << n), angles), rotation_layer_oracle(n, angles))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -49,6 +49,24 @@ class TestRyLayer:
         before = amps.copy()
         _kernels.ry_layer(amps, np.array([0.3, -0.7]))
         assert np.array_equal(amps, before)
+
+
+def angle_sets(n, rng):
+    """Random angles, all +0.0, all -0.0, and random angles with zeros of both signs."""
+    mixed = rng.uniform(-np.pi, np.pi, n)
+    mixed[::2] = 0.0
+    mixed[1::3] = -0.0
+    return [rng.uniform(-np.pi, np.pi, n), np.zeros(n), np.full(n, -0.0), mixed]
+
+
+class TestRyMatrix:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_ry_layer_of_identity(self, n, rng):
+        for angles in angle_sets(n, rng):
+            got = _kernels.ry_matrix(angles)
+            assert got.dtype == np.complex128 and got.shape == (1 << n, 1 << n)
+            # the same products in the same order: only the sign of a zero may differ
+            assert np.array_equal(got, _kernels.ry_layer(np.eye(1 << n), angles))
 
 
 class TestZZDiagonal:

@@ -4,16 +4,33 @@ import numpy as np
 import pytest
 
 import statekit as sk
+from statekit import _kernels
 from statekit.errors import ConfigError, StatekitError
 from statekit.qift import COUPLINGS
 
-from conftest import pauli_matrix_oracle, random_coupling, zz_energy_oracle
+from conftest import count_calls, pauli_matrix_oracle, random_coupling, zz_energy_oracle
 
 
 def seeded_spec(rng, n, topology="ring", mu=1.0, tau=0.1):
     x = rng.uniform(-np.pi, np.pi, n)
     coupling = sk.ring_coupling(n) if topology == "ring" else sk.complete_coupling(n)
     return sk.HamiltonianSpec(x, coupling, mu=mu, tau=tau)
+
+
+def oracle_specs(rng, n, mus=(1.0, 0.7, 0.0, -1.0), taus=(0.1,)):
+    """Seeded specs of n qubits over both presets and a random coupling, ``mus`` and
+    ``taus``, with random fields, all +0.0, all -0.0, and random fields with zeros
+    of both signs."""
+    specs = []
+    for topology in ("ring", "complete", random_coupling(n, rng)):
+        for mu in mus:
+            mixed = rng.uniform(-np.pi, np.pi, n)
+            mixed[::2] = 0.0
+            mixed[1::3] = -0.0
+            for x in (rng.uniform(-np.pi, np.pi, n), np.zeros(n), np.full(n, -0.0), mixed):
+                params = sk.QiftParams(mu=mu, topology=topology)
+                specs += [replace(params.spec(x), tau=tau) for tau in taus]
+    return specs
 
 
 class TestHamiltonianSpec:
@@ -278,6 +295,23 @@ class TestSandwichUnitary:
         with pytest.raises(StatekitError):
             sk.sandwich_unitary(spec, method="sparse")
 
+    @staticmethod
+    def ry_layer_product(spec):
+        """The factorized step with its rotation matrix built by ry_layer from the identity."""
+        rot = _kernels.ry_layer(np.eye(spec.dim), (spec.tau / 2.0) * spec.fields)
+        phase = np.exp(-1j * spec.tau * spec.mu * _kernels.zz_diagonal(spec.coupling))
+        return rot @ (phase[:, None] * rot)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_factorized_bytes_equal_the_ry_layer_product(self, n, rng):
+        for spec in oracle_specs(rng, n, taus=(0.1, 1e-3)):
+            assert sk.sandwich_unitary(spec).matrix.tobytes() == self.ry_layer_product(spec).tobytes()
+
+    def test_single_qubit_factorized_equals_the_ry_layer_product(self, rng):
+        # at one qubit only the sign of a zero entry may differ
+        for spec in oracle_specs(rng, 1, taus=(0.1, 1e-3)):
+            assert np.array_equal(sk.sandwich_unitary(spec).matrix, self.ry_layer_product(spec))
+
 
 class TestExactUnitary:
     def test_trivial_spec_is_identity(self):
@@ -294,7 +328,23 @@ class TestExactUnitary:
         assert np.abs(u.matrix.conj().T @ u.matrix - np.eye(4)).max() < 1e-10
 
 
+class TestEffectiveHamiltonian:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bytes_equal_the_sum_of_both_terms(self, n, rng):
+        for spec in oracle_specs(rng, n):
+            expected = sk.build_h_data(spec.fields).matrix + sk.build_h_topo(spec.coupling, spec.mu).matrix
+            assert sk.effective_hamiltonian(spec).matrix.tobytes() == expected.tobytes()
+
+
 class TestCommutatorNorm:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bit_equal_to_the_dense_commutator(self, n, rng):
+        for spec in oracle_specs(rng, n, mus=(0.7, 0.0, -1.0)):
+            a = sk.build_h_data(spec.fields)
+            b = sk.build_h_topo(spec.coupling, spec.mu)
+            dense = np.linalg.norm(sk.commutator(a, b).matrix, 2)
+            assert np.float64(sk.commutator_norm(spec)).tobytes() == dense.tobytes()
+
     def test_zero_coupling(self, rng):
         spec = sk.HamiltonianSpec(rng.uniform(-1, 1, 3), np.zeros((3, 3)))
         assert sk.commutator_norm(spec) == 0.0
@@ -345,6 +395,13 @@ class TestInformationCurvature:
     def test_one_eigendecomposition_per_scan(self, rng, eigh_calls):
         sk.information_curvature(seeded_spec(rng, 3))
         assert len(eigh_calls) == 1
+
+    def test_one_build_per_scan(self, rng, monkeypatch, eigh_calls):
+        h_data = count_calls(monkeypatch, "build_h_data", "qift")
+        h_topo = count_calls(monkeypatch, "build_h_topo", "qift")
+        layers = count_calls(monkeypatch, "ry_layer", "_kernels")
+        sk.information_curvature(seeded_spec(rng, 4, "complete"))
+        assert (len(h_data), len(h_topo), len(layers), len(eigh_calls)) == (1, 0, 0, 1)
 
     def test_errors_equal_per_tau_exact_unitary(self, rng):
         spec = seeded_spec(rng, 4, "complete", mu=0.7)

@@ -92,6 +92,17 @@ class TestZeemanSweep:
         for e in (0.1, 0.3):
             assert gaps[e] == pytest.approx(gaps[-e], abs=1e-10)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_zero_epsilon_leaves_the_bits_of_h(self, n, rng):
+        # so each epsilon = 0, -0.0 too, may take the unperturbed profile's gap
+        zee = zeeman_operator(n).matrix
+        for x in (rng.uniform(-np.pi, np.pi, n), np.zeros(n), np.full(n, -0.0)):
+            for mu in (1.0, 0.0, -0.5):
+                for coupling in (sk.ring_coupling(n), sk.complete_coupling(n)):
+                    h0 = sk.effective_hamiltonian(sk.HamiltonianSpec(x, coupling, mu=mu)).matrix
+                    for e in (0.0, -0.0):
+                        assert (h0 + e * zee).tobytes() == h0.tobytes()
+
     def test_grid_validation(self, rng):
         spec = ring_spec(rng.uniform(-1, 1, 2))
         with pytest.raises(StatekitError):
