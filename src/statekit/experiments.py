@@ -8,8 +8,8 @@ byte-identical CSV tables. Four experiments are wired up:
     resonance           pairwise gap-coincidence verdicts on seeded specs
     interference-audit  decomposition and diagonal-trap residuals at scale
 
-Configs arrive as strict JSON (unknown keys are rejected); reports carry a
-full config echo plus tool version and seed for provenance. The encoder
+Configs arrive as strict JSON (unknown keys are rejected); reports echo
+the config with the version, seed and numeric environment. The encoder
 table (``ENCODERS``) lives in ``encoders`` and the Hamiltonian parameters
 (``QiftParams``) in ``qift``; both are re-exported here. ``ExperimentConfig``
 and its ``QiftParams`` check themselves on construction, so a config that
@@ -18,11 +18,13 @@ exists has passed every check, the size of an explicit topology included.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
 import math
 import numbers
+import os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
@@ -619,6 +621,7 @@ def run_experiment(
         "version": __version__,
         "seed": config.seed,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "numerics": _numerics(),
     }
     report = ExperimentReport(
         config=config.to_jsonable(),
@@ -627,6 +630,23 @@ def run_experiment(
     )
     written = write_outputs(config.output_dir, tables, "report.json", report.to_jsonable())
     return replace(report, written=written)
+
+
+@functools.cache
+def _numerics() -> dict:
+    """The numeric environment that output bytes hold in: numpy, its BLAS, the SIMD
+    extensions found at run time (a DYNAMIC_ARCH BLAS picks its kernels by CPU),
+    the BLAS thread pins and the CPUs this process may use."""
+    info = np.show_config(mode="dicts")
+    blas = info["Build Dependencies"]["blas"]
+    pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "simd_found": info["SIMD Extensions"]["found"],
+        "thread_pins": {key: os.environ.get(key) for key in pins},
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+    }
 
 
 # ---------------------------------------------------------------------------

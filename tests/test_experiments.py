@@ -846,6 +846,16 @@ class TestRunExperiment:
         assert "timestamp" in doc["provenance"]
         assert doc["config"]["experiment"] == "parity"
 
+    def test_report_json_records_the_numeric_environment(self, tmp_path):
+        sk.run_experiment(sk.ExperimentConfig.from_dict(parity_config(tmp_path)))
+        doc = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        numerics = doc["provenance"]["numerics"]
+        assert set(numerics) == {"numpy", "blas", "simd_found", "thread_pins", "cpus"}
+        assert numerics["numpy"] == np.__version__
+        assert numerics["blas"]["name"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        assert set(numerics["thread_pins"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert isinstance(numerics["simd_found"], list) and numerics["cpus"] >= 1
+
     def test_byte_identical_csv_across_runs(self, tmp_path):
         cfg_a = sk.ExperimentConfig.from_dict(parity_config(tmp_path, output_dir=str(tmp_path / "a")))
         cfg_b = sk.ExperimentConfig.from_dict(parity_config(tmp_path, output_dir=str(tmp_path / "b")))
