@@ -91,3 +91,55 @@ def pair_sum(terms: np.ndarray) -> float:
     the imaginary parts apart: bit for bit the sum of each term plus its conjugate.
     """
     return float(2.0 * terms.sum().real)
+
+
+_PACK = 8192  # pair terms per packed block and per leaf of the split tree; at least numpy's 64
+_TREE_FROM = 2048  # row length from which the split tree beats the gather, whose arrays leave the cache
+
+
+def pair_sums(t: np.ndarray) -> np.ndarray:
+    """``pair_sum(pair_terms(row))`` for each row of the (k, N) block ``t``, bit for bit.
+
+    Up to M = N(N-1)/2 = ``_PACK`` terms a row, ``_PACK`` // M rows are gathered as one
+    C-ordered (rows, M) block and summed along axis 1, which keeps numpy's pairwise tree
+    per row (a ``t[:, rows]`` gather is F-ordered and leaves it). Below ``_TREE_FROM``,
+    one ``pair_terms`` per row. From there a row follows the tree by hand: n doubles split
+    at n/2 - (n/2 mod 8), so leaves of at most ``_PACK`` terms, filled from row slices
+    t_x conj(t[x+1:]) with no index array, are summed alone and added in the tree's order.
+    """
+    t = np.ascontiguousarray(t, dtype=np.complex128)
+    n = t.shape[1]
+    if n >= _TREE_FROM:
+        return np.array([_tree_pair_sum(row) for row in t])
+    if n * (n - 1) // 2 > _PACK:
+        return np.array([pair_sum(pair_terms(row)) for row in t])
+    rows, cols = pair_indices(n)
+    step = _PACK // max(rows.size, 1)
+    out = np.empty(len(t))
+    for i in range(0, len(t), step):
+        block = t[i:i + step]
+        terms = np.take(block, rows, axis=1) * np.take(block.conj(), cols, axis=1)
+        out[i:i + step] = 2.0 * terms.sum(axis=1).real
+    return out
+
+
+def _tree_pair_sum(t: np.ndarray) -> float:
+    n, tc = t.size, t.conj()
+    leaf = np.empty(_PACK, dtype=np.complex128)
+    at = [0, 0]  # the row x and the offset j in it of the next term, in triu order
+
+    def node(size):
+        if size > _PACK:
+            half = (size - size % 8) // 2  # numpy's split of 2 * size doubles
+            return node(half) + node(size - half)
+        (x, j), done = at, 0
+        while done < size:
+            take = min(size - done, n - 1 - x - j)
+            np.multiply(t[x], tc[x + 1 + j:x + 1 + j + take], out=leaf[done:done + take])
+            done, j = done + take, j + take
+            if j == n - 1 - x:
+                x, j = x + 1, 0
+        at[:] = x, j
+        return leaf[:size].sum()
+
+    return float(2.0 * node(n * (n - 1) // 2).real)

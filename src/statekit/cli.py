@@ -28,7 +28,7 @@ from .experiments import (
     _require_qubits,
     write_outputs,
 )
-from .interference import interference_decompositions
+from .interference import _decomposition_blocks
 from .qift import QiftParams, information_curvature
 from .spectral import _profile_and_zeeman, resonance_similarity, spectral_profile
 from .statevec import DenseOperator, Distribution, _as_array, _freeze, as_rng, haar_random_unitary
@@ -144,9 +144,10 @@ def _cmd_interfere(args) -> int:
         u = haar_random_unitary(dim, rng)
     phases = _parse_floats(args.phases, "--phases") if args.phases else None
     outcomes = range(dim) if args.outcome is None else [args.outcome]
-    rows = [
-        (r.outcome, r.classical_term, r.interference_term, r.total, r.born_probability, r.residual)
-        for r in interference_decompositions(u, dist, phases, outcomes)
+    rows = [  # outcome, classical, interference, total, born and the residual |total - born|
+        (*row, abs(row[3] - row[4]))
+        for ys, _, *terms in _decomposition_blocks(u, dist, phases, outcomes)
+        for row in zip(ys.tolist(), *(a.tolist() for a in terms))
     ]
     summary = {
         "unitary": args.unitary,

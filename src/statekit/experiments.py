@@ -36,7 +36,7 @@ import numpy as np
 from ._version import __version__
 from .encoders import ENCODER_IDS, ENCODERS
 from .errors import ConfigError, DimensionMismatchError, StatekitError
-from .interference import diagonal_trap_residual, interference_decompositions
+from .interference import _decomposition_blocks, diagonal_trap_residual
 from .qift import CurvatureScan, QiftParams, information_curvature
 from .spectral import _verdict, spectral_profile
 from .statevec import (
@@ -573,16 +573,15 @@ def _run_interference_audit(config: ExperimentConfig) -> tuple[dict, list[Table]
         p = Distribution(_freeze(rng.dirichlet(np.ones(dim))))
         phased = case % 2 == 1
         phi = rng.uniform(0.0, 2.0 * math.pi, dim) if phased else None
-        decomp_resid = max(r.residual for r in interference_decompositions(u, p, phi, range(dim)))
+        blocks = _decomposition_blocks(u, p, phi, range(dim))
+        decomp_resid = max(float(np.abs(total - born).max()) for *_, total, born in blocks)
         d = DenseOperator(_freeze(np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, dim)))))
         trap_resid = diagonal_trap_residual(p, d)
         rows.append((case, phased, decomp_resid, trap_resid))
-    decomp = max(r[2] for r in rows)
-    trap = max(r[3] for r in rows)
     results = {
         "cases": len(rows),
-        "max_decomposition_residual": decomp,
-        "max_trap_residual": trap,
+        "max_decomposition_residual": max(r[2] for r in rows),
+        "max_trap_residual": max(r[3] for r in rows),
     }
     table = Table(
         name="interference_audit",
@@ -634,9 +633,8 @@ def run_experiment(
 
 @functools.cache
 def _numerics() -> dict:
-    """The numeric environment that output bytes hold in: numpy, its BLAS, the SIMD
-    extensions found at run time (a DYNAMIC_ARCH BLAS picks its kernels by CPU),
-    the BLAS thread pins and the CPUs this process may use."""
+    """What output bytes hold in: numpy, its BLAS, the SIMD extensions numpy found at run
+    time (a DYNAMIC_ARCH BLAS picks its kernels by CPU), the BLAS thread pins and the CPUs."""
     info = np.show_config(mode="dicts")
     blas = info["Build Dependencies"]["blas"]
     pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

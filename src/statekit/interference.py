@@ -9,6 +9,7 @@ phase-lock argument analysis and the diagonal-operator measurement residual.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -23,7 +24,7 @@ from .encoders import (
     probability_loading,
 )
 from .errors import DimensionMismatchError, NotDiagonalError, StatekitError
-from .statevec import DenseOperator, _freeze, _own, _require_unitary
+from .statevec import DenseOperator, _freeze, _own, _raise_first_failure, _require_unitary
 from .tolerances import TOLS
 
 
@@ -44,15 +45,8 @@ class InterferenceReport:
 
     def __post_init__(self):
         _own(self, "pairs", np.complex128)
-        if abs(self.total - (self.classical_term + self.interference_term)) > TOLS.decomposition:
-            raise StatekitError("report total is not the sum of its terms")
-        if not -TOLS.decomposition <= self.total <= 1.0 + TOLS.decomposition:
-            raise StatekitError(f"total {self.total!r} is not a probability")
-        resid = abs(self.total - self.born_probability)
-        if resid > TOLS.decomposition:
-            raise StatekitError(
-                f"decomposition violates the Born identity by {resid:.3e} at outcome {self.outcome}"
-            )
+        fields = (self.outcome, self.classical_term, self.interference_term, self.total, self.born_probability)
+        _check_decompositions(*(np.array([value]) for value in fields))
 
     @property
     def residual(self) -> float:
@@ -100,6 +94,46 @@ def _check_outcome(u: DenseOperator, outcome: int) -> None:
         raise StatekitError(f"outcome {outcome} out of range for dim {u.dim}")
 
 
+def _check_decompositions(outcomes, classical, interference, total, born) -> None:
+    """``InterferenceReport``'s three checks on arrays of decompositions, in order."""
+    tol = TOLS.decomposition
+    resid = np.abs(total - born)
+    _raise_first_failure(
+        StatekitError,
+        (np.abs(total - (classical + interference)) > tol, "report total is not the sum of its terms"),
+        (~((-tol <= total) & (total <= 1.0 + tol)), lambda i: f"total {total[i].item()!r} is not a probability"),
+        (resid > tol, lambda i: f"decomposition violates the Born identity by {resid[i]:.3e} at outcome {outcomes[i]}"),
+    )
+
+
+def _decomposition_blocks(u: DenseOperator, p: DistributionLike, phi: PhaseLike | None, outcomes: Iterable[int]):
+    """The checked decompositions of ``outcomes`` under ``u``, in order, in blocks of at
+    most ``_kernels._PACK // N``: arrays (outcomes, t = c * U_y per row, classical,
+    interference, total, born), each entry bit for bit the one-outcome formula. The
+    classical dots are one batched (1, N) @ (N, 1) product, and born is ``float_power``,
+    the libm ``pow`` that a float64 scalar's ``** 2`` calls and a vector square is not.
+    """
+    _require_unitary(u)
+    dist = _as_distribution(p)
+    c = _amplitudes(u, dist, phi)
+    born = np.abs(u.matrix @ c)
+    outcomes = iter(outcomes)
+    while block := list(itertools.islice(outcomes, max(1, _kernels._PACK // u.dim))):
+        ys = np.array(block)
+        integers = ys.dtype.kind in "iu" and not any(isinstance(y, (bool, np.bool_)) for y in block)
+        if not (integers and 0 <= ys.min() and ys.max() < u.dim):
+            for y in block:  # raises for the first bad outcome
+                _check_outcome(u, y)
+        ys = ys.astype(np.intp)
+        rows = u.matrix[ys]
+        classical = np.matmul(dist.probabilities, np.abs(rows)[:, :, None] ** 2)[:, 0]
+        t = c * rows
+        interference = _kernels.pair_sums(t)
+        decomposition = (ys, classical, interference, classical + interference, np.float_power(born[ys], 2))
+        _check_decompositions(*decomposition)
+        yield ys, t, *decomposition[1:]
+
+
 def interference_decompositions(
     u: DenseOperator,
     p: DistributionLike,
@@ -116,24 +150,9 @@ def interference_decompositions(
     within ``TOLS.decomposition``. Unitarity, the input sizes and the
     product ``U c`` are checked and formed once for all outcomes.
     """
-    _require_unitary(u)
-    dist = _as_distribution(p)
-    c = _amplitudes(u, dist, phi)
-    born = np.abs(u.matrix @ c)
-    for outcome in outcomes:
-        _check_outcome(u, outcome)
-        row = u.matrix[outcome, :]
-        classical = float(dist.probabilities @ (np.abs(row) ** 2))
-        pairs = _freeze(_kernels.pair_terms(c * row))
-        interference = _kernels.pair_sum(pairs)
-        yield InterferenceReport(
-            outcome=outcome,
-            classical_term=classical,
-            interference_term=interference,
-            total=classical + interference,
-            born_probability=float(born[outcome] ** 2),
-            pairs=pairs,
-        )
+    for ys, t, *terms in _decomposition_blocks(u, p, phi, outcomes):
+        for y, row, *values in zip(ys.tolist(), t, *(a.tolist() for a in terms)):
+            yield InterferenceReport(y, *values, pairs=_freeze(_kernels.pair_terms(row)))
 
 
 def interference_decomposition(

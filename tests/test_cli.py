@@ -313,7 +313,7 @@ def tripwire(monkeypatch):
 
     for name in (
         "as_rng", "Distribution", "haar_random_unitary", "_hadamard_layer",
-        "interference_decompositions", "QiftParams",
+        "_decomposition_blocks", "QiftParams",
         "information_curvature", "spectral_profile", "_profile_and_zeeman", "resonance_similarity",
     ):
         monkeypatch.setattr(cli, name, trip)

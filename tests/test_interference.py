@@ -4,7 +4,9 @@ import pytest
 import statekit as sk
 from statekit.errors import DimensionMismatchError, NotDiagonalError, NotUnitaryError, StatekitError
 
-from conftest import decomposition_oracle
+from conftest import count_calls, decomposition_oracle
+from statekit import interference
+from statekit.experiments import compute_experiment
 
 HADAMARD = sk.DenseOperator(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
 
@@ -143,6 +145,81 @@ class TestDecompositions:
     def test_reads_a_numpy_integer_outcome(self):
         rep = sk.interference_decomposition(HADAMARD, [0.3, 0.7], None, np.int64(1))
         assert rep.total == sk.interference_decomposition(HADAMARD, [0.3, 0.7], None, 1).total
+
+
+def phased_fourier(dim, seed):
+    """A unitary that is cheap at any size: the DFT with a random phase per column."""
+    rng = np.random.default_rng(seed)
+    return sk.DenseOperator(np.fft.fft(np.eye(dim), norm="ortho") * np.exp(1j * rng.uniform(0, 2 * np.pi, dim)))
+
+
+class TestDecompositionBlocks:
+    """The block route of the audit and of ``interference_decompositions``."""
+
+    def test_every_field_bit_equal_over_many_outcomes(self):
+        # born is pow(|U c|_y, 2), which a vector square misses about once in 1,300
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            u = haar(64, rng)
+            p = rng.dirichlet(np.ones(64))
+            phi = rng.uniform(0, 2 * np.pi, 64) if seed % 2 else None
+            for y, rep in enumerate(sk.interference_decompositions(u, p, phi, range(64))):
+                classical, interference, total, born, _ = single_outcome_oracle(u, p, phi, y)
+                assert (rep.classical_term, rep.interference_term, rep.total) == (classical, interference, total)
+                assert rep.born_probability == born
+
+    @pytest.mark.parametrize("dim, outcomes", [(64, range(64)), (1024, [0, 511, 1023]), (2048, [0, 2047])])
+    def test_interference_term_is_twice_the_pair_sum(self, dim, outcomes):
+        rng = np.random.default_rng(dim)
+        u = haar(dim, rng) if dim <= 1024 else phased_fourier(dim, rng)
+        p = rng.dirichlet(np.ones(dim))
+        phi = rng.uniform(0, 2 * np.pi, dim)
+        for rep in sk.interference_decompositions(u, p, phi, outcomes):
+            assert np.float64(rep.interference_term).tobytes() == (2 * rep.pairs.sum().real).tobytes()
+
+    def test_audit_builds_no_report_and_no_pair_array(self, monkeypatch):
+        reports = []
+        post_init = sk.InterferenceReport.__post_init__
+        monkeypatch.setattr(sk.InterferenceReport, "__post_init__", lambda rep: reports.append(rep) or post_init(rep))
+        pair_sums = count_calls(monkeypatch, "pair_sum", module="_kernels")
+        pair_terms = count_calls(monkeypatch, "pair_terms", module="_kernels")
+        config = sk.ExperimentConfig.from_dict(
+            {"experiment": "interference-audit", "n_features": 6, "count": 2, "seed": 7, "output_dir": "unused"}
+        )
+        results, _ = compute_experiment(config)
+        assert results["cases"] == 2
+        assert reports == [] and pair_sums == [] and pair_terms == []
+
+    def test_audit_route_builds_no_index_pair_from_n_11(self, monkeypatch):
+        indices = count_calls(monkeypatch, "pair_indices", module="_kernels")
+        u = phased_fourier(2048, 11)
+        p = np.random.default_rng(11).dirichlet(np.ones(2048))
+        (block,) = interference._decomposition_blocks(u, p, None, [5, 2047, 0, 5])
+        assert block[0].tolist() == [5, 2047, 0, 5]
+        assert indices == []
+
+    def test_blocks_are_bounded_and_in_order(self):
+        rng = np.random.default_rng(3)
+        u = haar(256, rng)
+        blocks = list(interference._decomposition_blocks(u, rng.dirichlet(np.ones(256)), None, range(255, -1, -1)))
+        assert [len(b[0]) for b in blocks] == [32] * 8
+        assert np.concatenate([b[0] for b in blocks]).tolist() == list(range(255, -1, -1))
+
+    @pytest.mark.parametrize("outcomes", [[0, 1, True], [0, np.True_], [1, 2.0], [3, 4]])
+    def test_first_bad_outcome_of_a_block_is_named(self, outcomes):
+        bad = next(y for y in outcomes if isinstance(y, (bool, np.bool_, float)) or y >= 4)
+        with pytest.raises(StatekitError, match=f"^outcome {bad} out of range for dim 4$"):
+            list(sk.interference_decompositions(haar(4, 0), [0.25] * 4, None, outcomes))
+
+    def test_a_failed_check_names_its_outcome(self, monkeypatch):
+        # the Born identity broken at outcome 2 only, through the interference terms
+        real = interference._kernels.pair_sums
+        monkeypatch.setattr(interference._kernels, "pair_sums", lambda t: real(t) + np.array([0, 0, 1e-9, 1e-9]))
+        with pytest.raises(StatekitError, match=r"^decomposition violates the Born identity by 1\.000e-09 at outcome 2$"):
+            list(sk.interference_decompositions(haar(4, 0), [0.25] * 4, None, range(4)))
+        monkeypatch.setattr(interference._kernels, "pair_sums", lambda t: real(t) + np.array([0, np.nan, 0, 0]))
+        with pytest.raises(StatekitError, match="^total nan is not a probability$"):
+            list(sk.interference_decompositions(haar(4, 0), [0.25] * 4, None, range(4)))
 
 
 class TestSignLock:

@@ -4,7 +4,7 @@ import pytest
 
 from statekit import _kernels
 
-from conftest import random_coupling, zz_energy_oracle
+from conftest import count_calls, random_coupling, zz_energy_oracle
 
 
 class TestBackendResolution:
@@ -156,6 +156,78 @@ class TestPairSum:
         terms = rng.standard_normal(count) + 1j * rng.standard_normal(count)
         got = np.float64(_kernels.pair_sum(terms))
         assert got.tobytes() == np.float64(self.conjugate_pair_sum(terms)).tobytes()
+
+
+class TestPairSums:
+    """``pair_sums`` against ``pair_sum(pair_terms(row))`` per row, as float64 bytes, so
+    the order of every addition and the sign of a zero count."""
+
+    @staticmethod
+    def rows(kind, k, dim, rng):
+        t = rng.standard_normal((k, dim)) + 1j * rng.standard_normal((k, dim))
+        if kind == "real":  # phase-locked: imaginary parts +0 and -0
+            t = t.real + 1j * np.copysign(0.0, t.imag)
+        elif kind == "zeros":
+            t[rng.random((k, dim)) < 0.3] = 0.0
+        elif kind == "negative-zeros":
+            t[rng.random((k, dim)) < 0.5] = complex(-0.0, -0.0)
+        return t
+
+    @staticmethod
+    def assert_bit_equal(t):
+        expected = np.array([_kernels.pair_sum(_kernels.pair_terms(row)) for row in t], dtype=np.float64)
+        got = _kernels.pair_sums(t)
+        assert got.dtype == np.float64 and got.shape == (len(t),)
+        assert got.tobytes() == expected.tobytes()
+
+    # row lengths at the edges of numpy's unroll (8 doubles) and blocks (128), of the
+    # packed regime (M = 8,128 at N = 128, 8,256 at N = 129) and of the split tree
+    @pytest.mark.parametrize("kind", ["complex", "real", "zeros", "negative-zeros"])
+    @pytest.mark.parametrize("dim", [*range(1, 18), 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513])
+    def test_bit_equal_per_row(self, dim, kind, rng):
+        self.assert_bit_equal(self.rows(kind, 3 if dim > 256 else 9, dim, rng))
+
+    # a packed block holds 8,192 // M rows: 8,192 at N = 2, 4 at N = 64, 1 at N = 128
+    @pytest.mark.parametrize("dim, k", [(2, 8191), (2, 8192), (2, 8193), (64, 3), (64, 4), (64, 5),
+                                        (64, 7), (64, 8), (64, 9), (128, 1), (128, 2)])
+    def test_packed_block_edges(self, dim, k, rng):
+        self.assert_bit_equal(self.rows("complex", k, dim, rng))
+
+    def test_packed_block_keeps_numpy_tree(self, rng):
+        # a whole block of rows summed along axis 1 takes numpy's tree only when
+        # each row is contiguous: an F-ordered gather changes most of these sums
+        for dim in (16, 33, 64, 90, 128):
+            self.assert_bit_equal(self.rows("complex", 64, dim, rng))
+
+    @pytest.mark.parametrize("pack", [64, 100, 1000])
+    def test_split_tree_at_small_leaves(self, pack, monkeypatch, rng):
+        # leaves from the smallest numpy block (64 terms) up, every row split across leaves
+        monkeypatch.setattr(_kernels, "_PACK", pack)
+        monkeypatch.setattr(_kernels, "_TREE_FROM", 2)
+        for dim in [*range(2, 70), 127, 128, 129, 181, 182, 183, 255, 256, 257]:
+            for kind in ["complex", "real", "zeros", "negative-zeros"]:
+                self.assert_bit_equal(self.rows(kind, 1, dim, rng))
+
+    @pytest.mark.parametrize("dim", [1024, 2047, 2048])
+    def test_split_tree_at_size(self, dim, rng):
+        self.assert_bit_equal(self.rows("complex", 1, dim, rng))
+
+    def test_one_row_of_4096(self, monkeypatch, rng):
+        # the oracle's terms come from row products, not the 2 x 67 MB index pair
+        indices = count_calls(monkeypatch, "pair_indices", module="_kernels")
+        t = self.rows("zeros", 1, 4096, rng)
+        terms = np.concatenate([t[0, x] * t[0, x + 1:].conj() for x in range(4095)])
+        expected = np.float64(2.0 * terms.sum().real)
+        del terms
+        assert _kernels.pair_sums(t).tobytes() == expected.tobytes()
+        assert indices == []
+
+    def test_split_tree_builds_no_index_pair(self, monkeypatch, rng):
+        indices = count_calls(monkeypatch, "pair_indices", module="_kernels")
+        _kernels.pair_sums(self.rows("complex", 2, _kernels._TREE_FROM, rng))
+        assert indices == []
+        _kernels.pair_sums(self.rows("complex", 2, _kernels._TREE_FROM - 1, rng))
+        assert indices == [_kernels._TREE_FROM - 1] * 2
 
 
 def test_dispatchers_accept_loose_dtypes():
