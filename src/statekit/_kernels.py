@@ -103,14 +103,15 @@ def pair_sums(t: np.ndarray) -> np.ndarray:
     Up to M = N(N-1)/2 = ``_PACK`` terms a row, ``_PACK`` // M rows are gathered as one
     C-ordered (rows, M) block and summed along axis 1, which keeps numpy's pairwise tree
     per row (a ``t[:, rows]`` gather is F-ordered and leaves it). Below ``_TREE_FROM``,
-    one ``pair_terms`` per row. From there a row follows the tree by hand: n doubles split
-    at n/2 - (n/2 mod 8), so leaves of at most ``_PACK`` terms, filled from row slices
-    t_x conj(t[x+1:]) with no index array, are summed alone and added in the tree's order.
+    one ``pair_terms`` per row. From there the rows follow the tree by hand: n doubles split
+    at n/2 - (n/2 mod 8), so leaves of at most ``_PACK`` terms a row, filled for all rows
+    at once from slices t_x conj(t[x+1:]) with no index array, are summed alone and added
+    in the tree's order.
     """
     t = np.ascontiguousarray(t, dtype=np.complex128)
     n = t.shape[1]
     if n >= _TREE_FROM:
-        return np.array([_tree_pair_sum(row) for row in t])
+        return _tree_pair_sums(t)
     if n * (n - 1) // 2 > _PACK:
         return np.array([pair_sum(pair_terms(row)) for row in t])
     rows, cols = pair_indices(n)
@@ -123,9 +124,10 @@ def pair_sums(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tree_pair_sum(t: np.ndarray) -> float:
-    n, tc = t.size, t.conj()
-    leaf = np.empty(_PACK, dtype=np.complex128)
+def _tree_pair_sums(t: np.ndarray) -> np.ndarray:
+    k, n = t.shape
+    tc = t.conj()
+    leaves = np.empty((k, _PACK), dtype=np.complex128)  # one leaf per row, filled together
     at = [0, 0]  # the row x and the offset j in it of the next term, in triu order
 
     def node(size):
@@ -135,11 +137,11 @@ def _tree_pair_sum(t: np.ndarray) -> float:
         (x, j), done = at, 0
         while done < size:
             take = min(size - done, n - 1 - x - j)
-            np.multiply(t[x], tc[x + 1 + j:x + 1 + j + take], out=leaf[done:done + take])
+            np.multiply(t[:, x:x + 1], tc[:, x + 1 + j:x + 1 + j + take], out=leaves[:, done:done + take])
             done, j = done + take, j + take
             if j == n - 1 - x:
                 x, j = x + 1, 0
         at[:] = x, j
-        return leaf[:size].sum()
+        return leaves[:, :size].sum(axis=1)
 
-    return float(2.0 * node(n * (n - 1) // 2).real)
+    return 2.0 * node(n * (n - 1) // 2).real

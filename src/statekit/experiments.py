@@ -18,7 +18,6 @@ exists has passed every check, the size of an explicit topology included.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -631,7 +630,6 @@ def run_experiment(
     return replace(report, written=written)
 
 
-@functools.cache
 def _numerics() -> dict:
     """What output bytes hold in: numpy, its BLAS, the SIMD extensions numpy found at run
     time (a DYNAMIC_ARCH BLAS picks its kernels by CPU), the BLAS thread pins and the CPUs."""

@@ -120,7 +120,7 @@ def _decomposition_blocks(u: DenseOperator, p: DistributionLike, phi: PhaseLike 
     outcomes = iter(outcomes)
     while block := list(itertools.islice(outcomes, max(1, _kernels._PACK // u.dim))):
         ys = np.array(block)
-        integers = ys.dtype.kind in "iu" and not any(isinstance(y, (bool, np.bool_)) for y in block)
+        integers = all(issubclass(k, (int, np.integer)) and k is not bool for k in set(map(type, block)))
         if not (integers and 0 <= ys.min() and ys.max() < u.dim):
             for y in block:  # raises for the first bad outcome
                 _check_outcome(u, y)

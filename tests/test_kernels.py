@@ -201,16 +201,16 @@ class TestPairSums:
 
     @pytest.mark.parametrize("pack", [64, 100, 1000])
     def test_split_tree_at_small_leaves(self, pack, monkeypatch, rng):
-        # leaves from the smallest numpy block (64 terms) up, every row split across leaves
+        # leaves from the smallest numpy block (64 terms) up, rows split across leaves
         monkeypatch.setattr(_kernels, "_PACK", pack)
         monkeypatch.setattr(_kernels, "_TREE_FROM", 2)
         for dim in [*range(2, 70), 127, 128, 129, 181, 182, 183, 255, 256, 257]:
             for kind in ["complex", "real", "zeros", "negative-zeros"]:
-                self.assert_bit_equal(self.rows(kind, 1, dim, rng))
+                self.assert_bit_equal(self.rows(kind, 3, dim, rng))
 
     @pytest.mark.parametrize("dim", [1024, 2047, 2048])
     def test_split_tree_at_size(self, dim, rng):
-        self.assert_bit_equal(self.rows("complex", 1, dim, rng))
+        self.assert_bit_equal(self.rows("complex", 2, dim, rng))
 
     def test_one_row_of_4096(self, monkeypatch, rng):
         # the oracle's terms come from row products, not the 2 x 67 MB index pair
