@@ -125,23 +125,23 @@ def pair_sums(t: np.ndarray) -> np.ndarray:
 
 
 def _tree_pair_sums(t: np.ndarray) -> np.ndarray:
-    k, n = t.shape
-    tc = t.conj()
-    leaves = np.empty((k, _PACK), dtype=np.complex128)  # one leaf per row, filled together
-    at = [0, 0]  # the row x and the offset j in it of the next term, in triu order
+    leaves = np.empty((len(t), _PACK), dtype=np.complex128)  # one leaf per row, filled together
+    return 2.0 * _tree_node(t, t.conj(), leaves, [0, 0], t.shape[1] * (t.shape[1] - 1) // 2).real
 
-    def node(size):
-        if size > _PACK:
-            half = (size - size % 8) // 2  # numpy's split of 2 * size doubles
-            return node(half) + node(size - half)
-        (x, j), done = at, 0
-        while done < size:
-            take = min(size - done, n - 1 - x - j)
-            np.multiply(t[:, x:x + 1], tc[:, x + 1 + j:x + 1 + j + take], out=leaves[:, done:done + take])
-            done, j = done + take, j + take
-            if j == n - 1 - x:
-                x, j = x + 1, 0
-        at[:] = x, j
-        return leaves[:, :size].sum(axis=1)
 
-    return 2.0 * node(n * (n - 1) // 2).real
+def _tree_node(t, tc, leaves, at, size):
+    """Each row's sum of its next ``size`` terms along numpy's tree, from ``at``: the
+    row x and the offset j in it of the next term, in triu order, moved past them."""
+    if size > _PACK:
+        half = (size - size % 8) // 2  # numpy's split of 2 * size doubles
+        return _tree_node(t, tc, leaves, at, half) + _tree_node(t, tc, leaves, at, size - half)
+    n = t.shape[1]
+    (x, j), done = at, 0
+    while done < size:
+        take = min(size - done, n - 1 - x - j)
+        np.multiply(t[:, x:x + 1], tc[:, x + 1 + j:x + 1 + j + take], out=leaves[:, done:done + take])
+        done, j = done + take, j + take
+        if j == n - 1 - x:
+            x, j = x + 1, 0
+    at[:] = x, j
+    return leaves[:, :size].sum(axis=1)
