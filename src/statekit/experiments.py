@@ -639,7 +639,7 @@ def _numerics() -> dict:
     return {
         "numpy": np.__version__,
         "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
-        "simd_found": info["SIMD Extensions"]["found"],
+        "simd_found": list(info["SIMD Extensions"]["found"]),
         "thread_pins": {key: os.environ.get(key) for key in pins},
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
     }

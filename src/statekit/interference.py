@@ -102,7 +102,8 @@ def _check_decompositions(outcomes, classical, interference, total, born) -> Non
         StatekitError,
         (np.abs(total - (classical + interference)) > tol, "report total is not the sum of its terms"),
         (~((-tol <= total) & (total <= 1.0 + tol)), lambda i: f"total {total[i].item()!r} is not a probability"),
-        (resid > tol, lambda i: f"decomposition violates the Born identity by {resid[i]:.3e} at outcome {outcomes[i]}"),
+        (resid > tol, lambda i: f"decomposition violates the Born identity by {resid[i]:.3e} "
+                                f"at outcome {outcomes[i]}"),
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import statekit as sk
+from statekit import experiments
 from statekit.errors import ConfigError, DimensionMismatchError, StatekitError
 from statekit.experiments import _check_gram_block, _tile_pairs, compute_experiment
 
@@ -855,6 +856,16 @@ class TestRunExperiment:
         assert numerics["blas"]["name"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
         assert set(numerics["thread_pins"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert isinstance(numerics["simd_found"], list) and numerics["cpus"] >= 1
+
+    def test_numeric_environment_is_a_fresh_copy(self):
+        # np.show_config(mode="dicts") hands out numpy's own configuration dict
+        numerics = experiments._numerics()
+        numerics["simd_found"].append("bogus")
+        numerics["blas"]["name"] = "bogus"
+        config = np.show_config(mode="dicts")
+        assert "bogus" not in config["SIMD Extensions"]["found"]
+        assert config["Build Dependencies"]["blas"]["name"] != "bogus"
+        assert experiments._numerics()["simd_found"] == config["SIMD Extensions"]["found"]
 
     def test_byte_identical_csv_across_runs(self, tmp_path):
         cfg_a = sk.ExperimentConfig.from_dict(parity_config(tmp_path, output_dir=str(tmp_path / "a")))
