@@ -94,39 +94,31 @@ def pair_sum(terms: np.ndarray) -> float:
 
 
 _PACK = 8192  # pair terms per packed block and per leaf of the split tree; at least numpy's 64
-_TREE_FROM = 2048  # row length from which the split tree beats the gather, whose arrays leave the cache
 
 
 def pair_sums(t: np.ndarray) -> np.ndarray:
     """``pair_sum(pair_terms(row))`` for each row of the (k, N) block ``t``, bit for bit.
 
-    Up to M = N(N-1)/2 = ``_PACK`` terms a row, ``_PACK`` // M rows are gathered as one
-    C-ordered (rows, M) block and summed along axis 1, which keeps numpy's pairwise tree
-    per row (a ``t[:, rows]`` gather is F-ordered and leaves it). Below ``_TREE_FROM``,
-    one ``pair_terms`` per row. From there the rows follow the tree by hand: n doubles split
-    at n/2 - (n/2 mod 8), so leaves of at most ``_PACK`` terms a row, filled for all rows
-    at once from slices t_x conj(t[x+1:]) with no index array, are summed alone and added
-    in the tree's order.
+    Rows of M = N(N-1)/2 <= ``_PACK`` terms are gathered through ``pair_indices``,
+    ``_PACK`` // M rows at a time as one C-ordered (rows, M) block summed along axis 1,
+    which keeps numpy's pairwise tree per row (a ``t[:, rows]`` gather is F-ordered and
+    leaves it). Longer rows follow the tree by hand: n doubles split at n/2 - (n/2 mod 8),
+    so leaves of at most ``_PACK`` terms a row, filled for all rows at once from slices
+    t_x conj(t[x+1:]) with no index array, are summed alone and added in the tree's order.
     """
     t = np.ascontiguousarray(t, dtype=np.complex128)
-    n = t.shape[1]
-    if n >= _TREE_FROM:
-        return _tree_pair_sums(t)
-    if n * (n - 1) // 2 > _PACK:
-        return np.array([pair_sum(pair_terms(row)) for row in t])
-    rows, cols = pair_indices(n)
-    step = _PACK // max(rows.size, 1)
+    m = t.shape[1] * (t.shape[1] - 1) // 2
+    if m > _PACK:
+        leaves = np.empty((len(t), _PACK), dtype=np.complex128)  # one leaf per row, filled together
+        return 2.0 * _tree_node(t, t.conj(), leaves, [0, 0], m).real
+    rows, cols = pair_indices(t.shape[1])
+    step = _PACK // max(m, 1)
     out = np.empty(len(t))
     for i in range(0, len(t), step):
         block = t[i:i + step]
         terms = np.take(block, rows, axis=1) * np.take(block.conj(), cols, axis=1)
         out[i:i + step] = 2.0 * terms.sum(axis=1).real
     return out
-
-
-def _tree_pair_sums(t: np.ndarray) -> np.ndarray:
-    leaves = np.empty((len(t), _PACK), dtype=np.complex128)  # one leaf per row, filled together
-    return 2.0 * _tree_node(t, t.conj(), leaves, [0, 0], t.shape[1] * (t.shape[1] - 1) // 2).real
 
 
 def _tree_node(t, tc, leaves, at, size):

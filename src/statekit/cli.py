@@ -146,8 +146,8 @@ def _cmd_interfere(args) -> int:
     outcomes = range(dim) if args.outcome is None else [args.outcome]
     rows = [  # outcome, classical, interference, total, born and the residual |total - born|
         (*row, abs(row[3] - row[4]))
-        for ys, _, *terms in _decomposition_blocks(u, dist, phases, outcomes)
-        for row in zip(ys.tolist(), *(a.tolist() for a in terms))
+        for block in _decomposition_blocks(u, dist, phases, outcomes)
+        for row in zip(*(a.tolist() for a in block))
     ]
     summary = {
         "unitary": args.unitary,

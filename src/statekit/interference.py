@@ -45,8 +45,8 @@ class InterferenceReport:
 
     def __post_init__(self):
         _own(self, "pairs", np.complex128)
-        fields = (self.outcome, self.classical_term, self.interference_term, self.total, self.born_probability)
-        _check_decompositions(*(np.array([value]) for value in fields))
+        _check_decompositions(self.outcome, self.classical_term, self.interference_term, self.total,
+                              self.born_probability)
 
     @property
     def residual(self) -> float:
@@ -89,50 +89,62 @@ def _amplitudes(u, dist, phi):
     return psi.amplitudes
 
 
-def _check_outcome(u: DenseOperator, outcome: int) -> None:
-    if isinstance(outcome, bool) or not isinstance(outcome, (int, np.integer)) or not 0 <= outcome < u.dim:
-        raise StatekitError(f"outcome {outcome} out of range for dim {u.dim}")
+def _outcome_indices(u: DenseOperator, outcomes: Sequence) -> tuple[np.ndarray, StatekitError | None]:
+    """The leading ``outcomes`` that are integers in [0, dim), as an index array, and the
+    error for the first one that is not (None when there is none)."""
+    for k, y in enumerate(outcomes):
+        if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y < u.dim:
+            return np.array(outcomes[:k], dtype=np.intp), StatekitError(f"outcome {y} out of range for dim {u.dim}")
+    return np.array(outcomes, dtype=np.intp), None
 
 
 def _check_decompositions(outcomes, classical, interference, total, born) -> None:
-    """``InterferenceReport``'s three checks on arrays of decompositions, in order."""
+    """``InterferenceReport``'s three checks, in order, on one decomposition or on arrays of them."""
     tol = TOLS.decomposition
-    resid = np.abs(total - born)
-    _raise_first_failure(
-        StatekitError,
-        (np.abs(total - (classical + interference)) > tol, "report total is not the sum of its terms"),
-        (~((-tol <= total) & (total <= 1.0 + tol)), lambda i: f"total {total[i].item()!r} is not a probability"),
-        (resid > tol, lambda i: f"decomposition violates the Born identity by {resid[i]:.3e} "
-                                f"at outcome {outcomes[i]}"),
-    )
+    unsummed = abs(total - (classical + interference)) > tol
+    improbable = (total < -tol) | (total > 1.0 + tol) | (total != total)  # NaN is no probability
+    resid = abs(total - born)
+    if np.count_nonzero(unsummed | improbable | (resid > tol)):  # plain Python on one decomposition
+        outcomes, total, resid, unsummed, improbable = np.atleast_1d(outcomes, total, resid, unsummed, improbable)
+        _raise_first_failure(
+            StatekitError,
+            (unsummed, "report total is not the sum of its terms"),
+            (improbable, lambda i: f"total {total[i].item()!r} is not a probability"),
+            (resid > tol, lambda i: f"decomposition violates the Born identity by {resid[i]:.3e} "
+                                    f"at outcome {outcomes[i]}"),
+        )
 
 
-def _decomposition_blocks(u: DenseOperator, p: DistributionLike, phi: PhaseLike | None, outcomes: Iterable[int]):
-    """The checked decompositions of ``outcomes`` under ``u``, in order, in blocks of at
-    most ``_kernels._PACK // N``: arrays (outcomes, t = c * U_y per row, classical,
-    interference, total, born), each entry bit for bit the one-outcome formula. The
-    classical dots are one batched (1, N) @ (N, 1) product, and born is ``float_power``,
-    the libm ``pow`` that a float64 scalar's ``** 2`` calls and a vector square is not.
-    """
+def _outcome_rows(u: DenseOperator, p: DistributionLike, phi: PhaseLike | None, outcomes: Iterable[int]):
+    """For each next ``_kernels._PACK // N`` of ``outcomes`` under ``u``, in order: the
+    outcomes ``ys``, t = c * U_y per row, the classical terms and the Born probabilities,
+    each bit for bit the one-outcome formula: the classical dots are one batched
+    (1, N) @ (N, 1) product, and born is ``float_power``, the libm ``pow`` that a float64
+    scalar's ``** 2`` calls and a vector square is not. A bad outcome raises after the
+    block of the outcomes before it."""
     _require_unitary(u)
     dist = _as_distribution(p)
     c = _amplitudes(u, dist, phi)
     born = np.abs(u.matrix @ c)
     outcomes = iter(outcomes)
     while block := list(itertools.islice(outcomes, max(1, _kernels._PACK // u.dim))):
-        ys = np.array(block)
-        integers = all(issubclass(k, (int, np.integer)) and k is not bool for k in set(map(type, block)))
-        if not (integers and 0 <= ys.min() and ys.max() < u.dim):
-            for y in block:  # raises for the first bad outcome
-                _check_outcome(u, y)
-        ys = ys.astype(np.intp)
-        rows = u.matrix[ys]
-        classical = np.matmul(dist.probabilities, np.abs(rows)[:, :, None] ** 2)[:, 0]
-        t = c * rows
+        ys, error = _outcome_indices(u, block)
+        if ys.size:
+            rows = u.matrix[ys]
+            classical = np.matmul(dist.probabilities, np.abs(rows)[:, :, None] ** 2)[:, 0]
+            yield ys, c * rows, classical, np.float_power(born[ys], 2)
+        if error:
+            raise error
+
+
+def _decomposition_blocks(u: DenseOperator, p: DistributionLike, phi: PhaseLike | None, outcomes: Iterable[int]):
+    """The checked decompositions of ``outcomes`` under ``u``, block by block: arrays
+    (outcomes, classical, interference, total, born), with no report and no pair terms kept."""
+    for ys, t, classical, born in _outcome_rows(u, p, phi, outcomes):
         interference = _kernels.pair_sums(t)
-        decomposition = (ys, classical, interference, classical + interference, np.float_power(born[ys], 2))
+        decomposition = (ys, classical, interference, classical + interference, born)
         _check_decompositions(*decomposition)
-        yield ys, t, *decomposition[1:]
+        yield decomposition
 
 
 def interference_decompositions(
@@ -149,11 +161,16 @@ def interference_decompositions(
     construction. The reported ``born_probability`` is computed through the
     independent matrix-vector route and must agree with the decomposition
     within ``TOLS.decomposition``. Unitarity, the input sizes and the
-    product ``U c`` are checked and formed once for all outcomes.
+    product ``U c`` are checked and formed once for all outcomes. Outcomes are
+    read a block ahead, but a report's pair terms are built when it is asked
+    for, and a bad outcome raises after the reports before it.
     """
-    for ys, t, *terms in _decomposition_blocks(u, p, phi, outcomes):
-        for y, row, *values in zip(ys.tolist(), t, *(a.tolist() for a in terms)):
-            yield InterferenceReport(y, *values, pairs=_freeze(_kernels.pair_terms(row)))
+    for ys, t, classical, born in _outcome_rows(u, p, phi, outcomes):
+        for y, row, classical_term, born_probability in zip(ys.tolist(), t, classical.tolist(), born.tolist()):
+            pairs = _freeze(_kernels.pair_terms(row))
+            interference = _kernels.pair_sum(pairs)
+            yield InterferenceReport(y, classical_term, interference, classical_term + interference,
+                                     born_probability, pairs)
 
 
 def interference_decomposition(
@@ -183,10 +200,10 @@ def sign_lock_check(
     spread by at most ``TOLS.sign_lock_rad``.
     """
     _require_unitary(u)
-    _check_outcome(u, outcome)
+    if error := _outcome_indices(u, (outcome,))[1]:
+        raise error
     x, xp = pair
-    integers = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in pair)
-    if not (integers and 0 <= x < u.dim and 0 <= xp < u.dim) or x == xp:
+    if _outcome_indices(u, pair)[1] or x == xp:  # basis indices follow the outcome rule
         raise StatekitError(f"pair must be two distinct basis indices in [0, {u.dim}), got {pair}")
     if not distributions:
         raise StatekitError("at least one distribution is required")

@@ -4,9 +4,11 @@ goldens.
 
 Byte identity holds per numeric environment, so the gate has two paths, and
 neither skips. When the child's ``provenance.numerics`` equals the committed
-fingerprint.json, every output must match byte for byte. Otherwise every cell
-must match within its column's tolerance below, and every other cell, like
-every header, count, label and verdict, must match as text.
+fingerprint.json, leaving out the CPU count, every output must match byte for
+byte. Otherwise every cell must match within its column's tolerance below, and
+every other cell, like every header, count, label and verdict, must match as
+text. A machine with another numpy, BLAS or SIMD set takes only this second
+path, which cannot see a change in the last bits of a residual.
 """
 import csv
 import io
@@ -59,8 +61,9 @@ def fresh(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def same_numerics(fresh):
+    # the CPU count is recorded but not compared: the child runs one BLAS thread
     read = lambda d: json.loads((d / "fingerprint.json").read_text(encoding="utf-8"))  # noqa: E731
-    return read(fresh) == read(GOLDEN)
+    return {**read(fresh), "cpus": None} == {**read(GOLDEN), "cpus": None}
 
 
 def close(got: str, want: str, tolerance) -> bool:

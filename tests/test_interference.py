@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -163,10 +165,11 @@ class TestDecompositionBlocks:
             u = haar(64, rng)
             p = rng.dirichlet(np.ones(64))
             phi = rng.uniform(0, 2 * np.pi, 64) if seed % 2 else None
-            for y, rep in enumerate(sk.interference_decompositions(u, p, phi, range(64))):
-                classical, interference, total, born, _ = single_outcome_oracle(u, p, phi, y)
-                assert (rep.classical_term, rep.interference_term, rep.total) == (classical, interference, total)
-                assert rep.born_probability == born
+            oracle = [single_outcome_oracle(u, p, phi, y)[:4] for y in range(64)]
+            reports = sk.interference_decompositions(u, p, phi, range(64))
+            assert [(r.classical_term, r.interference_term, r.total, r.born_probability) for r in reports] == oracle
+            blocks = interference._decomposition_blocks(u, p, phi, range(64))
+            assert [row for block in blocks for row in zip(*(a.tolist() for a in block[1:]))] == oracle
 
     @pytest.mark.parametrize("dim, outcomes", [(64, range(64)), (1024, [0, 511, 1023]), (2048, [0, 2047])])
     def test_interference_term_is_twice_the_pair_sum(self, dim, outcomes):
@@ -209,17 +212,38 @@ class TestDecompositionBlocks:
     def test_first_bad_outcome_of_a_block_is_named(self, outcomes):
         bad = next(y for y in outcomes if isinstance(y, (bool, np.bool_, float)) or y >= 4)
         with pytest.raises(StatekitError, match=f"^outcome {bad} out of range for dim 4$"):
-            list(sk.interference_decompositions(haar(4, 0), [0.25] * 4, None, outcomes))
+            list(interference._decomposition_blocks(haar(4, 0), [0.25] * 4, None, outcomes))
+
+    def test_reports_are_built_one_outcome_at_a_time(self, monkeypatch):
+        pair_terms = count_calls(monkeypatch, "pair_terms", module="_kernels")
+        reports = sk.interference_decompositions(haar(4, 0), [0.25] * 4, None, itertools.count())
+        assert next(reports).outcome == 0 and len(pair_terms) == 1
+        assert [next(reports).outcome for _ in range(3)] == [1, 2, 3]
+        with pytest.raises(StatekitError, match="^outcome 4 out of range for dim 4$"):
+            next(reports)
 
     def test_a_failed_check_names_its_outcome(self, monkeypatch):
         # the Born identity broken at outcome 2 only, through the interference terms
         real = interference._kernels.pair_sums
         monkeypatch.setattr(interference._kernels, "pair_sums", lambda t: real(t) + np.array([0, 0, 1e-9, 1e-9]))
         with pytest.raises(StatekitError, match=r"^decomposition violates the Born identity by 1\.000e-09 at outcome 2$"):
-            list(sk.interference_decompositions(haar(4, 0), [0.25] * 4, None, range(4)))
+            list(interference._decomposition_blocks(haar(4, 0), [0.25] * 4, None, range(4)))
         monkeypatch.setattr(interference._kernels, "pair_sums", lambda t: real(t) + np.array([0, np.nan, 0, 0]))
         with pytest.raises(StatekitError, match="^total nan is not a probability$"):
-            list(sk.interference_decompositions(haar(4, 0), [0.25] * 4, None, range(4)))
+            list(interference._decomposition_blocks(haar(4, 0), [0.25] * 4, None, range(4)))
+
+    @pytest.mark.parametrize("fields, message", [
+        ((0.1, 0.0, 0.2, 0.2), "^report total is not the sum of its terms$"),
+        ((0.1, 0.0, float("nan"), 0.1), "^total nan is not a probability$"),
+        ((1.5, 0.0, 1.5, 1.5), "^total 1.5 is not a probability$"),
+        ((0.1, 0.0, 0.1, 0.1 + 1e-9), r"^decomposition violates the Born identity by 1\.000e-09 at outcome 2$"),
+    ])
+    def test_a_report_checks_itself_with_the_block_messages(self, fields, message):
+        with pytest.raises(StatekitError, match=message):
+            sk.InterferenceReport(2, *fields, pairs=np.zeros(0))
+        outcomes, *arrays = (np.array([3, 2]), *(np.array([0.0, value]) for value in fields))
+        with pytest.raises(StatekitError, match=message):
+            interference._check_decompositions(outcomes, *arrays)
 
 
 class TestSignLock:

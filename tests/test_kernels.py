@@ -180,8 +180,8 @@ class TestPairSums:
         assert got.dtype == np.float64 and got.shape == (len(t),)
         assert got.tobytes() == expected.tobytes()
 
-    # row lengths at the edges of numpy's unroll (8 doubles) and blocks (128), of the
-    # packed regime (M = 8,128 at N = 128, 8,256 at N = 129) and of the split tree
+    # row lengths at the edges of numpy's unroll (8 doubles) and blocks (128), and where
+    # the packed gather hands over to the split tree (M = 8,128 at N = 128, 8,256 at N = 129)
     @pytest.mark.parametrize("kind", ["complex", "real", "zeros", "negative-zeros"])
     @pytest.mark.parametrize("dim", [*range(1, 18), 63, 64, 65, 127, 128, 129, 255, 256, 257, 511, 512, 513])
     def test_bit_equal_per_row(self, dim, kind, rng):
@@ -201,9 +201,9 @@ class TestPairSums:
 
     @pytest.mark.parametrize("pack", [64, 100, 1000])
     def test_split_tree_at_small_leaves(self, pack, monkeypatch, rng):
-        # leaves from the smallest numpy block (64 terms) up, rows split across leaves
+        # leaves from the smallest numpy block (64 terms) up, rows split across leaves;
+        # rows of at most ``pack`` terms take the gather, so both routes meet at each size
         monkeypatch.setattr(_kernels, "_PACK", pack)
-        monkeypatch.setattr(_kernels, "_TREE_FROM", 2)
         for dim in [*range(2, 70), 127, 128, 129, 181, 182, 183, 255, 256, 257]:
             for kind in ["complex", "real", "zeros", "negative-zeros"]:
                 self.assert_bit_equal(self.rows(kind, 3, dim, rng))
@@ -224,10 +224,10 @@ class TestPairSums:
 
     def test_split_tree_builds_no_index_pair(self, monkeypatch, rng):
         indices = count_calls(monkeypatch, "pair_indices", module="_kernels")
-        _kernels.pair_sums(self.rows("complex", 2, _kernels._TREE_FROM, rng))
+        _kernels.pair_sums(self.rows("complex", 2, 129, rng))  # M = 8,256 terms: the tree
         assert indices == []
-        _kernels.pair_sums(self.rows("complex", 2, _kernels._TREE_FROM - 1, rng))
-        assert indices == [_kernels._TREE_FROM - 1] * 2
+        _kernels.pair_sums(self.rows("complex", 2, 128, rng))  # M = 8,128: the gather
+        assert indices == [128]
 
 
 def test_dispatchers_accept_loose_dtypes():
