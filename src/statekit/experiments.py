@@ -18,8 +18,6 @@ exists has passed every check, the size of an explicit topology included.
 from __future__ import annotations
 
 import csv
-import io
-import itertools
 import json
 import math
 import numbers
@@ -37,7 +35,7 @@ from .encoders import ENCODER_IDS, ENCODERS
 from .errors import ConfigError, DimensionMismatchError, StatekitError
 from .interference import _decomposition_blocks, diagonal_trap_residual
 from .qift import CurvatureScan, QiftParams, information_curvature
-from .spectral import _verdict, spectral_profile
+from .spectral import _require_tolerance, spectral_profile
 from .statevec import (
     DenseOperator,
     Distribution,
@@ -65,6 +63,9 @@ MAX_RESONANCE_SPECS = 1024  # the resonance pair table grows as specs^2
 # a tile pair's two 128 x 128 float64 blocks (256 KB) stay in cache while the pair is
 # added and its mirror copied, where a full k.T pass strides one row per element.
 _GRAM_TILE = 128
+# Rows per block in which a CSV's cells are formatted and written: a resonance run
+# at the spec cap peaks at 60 MB so, and at 288 MB with each column formatted whole.
+_CSV_ROWS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +115,24 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
-    """One CSV-bound result table: header plus homogeneous rows."""
+    """One CSV-bound result table: a header and one column (array or sequence) per field."""
 
     name: str
     header: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    columns: tuple[Sequence, ...]
+
+    def __post_init__(self):
+        if len(self.columns) != len(self.header):
+            raise StatekitError(f"{len(self.columns)} columns for {len(self.header)} header fields")
+        if len({len(c) for c in self.columns}) > 1:
+            raise StatekitError("table columns differ in length")
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The table row by row, in plain Python values."""
+        return tuple(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,7 +494,7 @@ def _run_parity(config: ExperimentConfig) -> tuple[dict, list[Table]]:
     table = Table(
         name="parity_results",
         header=("encoder", "accuracy", "distinguishability"),
-        rows=tuple(rows),
+        columns=tuple(zip(*rows)),
     )
     return results, [table]
 
@@ -533,31 +545,32 @@ def _curvature_results(scan: CurvatureScan) -> tuple[dict, list[Table]]:
     table = Table(
         name="curvature_scan",
         header=("tau", "error"),
-        rows=tuple(zip(scan.taus.tolist(), scan.errors.tolist())),
+        columns=(scan.taus, scan.errors),
     )
     return results, [table]
 
 
 def _run_resonance(config: ExperimentConfig, tolerance: float) -> tuple[dict, list[Table]]:
+    _require_tolerance(tolerance)
     params = config.qift_params()
     rng = as_rng(config.seed)
-    specs = [params.spec(rng.uniform(-math.pi, math.pi, config.n_features)) for _ in range(int(config.count))]
-    profiles = [spectral_profile(s) for s in specs]  # one eigendecomposition per spec
-    rows = []
-    for a, b in itertools.combinations(range(len(specs)), 2):
-        verdict = _verdict(profiles[a], profiles[b], tolerance)
-        rows.append((a, b, verdict.gap_a, verdict.gap_b, verdict.delta, verdict.resonant))
+    count = int(config.count)
+    specs = [params.spec(rng.uniform(-math.pi, math.pi, config.n_features)) for _ in range(count)]
+    gaps = np.array([spectral_profile(s).mass_gap for s in specs])  # one eigendecomposition per spec
+    a, b = np.triu_indices(count, 1)  # the pairs in itertools.combinations order
+    delta = np.abs(gaps[a] - gaps[b])
+    resonant = delta <= tolerance
     results = {
         "tolerance": tolerance,
-        "n_specs": len(specs),
-        "n_pairs": len(rows),
-        "n_resonant": sum(row[5] for row in rows),
-        "gaps": [p.mass_gap for p in profiles],
+        "n_specs": count,
+        "n_pairs": a.size,
+        "n_resonant": int(resonant.sum()),
+        "gaps": gaps.tolist(),
     }
     table = Table(
         name="resonance_pairs",
         header=("spec_a", "spec_b", "gap_a", "gap_b", "delta", "resonant"),
-        rows=tuple(rows),
+        columns=(a, b, gaps[a], gaps[b], delta, resonant),
     )
     return results, [table]
 
@@ -585,7 +598,7 @@ def _run_interference_audit(config: ExperimentConfig) -> tuple[dict, list[Table]
     table = Table(
         name="interference_audit",
         header=("case", "phased", "decomposition_residual", "trap_residual"),
-        rows=tuple(rows),
+        columns=tuple(zip(*rows)),
     )
     return results, [table]
 
@@ -668,7 +681,7 @@ def write_outputs(
         for table in tables:
             path = outdir / f"{table.name}.csv"
             with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(render_csv(table))
+                write_csv(fh, table)
             written.append(str(path))
         path = outdir / json_name
         with open(path, "w", encoding="utf-8") as fh:
@@ -715,11 +728,14 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def render_csv(table: Table) -> str:
-    """RFC-4180-style CSV: header row, CRLF line endings, '.' decimals."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+def write_csv(fh, table: Table) -> None:
+    """Write ``table`` to the text file ``fh`` as RFC-4180-style CSV: header row, CRLF
+    line endings, '.' decimals, each cell as ``format_cell`` writes it. Cells are
+    formatted and written one block of rows at a time, so no text of the whole table
+    is held; ``fh`` opened with ``newline=""`` keeps the CRLFs."""
+    writer = csv.writer(fh)
     writer.writerow(table.header)
-    for row in table.rows:
-        writer.writerow([format_cell(v) for v in row])
-    return buf.getvalue()
+    for start in range(0, len(table.columns[0]), _CSV_ROWS):
+        block = [c[start:start + _CSV_ROWS] for c in table.columns]
+        cells = [map(format_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in block]
+        writer.writerows(zip(*cells))

@@ -120,10 +120,20 @@ def _profile_and_zeeman(spec: HamiltonianSpec, epsilons) -> tuple[SpectralProfil
     return profile, ZeemanTrace(eps, gaps, stability_score=float(np.abs(gaps - profile.mass_gap).max()))
 
 
-def _verdict(a: SpectralProfile, b: SpectralProfile, tolerance: float) -> ResonanceVerdict:
-    """Resonance verdict of two computed profiles; no eigendecomposition."""
+def _require_tolerance(tolerance: float) -> None:
+    """Raise unless the gap-coincidence ``tolerance`` is finite and > 0."""
     if not 0 < tolerance < np.inf:
         raise StatekitError(f"tolerance must be finite and > 0, got {tolerance}")
+
+
+def resonance_similarity(
+    spec_a: HamiltonianSpec,
+    spec_b: HamiltonianSpec,
+    tolerance: float = TOLS.resonance,
+) -> ResonanceVerdict:
+    """Declare two specs resonant when their mass gaps coincide within tolerance."""
+    _require_tolerance(tolerance)
+    a, b = spectral_profile(spec_a), spectral_profile(spec_b)
     delta = abs(a.mass_gap - b.mass_gap)
     same_size = a.eigenvalues.size == b.eigenvalues.size
     dist = float(np.abs(a.eigenvalues - b.eigenvalues).max()) if same_size else float("nan")
@@ -135,13 +145,3 @@ def _verdict(a: SpectralProfile, b: SpectralProfile, tolerance: float) -> Resona
         tolerance=tolerance,
         spectrum_distance=dist,
     )
-
-
-def resonance_similarity(
-    spec_a: HamiltonianSpec,
-    spec_b: HamiltonianSpec,
-    tolerance: float = TOLS.resonance,
-) -> ResonanceVerdict:
-    """Declare two specs resonant when their mass gaps coincide within tolerance."""
-    return _verdict(spectral_profile(spec_a), spectral_profile(spec_b), tolerance)
-

@@ -446,13 +446,13 @@ class TestRun:
         assert err == "error: topology must be an array of numbers safely castable to float64\n"
         assert not (tmp_path / "run_out").exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_resonance_tolerance_is_finite(self, capsys, tmp_path, tol):
         path = self.write_config(tmp_path, experiment="resonance", n_features=2, count=3, encoders=[])
         code, out, err = run_cli(capsys, "run", str(path), f"--tol={tol}")
         assert code == 2
         assert out == ""
-        assert err == f"error: tolerance must be finite and > 0, got {tol}\n"
+        assert err == f"error: tolerance must be finite and > 0, got {float(tol)}\n"
         assert not (tmp_path / "run_out").exists()
 
     def test_invalid_json_fails(self, capsys, tmp_path):

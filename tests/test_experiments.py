@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -936,23 +938,26 @@ class TestRunExperiment:
         compute_experiment(sk.ExperimentConfig.from_dict(raw))
         assert len(eigh_calls) == count
 
-    def test_resonance_rows_match_pairwise_verdicts(self, tmp_path):
+    # 92 specs make 4,186 pairs, more than one block of CSV rows
+    @pytest.mark.parametrize("n, count", [(3, 6), (2, 92)])
+    def test_resonance_rows_match_pairwise_verdicts(self, tmp_path, n, count):
         qift = {"mu": 0.8, "tau": 0.1, "topology": "complete"}
-        raw = {"experiment": "resonance", "n_features": 3, "count": 6, "seed": 9, "qift": qift,
+        raw = {"experiment": "resonance", "n_features": n, "count": count, "seed": 9, "qift": qift,
                "output_dir": str(tmp_path / "res")}
         results, (table,) = compute_experiment(sk.ExperimentConfig.from_dict(raw), 0.5)
         # the runner draws each spec's fields uniformly from [-pi, pi], in order
         draws = np.random.default_rng(9)
         specs = [
-            sk.HamiltonianSpec(draws.uniform(-np.pi, np.pi, 3), sk.complete_coupling(3), mu=0.8)
-            for _ in range(6)
+            sk.HamiltonianSpec(draws.uniform(-np.pi, np.pi, n), sk.complete_coupling(n), mu=0.8)
+            for _ in range(count)
         ]
+        pairs = count * (count - 1) // 2
         assert results["gaps"] == [sk.spectral_profile(s).mass_gap for s in specs]
-        assert len(table.rows) == 15
+        assert len(table.rows) == pairs
         for a, b, gap_a, gap_b, delta, resonant in table.rows:
             v = sk.resonance_similarity(specs[a], specs[b], 0.5)
             assert (gap_a, gap_b, delta, resonant) == (v.gap_a, v.gap_b, v.delta, v.resonant)
-        assert 0 < results["n_resonant"] < 15
+        assert 0 < results["n_resonant"] < pairs
         assert results["n_resonant"] == sum(row[5] for row in table.rows)
 
     def test_interference_audit_run(self, tmp_path):
@@ -999,6 +1004,70 @@ class TestRunExperiment:
         per = report.results["per_encoder"]
         assert 0.0 <= per["qift"]["accuracy"] <= 1.0
         assert per["qift"]["distinguishability"] > 0.0
+
+
+def csv_oracle(header, columns):
+    """The CSV text row by row: csv.writer with format_cell on each value as the columns hold it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([experiments.format_cell(v) for v in row])
+    return buf.getvalue()
+
+
+class TestTable:
+    def test_rejects_a_column_count_other_than_the_header(self):
+        with pytest.raises(StatekitError, match="1 columns for 2 header fields"):
+            experiments.Table("t", ("a", "b"), ([1, 2],))
+        with pytest.raises(StatekitError, match="3 columns for 2 header fields"):
+            experiments.Table("t", ("a", "b"), ([1], [2], [3]))
+
+    @pytest.mark.parametrize("short", [0, 2, 4])
+    def test_rejects_columns_of_unequal_length(self, short):
+        # zip would silently drop the rows of the longer columns
+        with pytest.raises(StatekitError, match="table columns differ in length"):
+            experiments.Table("t", ("a", "b", "c"), (np.arange(3), [0.5] * short, np.ones(3, dtype=bool)))
+
+    def test_rows_hold_plain_python_values(self):
+        table = experiments.Table("t", ("i", "x", "ok", "s"),
+                                  (np.arange(2), np.array([0.5, -0.0]), np.array([True, False]), ("a", "b")))
+        assert table.rows == ((0, 0.5, True, "a"), (1, -0.0, False, "b"))
+        assert [type(v) for v in table.rows[1]] == [int, float, bool, str]
+
+    BLOCK = experiments._CSV_ROWS
+
+    @pytest.mark.parametrize("m", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    def test_csv_equals_the_row_by_row_writer(self, m):
+        rng = np.random.default_rng(m)
+        floats = rng.normal(size=m) * 10.0 ** rng.integers(-320, 300, size=m)
+        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072009e-308, 0.1, 1e300]
+        floats[::997] = np.resize(special, floats[::997].size)
+        strings = ["plain", "a,b", 'say "hi"', "two\nlines", "", " pad "]
+        columns = (
+            np.arange(m) - m // 2,
+            np.arange(m, dtype=np.uint8),
+            rng.random(m) < 0.5,
+            [bool(v) for v in rng.random(m) < 0.5],
+            [int(v) for v in rng.integers(-2**62, 2**62, size=m)],
+            floats,
+            floats.tolist(),
+            rng.normal(size=m).astype(np.float32),
+            [strings[i % len(strings)] for i in range(m)],
+        )
+        header = ("int64", "uint8", "np_bool", "bool", "int", "float64", "float", "float32", "name, quoted")
+        table = experiments.Table("t", header, columns)
+        buf = io.StringIO()
+        experiments.write_csv(buf, table)
+        assert buf.getvalue() == csv_oracle(header, columns)
+
+    def test_write_outputs_writes_the_csv_bytes(self, tmp_path):
+        columns = (np.arange(5000), np.linspace(-1.0, 1.0, 5000), np.arange(5000) % 3 == 0)
+        table = experiments.Table("t", ("i", "x", "b"), columns)
+        experiments.write_outputs(tmp_path, [table], "summary.json", {})
+        expected = csv_oracle(table.header, columns).encode("utf-8")
+        assert (tmp_path / "t.csv").read_bytes() == expected
+        assert expected.count(b"\r\n") == 5001
 
 
 def test_encoder_table_and_qift_params_are_re_exported():
