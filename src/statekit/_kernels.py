@@ -89,6 +89,7 @@ def pair_sum(terms: np.ndarray) -> float:
 
     Twice the real part of the terms' sum, which numpy adds in one pairwise tree with
     the imaginary parts apart: bit for bit the sum of each term plus its conjugate.
+    Statekit calls ``pair_sums``, which is checked against this one-row form.
     """
     return float(2.0 * terms.sum().real)
 

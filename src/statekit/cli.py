@@ -142,8 +142,8 @@ def _cmd_interfere(args) -> int:
         u = haar_random_unitary(dim, rng)
     phases = _parse_floats(args.phases, "--phases") if args.phases else None
     outcomes = range(dim) if args.outcome is None else [args.outcome]
-    # outcome, classical, interference, total and born, each joined across the blocks
-    columns = [np.concatenate(c) for c in zip(*_decomposition_blocks(u, dist, phases, outcomes))]
+    # outcome, classical, interference, total and born, each joined across the blocks; the rows t are not (N x N)
+    columns = [np.concatenate(c) for c in zip(*(b[:5] for b in _decomposition_blocks(u, dist, phases, outcomes)))]
     residual = np.abs(columns[3] - columns[4])
     summary = {
         "unitary": args.unitary,

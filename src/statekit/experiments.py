@@ -586,7 +586,7 @@ def _run_interference_audit(config: ExperimentConfig) -> tuple[dict, list[Table]
         phased = case % 2 == 1
         phi = rng.uniform(0.0, 2.0 * math.pi, dim) if phased else None
         blocks = _decomposition_blocks(u, p, phi, range(dim))
-        decomp_resid = max(float(np.abs(total - born).max()) for *_, total, born in blocks)
+        decomp_resid = max(float(np.abs(total - born).max()) for *_, total, born, _ in blocks)
         d = DenseOperator(_freeze(np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, dim)))))
         trap_resid = diagonal_trap_residual(p, d)
         rows.append((case, phased, decomp_resid, trap_resid))
@@ -644,14 +644,20 @@ def run_experiment(
 
 
 def _numerics() -> dict:
-    """What output bytes hold in: numpy, its BLAS, the SIMD extensions numpy found at run
-    time (a DYNAMIC_ARCH BLAS picks its kernels by CPU), the BLAS thread pins and the CPUs."""
+    """What output bytes hold in: numpy, its BLAS and the core whose kernels an OpenBLAS
+    picked for this CPU, the SIMD extensions numpy found, the thread pins and the CPUs."""
+    import ctypes  # read here only, so that importing statekit loads no more
+
     info = np.show_config(mode="dicts")
     blas = info["Build Dependencies"]["blas"]
     pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    linalg = ctypes.CDLL(np.linalg._umath_linalg.__file__)  # its symbols include the BLAS it links
+    names = ("scipy_openblas_get_corename64_", "openblas_get_corename64_", "openblas_get_corename")
+    corename = ctypes.CFUNCTYPE(ctypes.c_char_p)  # const char *(void), bound to a (name, library) pair
+    core = next((corename((name, linalg))().decode() for name in names if hasattr(linalg, name)), None)
     return {
         "numpy": np.__version__,
-        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")} | {"core": core},
         "simd_found": list(info["SIMD Extensions"]["found"]),
         "thread_pins": {key: os.environ.get(key) for key in pins},
         "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),

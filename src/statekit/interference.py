@@ -32,7 +32,8 @@ from .tolerances import TOLS
 class InterferenceReport:
     """Split of one outcome's Born probability into its two mechanisms.
 
-    ``pairs`` holds the one-sided cross terms t_x conj(t_x') for x < x', in
+    ``terms`` holds the outcome's N terms t_x = c_x U_yx. ``pairs`` forms their
+    one-sided cross terms t_x conj(t_x') for x < x' on request, in
     ``np.triu_indices`` order, so ``interference_term`` is 2 Re sum(pairs).
     """
 
@@ -41,16 +42,21 @@ class InterferenceReport:
     interference_term: float
     total: float
     born_probability: float
-    pairs: np.ndarray
+    terms: np.ndarray
 
     def __post_init__(self):
-        _own(self, "pairs", np.complex128)
+        _own(self, "terms", np.complex128)
         _check_decompositions(self.outcome, self.classical_term, self.interference_term, self.total,
                               self.born_probability)
 
     @property
     def residual(self) -> float:
         return abs(self.total - self.born_probability)
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """The pair terms, read-only and formed anew at each read; hold the array to reuse it."""
+        return _freeze(_kernels.pair_terms(self.terms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,13 +121,12 @@ def _check_decompositions(outcomes, classical, interference, total, born) -> Non
         )
 
 
-def _outcome_rows(u: DenseOperator, p: DistributionLike, phi: PhaseLike | None, outcomes: Iterable[int]):
-    """For each next ``_kernels._PACK // N`` of ``outcomes`` under ``u``, in order: the
-    outcomes ``ys``, t = c * U_y per row, the classical terms and the Born probabilities,
-    each bit for bit the one-outcome formula: the classical dots are one batched
-    (1, N) @ (N, 1) product, and born is ``float_power``, the libm ``pow`` that a float64
-    scalar's ``** 2`` calls and a vector square is not. A bad outcome raises after the
-    block of the outcomes before it."""
+def _decomposition_blocks(u: DenseOperator, p: DistributionLike, phi: PhaseLike | None, outcomes: Iterable[int]):
+    """The checked decompositions of the next ``_kernels._PACK // N`` of ``outcomes`` at a time,
+    in order: arrays (outcomes, classical, interference, total, born, t), t = c * U_y per row,
+    each bit for bit the one-outcome formula: classical dots by one batched (1, N) @ (N, 1)
+    product, ``pair_sums`` of the rows, and born by ``float_power``, the libm ``pow`` of a scalar
+    ``** 2`` that a vector square is not. A bad outcome raises after the outcomes before it."""
     _require_unitary(u)
     dist = _as_distribution(p)
     c = _amplitudes(u, dist, phi)
@@ -131,20 +136,14 @@ def _outcome_rows(u: DenseOperator, p: DistributionLike, phi: PhaseLike | None, 
         ys, error = _outcome_indices(u, block)
         if ys.size:
             rows = u.matrix[ys]
+            t = c * rows
             classical = np.matmul(dist.probabilities, np.abs(rows)[:, :, None] ** 2)[:, 0]
-            yield ys, c * rows, classical, np.float_power(born[ys], 2)
+            interference = _kernels.pair_sums(t)
+            decomposition = (ys, classical, interference, classical + interference, np.float_power(born[ys], 2))
+            _check_decompositions(*decomposition)
+            yield *decomposition, t
         if error:
             raise error
-
-
-def _decomposition_blocks(u: DenseOperator, p: DistributionLike, phi: PhaseLike | None, outcomes: Iterable[int]):
-    """The checked decompositions of ``outcomes`` under ``u``, block by block: arrays
-    (outcomes, classical, interference, total, born), with no report and no pair terms kept."""
-    for ys, t, classical, born in _outcome_rows(u, p, phi, outcomes):
-        interference = _kernels.pair_sums(t)
-        decomposition = (ys, classical, interference, classical + interference, born)
-        _check_decompositions(*decomposition)
-        yield decomposition
 
 
 def interference_decompositions(
@@ -160,17 +159,13 @@ def interference_decompositions(
     sum over x != x', combined as conjugate pairs so it is real by
     construction. The reported ``born_probability`` is computed through the
     independent matrix-vector route and must agree with the decomposition
-    within ``TOLS.decomposition``. Unitarity, the input sizes and the
-    product ``U c`` are checked and formed once for all outcomes. Outcomes are
-    read a block ahead, but a report's pair terms are built when it is asked
-    for, and a bad outcome raises after the reports before it.
+    within ``TOLS.decomposition``. Unitarity, the input sizes and ``U c`` are
+    checked and formed once. Outcomes are read and checked a block ahead: a
+    failed check raises before any report of its block, a bad outcome after
+    the reports before it.
     """
-    for ys, t, classical, born in _outcome_rows(u, p, phi, outcomes):
-        for y, row, classical_term, born_probability in zip(ys.tolist(), t, classical.tolist(), born.tolist()):
-            pairs = _freeze(_kernels.pair_terms(row))
-            interference = _kernels.pair_sum(pairs)
-            yield InterferenceReport(y, classical_term, interference, classical_term + interference,
-                                     born_probability, pairs)
+    for *columns, t in _decomposition_blocks(u, p, phi, outcomes):
+        yield from map(InterferenceReport, *(column.tolist() for column in columns), t)
 
 
 def interference_decomposition(

@@ -71,10 +71,8 @@ class HamiltonianSpec:
         j = _own(self, "coupling", np.float64)
         if x.size < 1:
             raise StatekitError("at least one field strength is required")
-        mu, tau = _check_step(self.mu, self.tau, x)
+        _check_step(self, x)
         _check_coupling(j, x.size)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "tau", tau)
 
     @property
     def n_qubits(self) -> int:
@@ -98,9 +96,7 @@ class QiftParams:
     topology: Union[str, np.ndarray] = "ring"
 
     def __post_init__(self):
-        mu, tau = _check_step(self.mu, self.tau, error=ConfigError)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "tau", tau)
+        _check_step(self, error=ConfigError)
         if isinstance(self.topology, str):
             if self.topology not in COUPLINGS:
                 raise ConfigError(f"unknown topology preset {self.topology!r}; expected one of {tuple(COUPLINGS)}")
@@ -148,15 +144,15 @@ class CurvatureScan:
             raise StatekitError("errors must be non-negative")
 
 
-def _check_step(mu, tau, *fields, error: type[StatekitError] = StatekitError) -> tuple[float, float]:
-    """``mu`` and ``tau`` as floats; raise ``error`` unless each passes ``_check_real``,
-    ``fields`` are finite and tau > 0."""
+def _check_step(obj, *fields, error: type[StatekitError] = StatekitError) -> None:
+    """Set ``obj``'s ``mu`` and ``tau`` to floats; raise ``error`` unless each passes
+    ``_check_real``, ``fields`` are finite and tau > 0."""
     what = "fields, mu or tau" if fields else "mu or tau"
-    mu, tau = (_check_real(name, value, what, error) for name, value in (("mu", mu), ("tau", tau)))
+    for name in ("mu", "tau"):
+        object.__setattr__(obj, name, _check_real(name, getattr(obj, name), what, error))
     _require_finite(what, *fields, error=error)
-    if not tau > 0:
-        raise error(f"tau must be > 0, got {tau}")
-    return mu, tau
+    if not obj.tau > 0:
+        raise error(f"tau must be > 0, got {obj.tau}")
 
 
 def _check_real(name: str, value, what: str, error: type[StatekitError] = StatekitError) -> float:

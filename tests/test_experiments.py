@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import io
 import json
 
@@ -868,6 +869,13 @@ class TestRunExperiment:
         assert "bogus" not in config["SIMD Extensions"]["found"]
         assert config["Build Dependencies"]["blas"]["name"] != "bogus"
         assert experiments._numerics()["simd_found"] == config["SIMD Extensions"]["found"]
+
+    def test_numeric_environment_names_the_openblas_core_or_none(self, monkeypatch):
+        # read from the library numpy.linalg loads, which links the BLAS; another BLAS has no such symbol
+        core = experiments._numerics()["blas"]["core"]
+        assert core is None or isinstance(core, str) and core
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        assert experiments._numerics()["blas"]["core"] is None
 
     def test_byte_identical_csv_across_runs(self, tmp_path):
         cfg_a = sk.ExperimentConfig.from_dict(parity_config(tmp_path, output_dir=str(tmp_path / "a")))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ class TestDecompositionBlocks:
             reports = sk.interference_decompositions(u, p, phi, range(64))
             assert [(r.classical_term, r.interference_term, r.total, r.born_probability) for r in reports] == oracle
             blocks = interference._decomposition_blocks(u, p, phi, range(64))
-            assert [row for block in blocks for row in zip(*(a.tolist() for a in block[1:]))] == oracle
+            assert [row for block in blocks for row in zip(*(a.tolist() for a in block[1:5]))] == oracle
 
     @pytest.mark.parametrize("dim, outcomes", [(64, range(64)), (1024, [0, 511, 1023]), (2048, [0, 2047])])
     def test_interference_term_is_twice_the_pair_sum(self, dim, outcomes):
@@ -217,10 +218,37 @@ class TestDecompositionBlocks:
     def test_reports_are_built_one_outcome_at_a_time(self, monkeypatch):
         pair_terms = count_calls(monkeypatch, "pair_terms", module="_kernels")
         reports = sk.interference_decompositions(haar(4, 0), [0.25] * 4, None, itertools.count())
-        assert next(reports).outcome == 0 and len(pair_terms) == 1
+        assert next(reports).outcome == 0 and len(pair_terms) == 0
         assert [next(reports).outcome for _ in range(3)] == [1, 2, 3]
         with pytest.raises(StatekitError, match="^outcome 4 out of range for dim 4$"):
             next(reports)
+
+    def test_a_held_report_keeps_its_terms_and_forms_its_pairs_when_read(self, monkeypatch):
+        pair_terms = count_calls(monkeypatch, "pair_terms", module="_kernels")
+        u, p = haar(16, 2), np.random.default_rng(2).dirichlet(np.ones(16))
+        phi = np.random.default_rng(3).uniform(0, 2 * np.pi, 16)
+        reports = list(sk.interference_decompositions(u, p, phi, range(16)))
+        assert pair_terms == []
+        for y, rep in enumerate(reports):
+            assert rep.terms.shape == (16,) and not rep.terms.flags.writeable
+            assert rep.terms.tobytes() == (sk.phase_encoding(p, phi).amplitudes * u.matrix[y]).tobytes()
+        pairs = reports[5].pairs
+        assert len(pair_terms) == 1 and not pairs.flags.writeable
+        assert pairs.tobytes() == interference._kernels.pair_terms(reports[5].terms).tobytes()
+        with pytest.raises(AttributeError):
+            reports[5].pairs = pairs
+
+    def test_holding_every_report_at_n_9_costs_its_terms_not_its_pairs(self):
+        # N = 512 terms a report (8 KB) against M = 130,816 pair terms (2 MB)
+        u = phased_fourier(512, 9)
+        p = np.random.default_rng(9).dirichlet(np.ones(512))
+        tracemalloc.start()
+        try:
+            reports = list(sk.interference_decompositions(u, p, None, range(512)))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 512 and held < 16 * 2**20
 
     def test_a_failed_check_names_its_outcome(self, monkeypatch):
         # the Born identity broken at outcome 2 only, through the interference terms
@@ -240,7 +268,7 @@ class TestDecompositionBlocks:
     ])
     def test_a_report_checks_itself_with_the_block_messages(self, fields, message):
         with pytest.raises(StatekitError, match=message):
-            sk.InterferenceReport(2, *fields, pairs=np.zeros(0))
+            sk.InterferenceReport(2, *fields, terms=np.zeros(0))
         outcomes, *arrays = (np.array([3, 2]), *(np.array([0.0, value]) for value in fields))
         with pytest.raises(StatekitError, match=message):
             interference._check_decompositions(outcomes, *arrays)

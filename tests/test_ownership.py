@@ -22,8 +22,8 @@ def curvature(taus=np.array([1.0, 0.0]), errors=np.array([0.0, 1.0])):
     return sk.CurvatureScan(taus, errors, 3.0, 0.01, commuting=False, commutator_norm=1.0)
 
 
-def report(pairs):
-    return sk.InterferenceReport(0, 0.5, 0.0, 0.5, 0.5, pairs)
+def report(terms):
+    return sk.InterferenceReport(0, 0.5, 0.0, 0.5, 0.5, terms)
 
 
 def sign_lock(arguments):
@@ -62,7 +62,7 @@ CASES = {
     ),
     "ZeemanTrace.epsilons": ([0, 1], lambda e: sk.ZeemanTrace(e, np.ones(2), 0.0), StatekitError, True),
     "ZeemanTrace.gaps": ([1, 1], lambda g: sk.ZeemanTrace(np.zeros(2), g, 0.0), StatekitError, True),
-    "InterferenceReport.pairs": ([0, 1], report, StatekitError, False),
+    "InterferenceReport.terms": ([0, 1], report, StatekitError, False),
     "SignLockReport.arguments": ([0, 1], sign_lock, StatekitError, True),
 }
 
