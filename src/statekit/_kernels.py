@@ -36,13 +36,15 @@ def ry_layer(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
     n = angles.shape[0]
     out = np.array(amps, dtype=np.complex128, order="C")
     for q in range(n):
-        # qubit q is axis 1 of shape (2^q, 2, 2^(n-1-q), columns); an angle
-        # per column broadcasts along the last axis
+        # qubit q is axis 1 of shape (2^q, 2, 2^(n-1-q), columns); an angle per column
+        # broadcasts along the last axis. In place, only a0 is copied; the products and their
+        # order are those of c a0 - s a1 and s a0 + c a1 but for the last +, which commutes exactly
         v = out.reshape(1 << q, 2, 1 << (n - 1 - q), -1)
         a0 = v[:, 0].copy()
-        a1 = v[:, 1].copy()
-        v[:, 0] = cosines[q] * a0 - sines[q] * a1
-        v[:, 1] = sines[q] * a0 + cosines[q] * a1
+        v[:, 0] *= cosines[q]
+        v[:, 0] -= sines[q] * v[:, 1]
+        v[:, 1] *= cosines[q]
+        v[:, 1] += sines[q] * a0
     return out
 
 

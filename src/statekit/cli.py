@@ -87,10 +87,6 @@ def _emit(args, summary: dict, tables: list[Table]) -> None:
         write_csv(sys.stdout, table)
 
 
-def _seed(args) -> int:
-    return 0 if args.seed is None else args.seed
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -130,7 +126,7 @@ def _cmd_interfere(args) -> int:
     if size < 1:
         raise ConfigError(f"--dim must be >= 1, got {size}")
     _require_qubits((size - 1).bit_length(), "interfere")  # qubits of the padded register
-    rng = as_rng(_seed(args))
+    rng = as_rng(args.seed)
     if probs is not None:
         dist = Distribution(_freeze(probs))
     else:
@@ -171,7 +167,7 @@ def _cmd_trotter_scan(args) -> int:
         if x.size != args.n:
             raise ConfigError(f"--x has {x.size} entries but --n is {args.n}")
     else:
-        x = as_rng(_seed(args)).uniform(-math.pi, math.pi, args.n)
+        x = as_rng(args.seed).uniform(-math.pi, math.pi, args.n)
     spec = QiftParams(mu=args.mu, tau=args.tau_max, topology=args.topology).spec(x)
     taus = np.geomspace(args.tau_max, args.tau_min, args.points)
     results, tables = _curvature_results(information_curvature(spec, taus))
@@ -219,7 +215,7 @@ def _cmd_resonance(args) -> int:
     xa = _parse_floats(args.x_a, "--x-a")
     xb = _parse_floats(args.x_b, "--x-b")
     _require_qubits(max(xa.size, xb.size), "resonance")
-    params = QiftParams(mu=args.mu, tau=args.tau, topology=args.topology)
+    params = QiftParams(mu=args.mu, topology=args.topology)
     spec_a, spec_b = params.spec(xa), params.spec(xb)
     tol = args.tol if args.tol is not None else TOLS.resonance
     summary = asdict(resonance_similarity(spec_a, spec_b, tol))
@@ -253,20 +249,18 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    # run always prints one JSON document, so it takes no --format
-    run_opts = argparse.ArgumentParser(add_help=False)
-    run_opts.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    run_opts.add_argument("--out", type=str, default=None, help="directory to write CSV/JSON files")
-    common = argparse.ArgumentParser(add_help=False, parents=[run_opts])
+    # a subcommand takes only the options it reads: run always prints one JSON document (no
+    # --format), only interfere and trotter-scan draw from --seed, and only encode takes one step --tau
+    out_opts = argparse.ArgumentParser(add_help=False)
+    out_opts.add_argument("--out", type=str, default=None, help="directory to write CSV/JSON files")
+    common = argparse.ArgumentParser(add_help=False, parents=[out_opts])
     common.add_argument("--format", choices=("csv", "json"), default="csv", help="stdout format")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed")
 
-    # a subcommand takes only the options it reads: the spectrum and the
-    # Trotter scan do not depend on one step --tau
     coupling_opts = argparse.ArgumentParser(add_help=False)
     coupling_opts.add_argument("--mu", type=float, default=1.0, help="global coupling strength")
     coupling_opts.add_argument("--topology", default="ring", help="coupling preset: ring or complete")
-    step_opts = argparse.ArgumentParser(add_help=False, parents=[coupling_opts])
-    step_opts.add_argument("--tau", type=float, default=0.1, help="Trotter step")
 
     parser = argparse.ArgumentParser(
         prog="statekit",
@@ -275,15 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"statekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", parents=[common, step_opts], help="encode a feature vector")
+    p = sub.add_parser("encode", parents=[common, coupling_opts], help="encode a feature vector")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--values", help="comma-separated feature values")
     group.add_argument("--input", help="JSON file containing a feature array")
     p.add_argument("--encoder", choices=ENCODER_IDS, required=True)
+    p.add_argument("--tau", type=float, default=0.1, help="Trotter step")
     p.add_argument("--tol", type=float, default=None, help="positive-orthant tolerance")
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("interfere", parents=[common], help="Born-probability decomposition")
+    p = sub.add_parser("interfere", parents=[seeded], help="Born-probability decomposition")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--probs", help="comma-separated probabilities")
     group.add_argument("--dim", type=int, help="draw a seeded Dirichlet distribution of this size")
@@ -292,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", type=int, default=None, help="single outcome (default: all)")
     p.set_defaults(func=_cmd_interfere)
 
-    p = sub.add_parser("trotter-scan", parents=[common, coupling_opts], help="Trotter error scaling scan")
+    p = sub.add_parser("trotter-scan", parents=[seeded, coupling_opts], help="Trotter error scaling scan")
     p.add_argument("--n", type=int, required=True, help="number of qubits")
     p.add_argument("--x", help="comma-separated field strengths (default: seeded uniform)")
     p.add_argument("--tau-min", type=float, default=1e-3)
@@ -305,14 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeeman", help="perturbation grid start:stop:points (must include 0)")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("resonance", parents=[common, step_opts], help="gap-coincidence verdict")
+    p = sub.add_parser("resonance", parents=[common, coupling_opts], help="gap-coincidence verdict")
     p.add_argument("--x-a", required=True, help="fields of the first spec")
     p.add_argument("--x-b", required=True, help="fields of the second spec")
     p.add_argument("--tol", type=float, default=None, help="gap-coincidence tolerance")
     p.set_defaults(func=_cmd_resonance)
 
-    p = sub.add_parser("run", parents=[run_opts], help="run an experiment from a JSON config")
+    p = sub.add_parser("run", parents=[out_opts], help="run an experiment from a JSON config")
     p.add_argument("config", help="path to the config JSON file")
+    p.add_argument("--seed", type=int, default=None, help="RNG seed (default: the config's)")
     p.add_argument("--tol", type=float, default=None, help="resonance gap-coincidence tolerance")
     p.set_defaults(func=_cmd_run)
 

@@ -346,7 +346,8 @@ def _vacuum_stack(spec: HamiltonianSpec, fields: np.ndarray) -> np.ndarray:
     amps = np.zeros((spec.dim, len(fields)), dtype=np.complex128)
     amps[0] = 1.0
     amps = _kernels.ry_layer(amps, half_angles)
-    return _freeze(_kernels.ry_layer(amps * _diagonal_phase(spec)[:, None], half_angles)).T
+    amps *= _diagonal_phase(spec)[:, None]
+    return _freeze(_kernels.ry_layer(amps, half_angles)).T
 
 
 def evolve_vacuum(spec: HamiltonianSpec) -> StateVector:

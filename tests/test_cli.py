@@ -137,6 +137,10 @@ class TestFlagsASubcommandDoesNotRead:
             ["trotter-scan", "--n", "2", "--tau", "5"],
             ["spectrum", "--x", "0.5", "--tau", "0.2"],
             ["run", "cfg.json", "--format", "csv"],
+            ["encode", "--encoder", "amplitude", "--values", "1,2", "--seed", "3"],
+            ["spectrum", "--x", "0.5", "--seed", "3"],
+            ["resonance", "--x-a", "1.0", "--x-b", "1.2", "--seed", "3"],
+            ["resonance", "--x-a", "1.0", "--x-b", "1.2", "--tau", "0.2"],
         ],
     )
     def test_is_a_usage_error(self, capsys, argv):

@@ -6,6 +6,7 @@ replaced, operation for operation, so a stack must match them byte for byte.
 Every row is checked as the single-state encoder checks its input, so the
 first bad row of a stack raises exactly what that row raises on its own.
 """
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -137,6 +138,22 @@ def test_qift_encoding_builds_one_diagonal_and_two_rotation_layers(monkeypatch):
         monkeypatch.setattr(_kernels, name, counted)
     sk.encode_dataset(sk.gen_parity_dataset(4, "all", 0), "qift", sk.QiftParams())
     assert calls == {"zz_diagonal": 1, "ry_layer": 2}
+
+
+def test_qift_encoding_holds_under_four_stacks():
+    # 256 states of 256 amplitudes: a 1 MiB stack. Each rotation layer copies the
+    # stack once and rotates it with a half-size copy and a half-size product per
+    # qubit, and the diagonal phase is taken in place: about 3.3 MiB at the peak
+    stack = 1 << 20
+    ds = sk.gen_parity_dataset(8, "all", 0)
+    tracemalloc.start()
+    try:
+        states = sk.encode_dataset(ds, "qift", sk.QiftParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.amplitudes.nbytes == stack
+    assert peak < 4 * stack
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,28 @@ def rotation_layer_oracle(n, angles):
     return rot.astype(complex)
 
 
+def two_copy_ry_layer(amps, angles):
+    """The rotation layer as it was first written: both halves of each qubit
+    copied, then c a0 - s a1 and s a0 + c a1 formed out of place."""
+    cosines, sines, n = np.cos(angles), np.sin(angles), angles.shape[0]
+    out = np.array(amps, dtype=np.complex128, order="C")
+    for q in range(n):
+        v = out.reshape(1 << q, 2, 1 << (n - 1 - q), -1)
+        a0 = v[:, 0].copy()
+        a1 = v[:, 1].copy()
+        v[:, 0] = cosines[q] * a0 - sines[q] * a1
+        v[:, 1] = sines[q] * a0 + cosines[q] * a1
+    return out
+
+
+def angle_sets(n, rng):
+    """Random angles, all +0.0, all -0.0, and random angles with zeros of both signs."""
+    mixed = rng.uniform(-np.pi, np.pi, n)
+    mixed[::2] = 0.0
+    mixed[1::3] = -0.0
+    return [rng.uniform(-np.pi, np.pi, n), np.zeros(n), np.full(n, -0.0), mixed]
+
+
 class TestRyLayer:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_numpy_matches_dense_operator(self, n, rng):
@@ -44,19 +66,35 @@ class TestRyLayer:
         columns = [_kernels.ry_layer(amps[:, j], angles[:, j]) for j in range(k)]
         assert _kernels.ry_layer(amps, angles).tobytes() == np.stack(columns, axis=1).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
+    def test_bit_equal_to_two_copy_formula(self, n, rng):
+        dim = 1 << n
+        signed_zeros = rng.standard_normal((dim, 5)) + 1j * rng.standard_normal((dim, 5))
+        signed_zeros.real[::3] = -0.0
+        signed_zeros.imag[1::2] = 0.0
+        signed_zeros.imag[::4] = -0.0
+        vacua = np.zeros((dim, 4), dtype=np.complex128)
+        vacua[0] = 1.0
+        stacks = [
+            rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
+            rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3)),
+            signed_zeros,
+            vacua,
+            np.eye(dim),
+        ]
+        for amps in stacks:
+            sets = angle_sets(n, rng)
+            cases = sets + [rng.uniform(-np.pi, np.pi, (n,) + amps.shape[1:])]
+            if amps.ndim == 2:  # per-column angles, column j from set j mod 4
+                cases.append(np.stack([sets[j % 4] for j in range(amps.shape[1])], axis=1))
+            for angles in cases:
+                assert _kernels.ry_layer(amps, angles).tobytes() == two_copy_ry_layer(amps, angles).tobytes()
+
     def test_input_not_mutated(self, rng):
         amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         before = amps.copy()
         _kernels.ry_layer(amps, np.array([0.3, -0.7]))
         assert np.array_equal(amps, before)
-
-
-def angle_sets(n, rng):
-    """Random angles, all +0.0, all -0.0, and random angles with zeros of both signs."""
-    mixed = rng.uniform(-np.pi, np.pi, n)
-    mixed[::2] = 0.0
-    mixed[1::3] = -0.0
-    return [rng.uniform(-np.pi, np.pi, n), np.zeros(n), np.full(n, -0.0), mixed]
 
 
 class TestRyMatrix:
