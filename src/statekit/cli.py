@@ -31,7 +31,7 @@ from .experiments import (
 from .interference import _decomposition_blocks
 from .qift import QiftParams, information_curvature
 from .spectral import _profile_and_zeeman, resonance_similarity, spectral_profile
-from .statevec import DenseOperator, Distribution, _as_array, _freeze, as_rng, haar_random_unitary
+from .statevec import DenseOperator, Distribution, _as_array, _as_int, _freeze, as_rng, haar_random_unitary
 from .tolerances import TOLS
 
 
@@ -122,9 +122,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_interfere(args) -> int:
     probs = _parse_floats(args.probs, "--probs") if args.probs is not None else None
-    size = args.dim if probs is None else probs.size
-    if size < 1:
-        raise ConfigError(f"--dim must be >= 1, got {size}")
+    size = _as_int(args.dim if probs is None else probs.size, "--dim", 1, ConfigError)
     _require_qubits((size - 1).bit_length(), "interfere")  # qubits of the padded register
     rng = as_rng(args.seed)
     if probs is not None:
@@ -157,8 +155,7 @@ def _cmd_interfere(args) -> int:
 
 
 def _cmd_trotter_scan(args) -> int:
-    if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
+    _as_int(args.n, "--n", 1, ConfigError)
     if not (args.tau_min > 0 and args.tau_max > 0) or args.points < 0:
         raise ConfigError("--tau-min and --tau-max must be > 0 and --points must be >= 0")
     _require_qubits(args.n, "trotter-scan")

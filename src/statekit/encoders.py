@@ -28,6 +28,7 @@ from .statevec import (
     StateStack,
     StateVector,
     _as_array,
+    _as_real,
     _distribution_rows,
     _freeze,
     _pad_pow2,
@@ -169,7 +170,6 @@ ENCODER_IDS = tuple(ENCODERS)
 
 def in_positive_orthant(psi: StateVector, tol: float = TOLS.positive_orthant) -> bool:
     """True iff every amplitude is real within ``tol`` with real part > -tol."""
-    if not 0 < tol < np.inf:
-        raise StatekitError(f"tol must be finite and > 0, got {tol}")
+    tol = _as_real(tol, "tolerance", positive=True)
     amps = psi.amplitudes
     return bool(np.all(np.abs(amps.imag) < tol) and np.all(amps.real > -tol))

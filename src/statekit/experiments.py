@@ -35,14 +35,17 @@ from .encoders import ENCODER_IDS, ENCODERS
 from .errors import ConfigError, DimensionMismatchError, StatekitError
 from .interference import _decomposition_blocks, diagonal_trap_residual
 from .qift import CurvatureScan, QiftParams, information_curvature
-from .spectral import _require_tolerance, spectral_profile
+from .spectral import spectral_profile
 from .statevec import (
     DenseOperator,
     Distribution,
     StateStack,
     StateVector,
     _as_array,
+    _as_int,
+    _as_real,
     _freeze,
+    _is_int,
     _is_pow2,
     _own,
     _require_finite,
@@ -83,6 +86,7 @@ class LabeledDataset:
     def __post_init__(self):
         v = _own(self, "vectors", np.float64, finite="dataset vectors")
         l = _own(self, "labels", np.int64, value=_labels(self.labels))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         if v.ndim != 2 or v.shape[0] != l.size:
             raise StatekitError("vectors and labels must have matching first dimension")
 
@@ -170,10 +174,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_IDS}")
-        _require_int(self.n_features, "n_features", minimum=1)
-        if self.count != "all":
-            _require_int(self.count, "count", minimum=1)
-        _require_int(self.seed, "seed", minimum=0)
+        for name, low in (("n_features", 1), ("count", 1), ("seed", 0)):
+            if name != "count" or self.count != "all":
+                object.__setattr__(self, name, _as_int(getattr(self, name), name, low, ConfigError))
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a non-empty string")
         for i, enc in enumerate(self.encoders):
@@ -264,13 +267,6 @@ def _require_qubits(n: int, what: str) -> None:
         raise ConfigError(f"{what} supports at most {MAX_QUBITS} qubits, got {n}")
 
 
-def _require_int(value, name: str, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer")
-    if value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}")
-
-
 def _parse_qift_block(raw: dict) -> QiftParams:
     if not isinstance(raw, dict):
         raise ConfigError("qift block must be a JSON object")
@@ -295,13 +291,13 @@ def gen_parity_dataset(
     significant first) is 0. ``count="all"`` enumerates all 2^N vectors in
     index order; an integer count samples that many without replacement.
     """
-    if not _is_pow2(n_components) or not 2 <= n_components <= MAX_PARITY_COMPONENTS:
+    if not _is_int(n_components, 2, MAX_PARITY_COMPONENTS + 1) or not _is_pow2(n_components):
         raise StatekitError(f"n_components must be a power of 2 in [2, {MAX_PARITY_COMPONENTS}]")
     total = 1 << n_components
     if count == "all":
         indices = np.arange(total)
     else:
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        if not _is_int(count, 1):
             raise StatekitError("count must be a positive integer or 'all'")
         if count > total:
             raise StatekitError(f"count {count} exceeds the {total} distinct sign vectors")
@@ -474,8 +470,7 @@ def distinguishability(
     stack = _state_rows(states)
     if stack.shape[0] != labels.size:
         raise DimensionMismatchError(f"{stack.shape[0]} states do not match {labels.size} labels")
-    if np.unique(labels).size < 2:
-        raise StatekitError("both classes must be nonempty")
+    _require_both_classes(labels)
     tiles = (t for t in _gram_tiles(stack) if t[0].start <= t[1].start)  # mirrors hold no new pair
     return _distance(max(_cross_top(*t, labels) for t in tiles))
 
@@ -551,7 +546,7 @@ def _curvature_results(scan: CurvatureScan) -> tuple[dict, list[Table]]:
 
 
 def _run_resonance(config: ExperimentConfig, tolerance: float) -> tuple[dict, list[Table]]:
-    _require_tolerance(tolerance)
+    tolerance = _as_real(tolerance, "tolerance", positive=True)
     params = config.qift_params()
     rng = as_rng(config.seed)
     count = int(config.count)

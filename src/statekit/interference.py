@@ -24,7 +24,7 @@ from .encoders import (
     probability_loading,
 )
 from .errors import DimensionMismatchError, NotDiagonalError, StatekitError
-from .statevec import DenseOperator, _freeze, _own, _raise_first_failure, _require_unitary
+from .statevec import DenseOperator, _freeze, _is_int, _own, _raise_first_failure, _require_unitary
 from .tolerances import TOLS
 
 
@@ -99,7 +99,7 @@ def _outcome_indices(u: DenseOperator, outcomes: Sequence) -> tuple[np.ndarray, 
     """The leading ``outcomes`` that are integers in [0, dim), as an index array, and the
     error for the first one that is not (None when there is none)."""
     for k, y in enumerate(outcomes):
-        if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y < u.dim:
+        if not _is_int(y, 0, u.dim):
             return np.array(outcomes[:k], dtype=np.intp), StatekitError(f"outcome {y} out of range for dim {u.dim}")
     return np.array(outcomes, dtype=np.intp), None
 
@@ -197,8 +197,8 @@ def sign_lock_check(
     _require_unitary(u)
     if error := _outcome_indices(u, (outcome,))[1]:
         raise error
-    x, xp = pair
-    if _outcome_indices(u, pair)[1] or x == xp:  # basis indices follow the outcome rule
+    x, xp = pair if isinstance(pair, (Sequence, np.ndarray)) and len(pair) == 2 else (None, None)
+    if _outcome_indices(u, (x, xp))[1] or x == xp:  # basis indices follow the outcome rule
         raise StatekitError(f"pair must be two distinct basis indices in [0, {u.dim}), got {pair}")
     if not distributions:
         raise StatekitError("at least one distribution is required")

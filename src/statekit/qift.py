@@ -24,7 +24,6 @@ check themselves on construction by the same code, ``QiftParams`` with
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
@@ -37,6 +36,8 @@ from .statevec import (
     HermitianOperator,
     StateVector,
     _as_array,
+    _as_int,
+    _as_real,
     _freeze,
     _own,
     _require_finite,
@@ -146,25 +147,13 @@ class CurvatureScan:
 
 def _check_step(obj, *fields, error: type[StatekitError] = StatekitError) -> None:
     """Set ``obj``'s ``mu`` and ``tau`` to floats; raise ``error`` unless each passes
-    ``_check_real``, ``fields`` are finite and tau > 0."""
+    ``_as_real``, ``fields`` are finite and tau > 0."""
     what = "fields, mu or tau" if fields else "mu or tau"
     for name in ("mu", "tau"):
-        object.__setattr__(obj, name, _check_real(name, getattr(obj, name), what, error))
+        object.__setattr__(obj, name, _as_real(getattr(obj, name), name, error, what))
     _require_finite(what, *fields, error=error)
     if not obj.tau > 0:
         raise error(f"tau must be > 0, got {obj.tau}")
-
-
-def _check_real(name: str, value, what: str, error: type[StatekitError] = StatekitError) -> float:
-    """``value`` as a float; raise ``error`` unless it is a real number, not a bool,
-    and finite (a non-finite value is reported as one in ``what``)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a real number, got {value!r}")
-    try:
-        _require_finite(what, np.float64(value), error=error)
-    except OverflowError:  # an int beyond the float range
-        raise error(f"non-finite value in {what}") from None
-    return float(value)
 
 
 def _check_coupling(j: np.ndarray, n_fields: int | None = None, error=StatekitError) -> None:
@@ -183,7 +172,7 @@ def _check_coupling(j: np.ndarray, n_fields: int | None = None, error=StatekitEr
 
 def ring_coupling(n: int) -> np.ndarray:
     """Nearest-neighbour ring: J_{j,j+1 mod n} = 1."""
-    j = np.roll(np.eye(n), 1, axis=1)
+    j = np.roll(np.eye(_as_int(n, "n")), 1, axis=1)
     j = np.maximum(j, j.T)
     np.fill_diagonal(j, 0.0)  # n = 1: a site is not its own neighbour
     return j
@@ -191,7 +180,7 @@ def ring_coupling(n: int) -> np.ndarray:
 
 def complete_coupling(n: int) -> np.ndarray:
     """All-to-all coupling: every off-diagonal entry 1."""
-    return np.ones((n, n)) - np.eye(n)
+    return 1.0 - np.eye(_as_int(n, "n"))
 
 
 # topology preset name -> coupling matrix of n qubits
@@ -221,7 +210,7 @@ def build_h_topo(coupling: np.ndarray, mu: float) -> HermitianOperator:
     """
     j = _as_array(coupling, "coupling", np.float64)
     _check_coupling(j)
-    diag = _check_real("mu", mu, "mu") * _kernels.zz_diagonal(j)
+    diag = _as_real(mu, "mu") * _kernels.zz_diagonal(j)
     return HermitianOperator(_freeze(np.diag(diag.astype(np.complex128))))
 
 
@@ -229,7 +218,7 @@ def build_h_topo_dense(coupling: np.ndarray, mu: float) -> HermitianOperator:
     """Same operator as ``build_h_topo`` via explicit Pauli-string sums."""
     j = _as_array(coupling, "coupling", np.float64)
     _check_coupling(j)
-    mu = _check_real("mu", mu, "mu")
+    mu = _as_real(mu, "mu")
     n = j.shape[0]
     h = np.zeros((1 << n, 1 << n), dtype=np.complex128)
     for a in range(n):

@@ -18,6 +18,8 @@ from .qift import HamiltonianSpec, effective_hamiltonian
 from .statevec import (
     HermitianOperator,
     _as_array,
+    _as_int,
+    _as_real,
     _freeze,
     _own,
     _require_finite,
@@ -93,7 +95,7 @@ def spectral_profile(spec: HamiltonianSpec) -> SpectralProfile:
 
 def zeeman_operator(n_qubits: int) -> HermitianOperator:
     """Uniform longitudinal field sum_j Z_j, built as its diagonal n - 2 popcount(i)."""
-    idx = np.arange(1 << n_qubits)
+    idx = np.arange(1 << _as_int(n_qubits, "n_qubits", 1))
     popcount = ((idx[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
     return HermitianOperator(_freeze(np.diag((n_qubits - 2 * popcount).astype(np.complex128))))
 
@@ -120,19 +122,13 @@ def _profile_and_zeeman(spec: HamiltonianSpec, epsilons) -> tuple[SpectralProfil
     return profile, ZeemanTrace(eps, gaps, stability_score=float(np.abs(gaps - profile.mass_gap).max()))
 
 
-def _require_tolerance(tolerance: float) -> None:
-    """Raise unless the gap-coincidence ``tolerance`` is finite and > 0."""
-    if not 0 < tolerance < np.inf:
-        raise StatekitError(f"tolerance must be finite and > 0, got {tolerance}")
-
-
 def resonance_similarity(
     spec_a: HamiltonianSpec,
     spec_b: HamiltonianSpec,
     tolerance: float = TOLS.resonance,
 ) -> ResonanceVerdict:
     """Declare two specs resonant when their mass gaps coincide within tolerance."""
-    _require_tolerance(tolerance)
+    tolerance = _as_real(tolerance, "tolerance", positive=True)
     a, b = spectral_profile(spec_a), spectral_profile(spec_b)
     delta = abs(a.mass_gap - b.mass_gap)
     same_size = a.eigenvalues.size == b.eigenvalues.size

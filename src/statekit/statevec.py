@@ -9,9 +9,11 @@ All values are immutable; operations are pure functions and safe to share
 across threads. Arrays enter through ``_as_array``, which rejects bools,
 strings and ragged rows; ``_own`` also copies memory a caller can still write,
 adopts read-only memory and freezes what a type keeps, so builders freeze theirs.
+Scalars enter through ``_as_int`` (its test: ``_is_int``) and ``_as_real``, which reject bools.
 """
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Union
@@ -74,6 +76,31 @@ def _as_array(value, name: str, dtype, error=StatekitError, flat=False) -> np.nd
         raise error(f"{name} must be an array of numbers safely castable to {np.dtype(dtype)}")
     out = np.ascontiguousarray(arr, dtype=dtype)
     return out.ravel() if flat else out
+
+
+def _is_int(value, low=0, high=np.inf) -> bool:
+    """True iff ``value`` is an ``int`` or ``np.integer``, not a bool, in [low, high)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and low <= value < high
+
+
+def _as_int(value, name: str, low=0, error=StatekitError) -> int:
+    """``value`` as an int; raise ``error`` unless ``_is_int(value, low)``."""
+    if not _is_int(value, low):
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _as_real(value, name: str, error=StatekitError, what: str = "", positive=False) -> float:
+    """``value`` as a float; raise ``error`` unless it is a real number, not a bool, and finite
+    (a non-finite value is reported as one in ``what``, default ``name``). A ``positive`` value,
+    a tolerance, must be > 0, tested first: NaN, infinities and 0 get that one message."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    if positive and not 0 < value < np.inf:
+        raise error(f"{name} must be finite and > 0, got {value}")
+    if not abs(value) <= float(np.finfo(np.float64).max):  # NaN, infinities, ints beyond the float range
+        raise error(f"non-finite value in {what or name}")
+    return float(value)
 
 
 def _own(obj, name: str, dtype, error=StatekitError, finite: str | None = None, flat=False, value=None):
@@ -159,11 +186,7 @@ def as_rng(seed_or_rng: Union[int, np.random.Generator]) -> np.random.Generator:
     """Coerce an integer seed or an existing Generator into a Generator."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
-    if isinstance(seed_or_rng, bool) or not isinstance(seed_or_rng, (int, np.integer)):
-        raise StatekitError(f"seed must be a non-negative integer, got {seed_or_rng!r}")
-    if seed_or_rng < 0:
-        raise StatekitError(f"seed must be non-negative, got {seed_or_rng}")
-    return np.random.default_rng(seed_or_rng)
+    return np.random.default_rng(_as_int(seed_or_rng, "seed"))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +295,8 @@ class SpectralDecomposition:
             raise EigensolverError(f"eigenvector orthonormality residual {resid:.3e}")
 
     def evolution(self, t: float) -> DenseOperator:
-        """exp(-i t H) = V exp(-i t Lambda) V^dag for the H decomposed here."""
-        phases = np.exp(-1j * t * self.eigenvalues)
+        """exp(-i t H) = V exp(-i t Lambda) V^dag for the H decomposed here; t is a finite real."""
+        phases = np.exp(-1j * _as_real(t, "t") * self.eigenvalues)
         return DenseOperator(_freeze((self.eigenvectors * phases) @ self.eigenvectors.conj().T))
 
 
@@ -309,18 +332,17 @@ def pauli_string(n_qubits: int, assignments: Mapping[int, str]) -> HermitianOper
     Parameters
     ----------
     n_qubits : int
-        Register size; the result has dimension 2^n_qubits.
+        Register size, an integer >= 1; the result has dimension 2^n_qubits.
     assignments : mapping of site to label
-        Nonempty; sites in [0, n_qubits); labels among X, Y, Z.
+        Nonempty; integer sites in [0, n_qubits); labels among X, Y, Z.
 
     The result is Hermitian and involutory (P @ P = identity).
     """
-    if n_qubits < 1:
-        raise StatekitError("n_qubits must be >= 1")
+    n_qubits = _as_int(n_qubits, "n_qubits", 1)
     if not assignments:
         raise StatekitError("assignments must be nonempty")
     for site, label in assignments.items():
-        if not 0 <= site < n_qubits:
+        if not _is_int(site, 0, n_qubits):
             raise StatekitError(f"site {site} out of range for {n_qubits} qubits")
         if label not in ("X", "Y", "Z"):
             raise StatekitError(f"unknown Pauli label {label!r} (expected X, Y or Z)")
@@ -382,6 +404,7 @@ def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:
 def haar_random_unitary(dim: int, seed_or_rng: Union[int, np.random.Generator]) -> DenseOperator:
     """Seeded Haar-random unitary: QR of a complex Gaussian matrix with the
     phases of R's diagonal folded back into Q."""
+    dim = _as_int(dim, "dim", 1)
     rng = as_rng(seed_or_rng)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

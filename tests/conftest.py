@@ -66,6 +66,21 @@ def decomposition_oracle(u, probs, phases, y):
     return classical, interference, born
 
 
+def two_copy_ry_layer(amps, angles):
+    """The rotation layer as it was first written: both halves of each qubit
+    copied, then c a0 - s a1 and s a0 + c a1 formed out of place. ``amps`` is one
+    state or a stack of columns; ``angles`` is (n,), or (n, k) for one set per column."""
+    cosines, sines, n = np.cos(angles), np.sin(angles), angles.shape[0]
+    out = np.array(amps, dtype=np.complex128, order="C")
+    for q in range(n):
+        v = out.reshape(1 << q, 2, 1 << (n - 1 - q), -1)
+        a0 = v[:, 0].copy()
+        a1 = v[:, 1].copy()
+        v[:, 0] = cosines[q] * a0 - sines[q] * a1
+        v[:, 1] = sines[q] * a0 + cosines[q] * a1
+    return out
+
+
 def random_hermitian(dim, rng):
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (m + m.conj().T) / 2.0

@@ -18,7 +18,7 @@ from statekit import cli
 from statekit.errors import ConfigError, InvalidDistributionError, StatekitError
 from statekit.experiments import ENCODERS, LabeledDataset
 
-from conftest import count_calls
+from conftest import count_calls, two_copy_ry_layer
 
 
 def pad(v):
@@ -44,28 +44,14 @@ def phase_oracle(row, params):
     return np.sqrt(np.full(v.size, 1.0 / v.size)) * np.exp(1j * v)
 
 
-def rotation_oracle(amps, angles):
-    """The rotation layer on one state, one qubit at a time."""
-    cosines = np.cos(angles)
-    sines = np.sin(angles)
-    out = np.array(amps, dtype=np.complex128)
-    for q in range(angles.size):
-        v = out.reshape(1 << q, 2, -1)
-        a0 = v[:, 0, :].copy()
-        a1 = v[:, 1, :].copy()
-        v[:, 0, :] = cosines[q] * a0 - sines[q] * a1
-        v[:, 1, :] = sines[q] * a0 + cosines[q] * a1
-    return out
-
-
 def qift_oracle(row, params):
     tau, mu = float(params.tau), float(params.mu)
     half_angles = (tau / 2.0) * row
     dphase = np.exp(-1j * tau * mu * _kernels.zz_diagonal(params.coupling_for(row.size)))
     amps = np.zeros(1 << row.size, dtype=np.complex128)
     amps[0] = 1.0
-    amps = rotation_oracle(amps, half_angles)
-    return rotation_oracle(amps * dphase, half_angles)
+    amps = two_copy_ry_layer(amps, half_angles)
+    return two_copy_ry_layer(amps * dphase, half_angles)
 
 
 ORACLES = {

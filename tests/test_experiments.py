@@ -707,6 +707,26 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             sk.ExperimentConfig.from_dict(parity_config(tmp_path, seed=True))
 
+    def test_numpy_integers_are_integers(self, tmp_path):
+        raw = parity_config(tmp_path, n_features=np.int64(4), count=np.int32(3), seed=np.uint8(7))
+        cfg = sk.ExperimentConfig.from_dict(raw)
+        assert [type(v) for v in (cfg.n_features, cfg.count, cfg.seed)] == [int, int, int]
+        assert json.dumps(cfg.to_jsonable()) == json.dumps(sk.ExperimentConfig.from_dict(parity_config(
+            tmp_path, n_features=4, count=3, seed=7)).to_jsonable())
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n_features", 0, "^n_features must be an integer >= 1, got 0$"),
+            ("count", 2.0, "^count must be an integer >= 1, got 2.0$"),
+            ("seed", -1, "^seed must be an integer >= 0, got -1$"),
+        ],
+        ids=["n_features", "count", "seed"],
+    )
+    def test_integer_fields_through_the_scalar_intake(self, tmp_path, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            sk.ExperimentConfig.from_dict(parity_config(tmp_path, **{key: value}))
+
     def test_count_all_accepted(self, tmp_path):
         cfg = sk.ExperimentConfig.from_dict(parity_config(tmp_path))
         assert cfg.count == "all"

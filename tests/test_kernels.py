@@ -4,7 +4,7 @@ import pytest
 
 from statekit import _kernels
 
-from conftest import count_calls, random_coupling, zz_energy_oracle
+from conftest import count_calls, random_coupling, two_copy_ry_layer, zz_energy_oracle
 
 
 class TestBackendResolution:
@@ -19,20 +19,6 @@ def rotation_layer_oracle(n, angles):
         block = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
         rot = np.kron(rot, block)
     return rot.astype(complex)
-
-
-def two_copy_ry_layer(amps, angles):
-    """The rotation layer as it was first written: both halves of each qubit
-    copied, then c a0 - s a1 and s a0 + c a1 formed out of place."""
-    cosines, sines, n = np.cos(angles), np.sin(angles), angles.shape[0]
-    out = np.array(amps, dtype=np.complex128, order="C")
-    for q in range(n):
-        v = out.reshape(1 << q, 2, 1 << (n - 1 - q), -1)
-        a0 = v[:, 0].copy()
-        a1 = v[:, 1].copy()
-        v[:, 0] = cosines[q] * a0 - sines[q] * a1
-        v[:, 1] = sines[q] * a0 + cosines[q] * a1
-    return out
 
 
 def angle_sets(n, rng):

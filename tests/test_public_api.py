@@ -202,3 +202,27 @@ def test_outside_arrays_are_converted_in_one_place():
     ]
     # both ways: a stale entry would let a later conversion in its function pass unseen
     assert sorted(set(found) ^ CONVERSIONS) == []
+
+
+# the one scalar intake, and three functions that test for a bool as a value of its own:
+# _labels (the per-label rule) and the two output formatters
+SCALAR_RULES = {
+    "statevec._is_int", "statevec._as_real", "experiments._labels", "experiments._jsonify", "experiments.format_cell",
+}
+
+
+def scalar_rules(module, tree):
+    """``module.name`` of the top-level function or class around each ``isinstance(..., bool)``
+    test (``bool`` alone or in a tuple) and each ``numbers.Real`` of ``tree``."""
+    def is_rule(node):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2:
+            return any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+        return isinstance(node, ast.Attribute) and ast.unparse(node) == "numbers.Real"
+
+    return [f"{module}.{getattr(top, 'name', '<module>')}" for top in tree.body for node in ast.walk(top) if is_rule(node)]
+
+
+def test_scalars_are_checked_in_one_place():
+    found = [name for path in SRC.glob("*.py") for name in scalar_rules(path.stem, ast.parse(path.read_text()))]
+    # both ways: a stale entry would let a later scalar rule in its function pass unseen
+    assert sorted(set(found) ^ SCALAR_RULES) == []

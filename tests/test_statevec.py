@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,67 @@ def test_row_norms_bitwise_equal_to_norm_of_each_row(rng, m, d, complex_rows):
         rows = rows + 1j * rng.normal(size=(m, d)) / 3.0
     expected = np.array([np.linalg.norm(row) for row in rows])
     assert _row_norms(rows).tobytes() == expected.tobytes()
+
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+# call -> the one message its bad scalar raises. Each call was accepted, or raised a bare
+# TypeError, ValueError or RuntimeWarning, while the scalar rules were written out per function.
+BAD_SCALARS = {
+    "gen_parity_dataset(2.0)": (lambda: sk.gen_parity_dataset(2.0), "n_components must be a power of 2 in [2, 32]"),
+    "gen_parity_dataset(seed='x')": (lambda: sk.gen_parity_dataset(4, "all", seed="x"), "seed must be an integer >= 0, got 'x'"),
+    "LabeledDataset(seed='x')": (
+        lambda: sk.LabeledDataset(np.ones((1, 2)), [1], seed="x"), "seed must be an integer >= 0, got 'x'"),
+    "pauli_string(1.5)": (lambda: sk.pauli_string(1.5, {0: "X"}), "n_qubits must be an integer >= 1, got 1.5"),
+    "pauli_string(True)": (lambda: sk.pauli_string(True, {0: "X"}), "n_qubits must be an integer >= 1, got True"),
+    "pauli_string(site 0.5)": (lambda: sk.pauli_string(2, {0.5: "X"}), "site 0.5 out of range for 2 qubits"),
+    "pauli_string(site True)": (lambda: sk.pauli_string(2, {True: "X"}), "site True out of range for 2 qubits"),
+    "haar_random_unitary(-4)": (lambda: sk.haar_random_unitary(-4, 0), "dim must be an integer >= 1, got -4"),
+    "haar_random_unitary(2.0)": (lambda: sk.haar_random_unitary(2.0, 0), "dim must be an integer >= 1, got 2.0"),
+    "ring_coupling(-1)": (lambda: sk.ring_coupling(-1), "n must be an integer >= 0, got -1"),
+    "ring_coupling(2.5)": (lambda: sk.ring_coupling(2.5), "n must be an integer >= 0, got 2.5"),
+    "complete_coupling(-1)": (lambda: sk.complete_coupling(-1), "n must be an integer >= 0, got -1"),
+    "complete_coupling(2.5)": (lambda: sk.complete_coupling(2.5), "n must be an integer >= 0, got 2.5"),
+    "zeeman_operator(-1)": (lambda: sk.spectral.zeeman_operator(-1), "n_qubits must be an integer >= 1, got -1"),
+    "zeeman_operator(0)": (lambda: sk.spectral.zeeman_operator(0), "n_qubits must be an integer >= 1, got 0"),
+    "evolve(True)": (lambda: sk.evolve(sk.pauli_string(1, {0: "X"}), True), "t must be a real number, got True"),
+    "evolve('1')": (lambda: sk.evolve(sk.pauli_string(1, {0: "X"}), "1"), "t must be a real number, got '1'"),
+    "evolution(inf)": (
+        lambda: sk.hermitian_spectral_decomposition(sk.pauli_string(1, {0: "X"})).evolution(np.inf),
+        "non-finite value in t",
+    ),
+    "in_positive_orthant(True)": (
+        lambda: sk.in_positive_orthant(sk.amplitude_encoding([1.0, 1.0]), True), "tolerance must be a real number, got True"),
+    "resonance_similarity(True)": (
+        lambda: sk.resonance_similarity(sk.QiftParams().spec([0.3]), sk.QiftParams().spec([0.5]), True),
+        "tolerance must be a real number, got True",
+    ),
+    "sign_lock_check(pair 3)": (
+        lambda: sk.sign_lock_check(sk.DenseOperator(HADAMARD), 0, (0, 1, 1), [[0.5, 0.5]]),
+        "pair must be two distinct basis indices in [0, 2), got (0, 1, 1)",
+    ),
+    "sign_lock_check(pair 1)": (
+        lambda: sk.sign_lock_check(sk.DenseOperator(HADAMARD), 0, (0,), [[0.5, 0.5]]),
+        "pair must be two distinct basis indices in [0, 2), got (0,)",
+    ),
+    "sign_lock_check(pair int)": (
+        lambda: sk.sign_lock_check(sk.DenseOperator(HADAMARD), 0, 5, [[0.5, 0.5]]),
+        "pair must be two distinct basis indices in [0, 2), got 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCALARS))
+def test_bad_scalar_raises_one_statekit_error(case):
+    call, message = BAD_SCALARS[case]
+    with pytest.raises(StatekitError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_numpy_integers_are_integers():
+    assert np.array_equal(sk.pauli_string(np.int64(2), {np.int8(1): "Z"}).matrix, sk.pauli_string(2, {1: "Z"}).matrix)
+    assert np.array_equal(sk.haar_random_unitary(np.int32(4), np.uint8(3)).matrix, sk.haar_random_unitary(4, 3).matrix)
+    a, b = sk.gen_parity_dataset(np.int64(4), np.int64(5), np.int64(7)), sk.gen_parity_dataset(4, 5, 7)
+    assert np.array_equal(a.vectors, b.vectors) and type(a.seed) is int
+    # a register of no qubits is legal for the presets: QiftParams.spec sizes the coupling before it is checked
+    assert sk.ring_coupling(0).shape == sk.complete_coupling(np.int64(0)).shape == (0, 0)
