@@ -1,7 +1,7 @@
 """Seeded experiments: datasets, fidelity kernels, classification, reports.
 
-Every experiment is a pure function of (config, seed): repeated runs emit
-byte-identical CSV tables. Four experiments are wired up:
+Every experiment is a pure function of (config, seed), and resonance of its gap tolerance
+too (``results.tolerance``): repeated runs emit byte-identical CSV tables. There are four:
 
     parity              encoder contrast on the sign-vector parity task
     curvature-scan      Trotter-error scaling of the sandwich step
@@ -22,9 +22,10 @@ import json
 import math
 import numbers
 import os
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import Union
 
@@ -121,7 +122,7 @@ class GramMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """One CSV-bound result table: a header and one column (array or sequence) per field."""
+    """One CSV-bound result table: a header and one column per field, all of one kind: bool, int, float or str."""
 
     name: str
     header: tuple[str, ...]
@@ -175,7 +176,7 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENT_IDS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_IDS}")
         for name, low in (("n_features", 1), ("count", 1), ("seed", 0)):
-            if name != "count" or self.count != "all":
+            if name != "count" or not isinstance(self.count, str) or self.count != "all":
                 object.__setattr__(self, name, _as_int(getattr(self, name), name, low, ConfigError))
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir must be a non-empty string")
@@ -230,7 +231,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """Results plus provenance; every number reproducible from (config, seed)."""
+    """Results plus provenance; every number reproducible from (config, seed) and resonance's tolerance."""
 
     config: dict
     results: dict
@@ -718,25 +719,22 @@ def dumps(payload, indent: int | None = None) -> str:
     return json.dumps(_jsonify(payload), indent=indent, allow_nan=False)
 
 
-def format_cell(value) -> str:
-    """Canonical cell text: 17 significant digits for floats (round-trip exact)."""
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+def _column_cells(column) -> Iterator[str]:
+    """The cell texts of a non-empty ``column`` of one kind, whose first plain value picks
+    the rule: "true"/"false" for booleans, 17 significant digits for floats (round-trip
+    exact), ``str`` for the rest. Arrays give plain values through ``tolist()``."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    if isinstance(values[0], bool):
+        return map(("false", "true").__getitem__, values)
+    return map(format, values, repeat(".17g" if isinstance(values[0], float) else ""))
 
 
 def write_csv(fh, table: Table) -> None:
     """Write ``table`` to the text file ``fh`` as RFC-4180-style CSV: header row, CRLF
-    line endings, '.' decimals, each cell as ``format_cell`` writes it. Cells are
-    formatted and written one block of rows at a time, so no text of the whole table
-    is held; ``fh`` opened with ``newline=""`` keeps the CRLFs."""
+    line endings, '.' decimals, each column's cells by the one rule ``_column_cells`` picks
+    for it. Cells are formatted lazily, one block of rows at a time, so no text of the
+    whole table is held; ``fh`` opened with ``newline=""`` keeps the CRLFs."""
     writer = csv.writer(fh)
     writer.writerow(table.header)
     for start in range(0, len(table.columns[0]), _CSV_ROWS):
-        block = [c[start:start + _CSV_ROWS] for c in table.columns]
-        cells = [map(format_cell, c.tolist() if isinstance(c, np.ndarray) else c) for c in block]
-        writer.writerows(zip(*cells))
+        writer.writerows(zip(*(_column_cells(c[start:start + _CSV_ROWS]) for c in table.columns)))

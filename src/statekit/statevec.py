@@ -405,6 +405,8 @@ def haar_random_unitary(dim: int, seed_or_rng: Union[int, np.random.Generator]) 
     """Seeded Haar-random unitary: QR of a complex Gaussian matrix with the
     phases of R's diagonal folded back into Q."""
     dim = _as_int(dim, "dim", 1)
+    if not _is_pow2(dim):
+        raise StatekitError(f"operator dimension {dim} is not a power of 2")
     rng = as_rng(seed_or_rng)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

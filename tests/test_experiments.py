@@ -2,12 +2,13 @@ import csv
 import ctypes
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
 import statekit as sk
-from statekit import experiments
+from statekit import cli, experiments
 from statekit.errors import ConfigError, DimensionMismatchError, StatekitError
 from statekit.experiments import _check_gram_block, _tile_pairs, compute_experiment
 
@@ -714,6 +715,12 @@ class TestExperimentConfig:
         assert json.dumps(cfg.to_jsonable()) == json.dumps(sk.ExperimentConfig.from_dict(parity_config(
             tmp_path, n_features=4, count=3, seed=7)).to_jsonable())
 
+    @pytest.mark.parametrize("count", [np.array([3, 4]), np.array([3])], ids=["two", "one"])
+    def test_an_array_count_is_a_config_error(self, tmp_path, count):
+        # two elements once raised a bare ValueError from the comparison with "all"
+        with pytest.raises(ConfigError, match=f"^count must be an integer >= 1, got {re.escape(repr(count))}$"):
+            sk.ExperimentConfig.from_dict(parity_config(tmp_path, count=count))
+
     @pytest.mark.parametrize(
         "key, value, message",
         [
@@ -1034,13 +1041,24 @@ class TestRunExperiment:
         assert per["qift"]["distinguishability"] > 0.0
 
 
+def oracle_cell(value):
+    """One cell's text, by a rule chosen for each value from its Python or numpy type."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
 def csv_oracle(header, columns):
-    """The CSV text row by row: csv.writer with format_cell on each value as the columns hold it."""
+    """The CSV text row by row: csv.writer with oracle_cell on each value as the columns hold it."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     for row in zip(*columns):
-        writer.writerow([experiments.format_cell(v) for v in row])
+        writer.writerow([oracle_cell(v) for v in row])
     return buf.getvalue()
 
 
@@ -1088,6 +1106,53 @@ class TestTable:
         buf = io.StringIO()
         experiments.write_csv(buf, table)
         assert buf.getvalue() == csv_oracle(header, columns)
+
+    def test_a_resonance_pair_table_equals_the_row_by_row_writer(self, tmp_path):
+        raw = {"experiment": "resonance", "n_features": 2, "count": 64, "seed": 7, "output_dir": str(tmp_path)}
+        _, (table,) = compute_experiment(sk.ExperimentConfig.from_dict(raw))
+        # gathered gaps, int64 spec indices and a bool verdict: every kind a column holds
+        assert [c.dtype for c in table.columns] == [np.int64] * 2 + [np.float64] * 3 + [np.bool_]
+        assert len(table.columns[0]) == 64 * 63 // 2
+        buf = io.StringIO()
+        experiments.write_csv(buf, table)
+        assert buf.getvalue() == csv_oracle(table.header, table.columns)
+
+    def test_every_written_table_holds_one_kind_per_column(self, capsys, monkeypatch, tmp_path):
+        # the writer reads a column's rule from its first value, so no column may mix kinds
+        written = []
+
+        def record(write):
+            def recording(fh, table):
+                written.append(table)
+                return write(fh, table)
+            return recording
+
+        monkeypatch.setattr(experiments, "write_csv", record(experiments.write_csv))
+        monkeypatch.setattr(cli, "write_csv", record(cli.write_csv))
+        configs = [
+            parity_config(tmp_path, encoders=list(sk.ENCODER_IDS)),
+            {"experiment": "curvature-scan", "n_features": 2, "count": 1, "seed": 3},
+            {"experiment": "resonance", "n_features": 2, "count": 5, "seed": 3},
+            {"experiment": "interference-audit", "n_features": 2, "count": 3, "seed": 3},
+        ]
+        for raw in configs:
+            sk.run_experiment(sk.ExperimentConfig.from_dict({**raw, "output_dir": str(tmp_path / "out")}))
+        for argv in (
+            ["encode", "--encoder", "amplitude", "--values", "1,2,3"],
+            ["interfere", "--dim", "4", "--unitary", "haar", "--seed", "1"],
+            ["trotter-scan", "--n", "2", "--seed", "1"],
+            ["spectrum", "--x", "1,0.5", "--zeeman=-0.1:0.1:5"],
+            ["resonance", "--x-a", "1,0.5", "--x-b=-1,0.5"],
+        ):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        names = [t.name for t in written]
+        assert names == ["parity_results", "curvature_scan", "resonance_pairs", "interference_audit",
+                         "state", "interference", "curvature_scan", "spectrum", "zeeman_trace", "resonance"]
+        for table in written:
+            for field, column in zip(table.header, table.columns):
+                kinds = {type(v) for v in (column.tolist() if isinstance(column, np.ndarray) else column)}
+                assert kinds in ({bool}, {int}, {float}, {str}), (table.name, field, kinds)
 
     def test_write_outputs_writes_the_csv_bytes(self, tmp_path):
         columns = (np.arange(5000), np.linspace(-1.0, 1.0, 5000), np.arange(5000) % 3 == 0)

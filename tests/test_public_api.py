@@ -205,9 +205,9 @@ def test_outside_arrays_are_converted_in_one_place():
 
 
 # the one scalar intake, and three functions that test for a bool as a value of its own:
-# _labels (the per-label rule) and the two output formatters
+# _labels (the per-label rule) and the two output formatters (JSON values, CSV columns)
 SCALAR_RULES = {
-    "statevec._is_int", "statevec._as_real", "experiments._labels", "experiments._jsonify", "experiments.format_cell",
+    "statevec._is_int", "statevec._as_real", "experiments._labels", "experiments._jsonify", "experiments._column_cells",
 }
 
 

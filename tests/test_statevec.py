@@ -191,6 +191,14 @@ class TestHaarRandomUnitary:
         with pytest.raises(StatekitError):
             sk.haar_random_unitary(4, -1)
 
+    @pytest.mark.parametrize("dim", [3, 1500])
+    def test_a_dim_not_a_power_of_2_is_rejected_before_the_draw(self, dim):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(StatekitError, match=f"^operator dimension {dim} is not a power of 2$"):
+            sk.haar_random_unitary(dim, rng)
+        assert rng.bit_generator.state == state
+
 
 @pytest.mark.parametrize("complex_rows", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("d", [2, 4, 16, 256])
