@@ -42,12 +42,10 @@ from .experiments import (
 )
 from .interference import (
     InterferenceReport,
-    PairSignReport,
     SignLockReport,
     diagonal_trap_residual,
     interference_decomposition,
     interference_decompositions,
-    pairwise_term_signs,
     sign_lock_check,
 )
 from .qift import (

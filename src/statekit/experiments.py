@@ -1,19 +1,19 @@
 """Seeded experiments: datasets, fidelity kernels, classification, reports.
 
 Every experiment is a pure function of (config, seed), and resonance of its gap tolerance
-too (``results.tolerance``): repeated runs emit byte-identical CSV tables. There are four:
+too (``results.tolerance``): repeated runs emit byte-identical CSV tables. ``EXPERIMENTS``
+holds each of the four with its own config rules and its runner:
 
     parity              encoder contrast on the sign-vector parity task
     curvature-scan      Trotter-error scaling of the sandwich step
     resonance           pairwise gap-coincidence verdicts on seeded specs
     interference-audit  decomposition and diagonal-trap residuals at scale
 
-Configs arrive as strict JSON (unknown keys are rejected); reports echo
-the config with the version, seed and numeric environment. The encoder
-table (``ENCODERS``) lives in ``encoders`` and the Hamiltonian parameters
-(``QiftParams``) in ``qift``; both are re-exported here. ``ExperimentConfig``
-and its ``QiftParams`` check themselves on construction, so a config that
-exists has passed every check, the size of an explicit topology included.
+Configs arrive as strict JSON (unknown keys are rejected); reports echo the config with
+the version, seed and numeric environment. The encoder table (``ENCODERS``) lives in
+``encoders`` and the Hamiltonian parameters (``QiftParams``) in ``qift``; both are
+re-exported here. ``ExperimentConfig`` and its ``QiftParams`` check themselves on
+construction, so a config that exists has passed every check of its experiment.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import json
 import math
 import numbers
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from itertools import repeat
@@ -54,8 +54,6 @@ from .statevec import (
     haar_random_unitary,
 )
 from .tolerances import TOLS
-
-EXPERIMENT_IDS = ("parity", "curvature-scan", "resonance", "interference-audit")
 
 # Admission limits of ExperimentConfig; README's config section gives the budget.
 MAX_QUBITS = 12  # dense 2^n x 2^n complex128 operators; also the qift encoder's register
@@ -173,7 +171,7 @@ class ExperimentConfig:
         return cls(**{**raw, "encoders": tuple(encoders), "qift": qift})
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_IDS:
+        if self.experiment not in EXPERIMENT_IDS:  # a tuple: an unhashable id is unknown, no TypeError
             raise ConfigError(f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENT_IDS}")
         for name, low in (("n_features", 1), ("count", 1), ("seed", 0)):
             if name != "count" or not isinstance(self.count, str) or self.count != "all":
@@ -185,32 +183,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown encoder {enc!r}; expected one of {ENCODER_IDS}")
             if enc in self.encoders[:i]:
                 raise ConfigError(f"encoder {enc!r} is listed more than once")
-        n = self.n_features
-        if self.experiment == "parity":
-            if not self.encoders:
-                raise ConfigError("parity experiment requires a non-empty encoders list")
-            if not _is_pow2(n) or n < 2:
-                raise ConfigError("parity experiment requires n_features to be a power of 2 (>= 2)")
-            if n > MAX_PARITY_COMPONENTS:
-                raise ConfigError(f"parity supports at most {MAX_PARITY_COMPONENTS} components, got {n}")
-            samples = 1 << n if self.count == "all" else int(self.count)
-            if samples > MAX_PARITY_SAMPLES:
-                raise ConfigError(f"parity supports at most {MAX_PARITY_SAMPLES} samples, got {samples}")
-            if "qift" in self.encoders:
-                _require_qubits(n, "the qift encoder")
-                self.qift_params().coupling_for(n)  # an explicit topology must be n x n
-        else:
-            # n_features counts qubits here; the toolkit is dense-only
-            _require_qubits(n, self.experiment)
-            if self.experiment != "interference-audit":
-                self.qift_params().coupling_for(n)
-        if self.experiment == "resonance":
-            if self.count == "all" or int(self.count) < 2:
-                raise ConfigError("resonance experiment requires an integer count >= 2")
-            if int(self.count) > MAX_RESONANCE_SPECS:
-                raise ConfigError(f"resonance supports at most {MAX_RESONANCE_SPECS} specs, got {self.count}")
-        if self.experiment in ("curvature-scan", "interference-audit") and self.count == "all":
-            raise ConfigError(f"{self.experiment} requires an integer count")
+        EXPERIMENTS[self.experiment].check(self)
 
     def qift_params(self) -> QiftParams:
         return self.qift if self.qift is not None else QiftParams()
@@ -262,10 +235,13 @@ def _labels(labels) -> np.ndarray:
     return _freeze(flat.astype(np.int64))  # adopted by the intake, not copied
 
 
-def _require_qubits(n: int, what: str) -> None:
-    """Reject a dense problem on more than ``MAX_QUBITS`` qubits before it is built."""
+def _require_qubits(n: int, what: str, params: QiftParams | None = None) -> None:
+    """Reject a dense problem on more than ``MAX_QUBITS`` qubits before it is built and,
+    given the ``params`` of its Hamiltonian, an explicit topology that is not n x n."""
     if n > MAX_QUBITS:
         raise ConfigError(f"{what} supports at most {MAX_QUBITS} qubits, got {n}")
+    if params is not None:
+        params.coupling_for(n)
 
 
 def _parse_qift_block(raw: dict) -> QiftParams:
@@ -477,10 +453,57 @@ def distinguishability(
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiments: each one's own config rules and its runner
 # ---------------------------------------------------------------------------
 
-def _run_parity(config: ExperimentConfig) -> tuple[dict, list[Table]]:
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: ``check(config)`` raises ``ConfigError`` on a config that breaks its
+    own rules, after the shared ones are checked, and ``run(config, tolerance)`` computes
+    its results and tables (only resonance reads the tolerance)."""
+
+    check: Callable[[ExperimentConfig], None]
+    run: Callable[[ExperimentConfig, float], tuple[dict, list[Table]]]
+
+
+def _check_parity(config: ExperimentConfig) -> None:
+    n = config.n_features
+    if not config.encoders:
+        raise ConfigError("parity experiment requires a non-empty encoders list")
+    if not _is_pow2(n) or n < 2:
+        raise ConfigError("parity experiment requires n_features to be a power of 2 (>= 2)")
+    if n > MAX_PARITY_COMPONENTS:
+        raise ConfigError(f"parity supports at most {MAX_PARITY_COMPONENTS} components, got {n}")
+    samples = 1 << n if config.count == "all" else config.count
+    if samples > MAX_PARITY_SAMPLES:
+        raise ConfigError(f"parity supports at most {MAX_PARITY_SAMPLES} samples, got {samples}")
+    if samples > 1 << n:
+        raise ConfigError(f"count {samples} exceeds the {1 << n} distinct sign vectors")
+    if "qift" in config.encoders:
+        _require_qubits(n, "the qift encoder", config.qift_params())
+
+
+def _check_curvature(config: ExperimentConfig) -> None:
+    _require_qubits(config.n_features, "curvature-scan", config.qift_params())
+    if config.count == "all":
+        raise ConfigError("curvature-scan requires an integer count")
+
+
+def _check_resonance(config: ExperimentConfig) -> None:
+    _require_qubits(config.n_features, "resonance", config.qift_params())
+    if config.count == "all" or config.count < 2:
+        raise ConfigError("resonance experiment requires an integer count >= 2")
+    if config.count > MAX_RESONANCE_SPECS:
+        raise ConfigError(f"resonance supports at most {MAX_RESONANCE_SPECS} specs, got {config.count}")
+
+
+def _check_audit(config: ExperimentConfig) -> None:
+    _require_qubits(config.n_features, "interference-audit")  # the audit builds no Hamiltonian
+    if config.count == "all":
+        raise ConfigError("interference-audit requires an integer count")
+
+
+def _run_parity(config: ExperimentConfig, tolerance: float) -> tuple[dict, list[Table]]:
     ds = gen_parity_dataset(config.n_features, config.count, config.seed)
     params = {enc: config.qift_params() if enc == "qift" else None for enc in config.encoders}
     # one encoder's states at a time: each stack is freed once it is scored
@@ -523,7 +546,7 @@ def _distance(top: float) -> float:
     return float(np.sqrt(np.maximum(0.0, 1.0 - top)))
 
 
-def _run_curvature(config: ExperimentConfig) -> tuple[dict, list[Table]]:
+def _run_curvature(config: ExperimentConfig, tolerance: float) -> tuple[dict, list[Table]]:
     x = as_rng(config.seed).uniform(-math.pi, math.pi, config.n_features)
     results, tables = _curvature_results(information_curvature(config.qift_params().spec(x)))
     results["fields"] = x.tolist()
@@ -571,7 +594,7 @@ def _run_resonance(config: ExperimentConfig, tolerance: float) -> tuple[dict, li
     return results, [table]
 
 
-def _run_interference_audit(config: ExperimentConfig) -> tuple[dict, list[Table]]:
+def _run_interference_audit(config: ExperimentConfig, tolerance: float) -> tuple[dict, list[Table]]:
     n = config.n_features
     dim = 1 << n
     rng = as_rng(config.seed)
@@ -599,19 +622,22 @@ def _run_interference_audit(config: ExperimentConfig) -> tuple[dict, list[Table]
     return results, [table]
 
 
+EXPERIMENTS: dict[str, Experiment] = {
+    "parity": Experiment(_check_parity, _run_parity),
+    "curvature-scan": Experiment(_check_curvature, _run_curvature),
+    "resonance": Experiment(_check_resonance, _run_resonance),
+    "interference-audit": Experiment(_check_audit, _run_interference_audit),
+}
+EXPERIMENT_IDS = tuple(EXPERIMENTS)
+
+
 def compute_experiment(
     config: ExperimentConfig,
     resonance_tolerance: float | None = None,
 ) -> tuple[dict, list[Table]]:
     """Run the configured experiment in memory; no files touched."""
-    if config.experiment == "parity":
-        return _run_parity(config)
-    if config.experiment == "curvature-scan":
-        return _run_curvature(config)
-    if config.experiment == "resonance":
-        tol = TOLS.resonance if resonance_tolerance is None else resonance_tolerance
-        return _run_resonance(config, tol)
-    return _run_interference_audit(config)
+    tol = TOLS.resonance if resonance_tolerance is None else resonance_tolerance
+    return EXPERIMENTS[config.experiment].run(config, tol)
 
 
 def run_experiment(

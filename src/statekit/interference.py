@@ -77,15 +77,6 @@ class SignLockReport:
         return self.locked
 
 
-@dataclass(frozen=True, eq=False)
-class PairSignReport:
-    """Real part of every pre-summed pair term at one outcome, with sign flags."""
-
-    outcome: int
-    terms: tuple[tuple[int, int, float], ...]
-    any_negative: bool
-
-
 def _amplitudes(u, dist, phi):
     """Input amplitudes c_x = sqrt(p_x) e^{i phi_x} of ``probability_loading``
     (``phi`` None) or ``phase_encoding``, size-checked against ``u``."""
@@ -247,19 +238,3 @@ def diagonal_trap_residual(p: DistributionLike, d: DenseOperator) -> float:
     dist = _as_distribution(p)
     out = d.matrix @ _amplitudes(d, dist, None)
     return float(np.abs(np.abs(out) ** 2 - dist.probabilities).max())
-
-
-def pairwise_term_signs(u: DenseOperator, p: DistributionLike, outcome: int) -> PairSignReport:
-    """Real parts of all pre-summed pair terms for a phase-locked input.
-
-    Negative entries witness destructive cross terms; since the data weights
-    sqrt(p_x p_x') are positive, any negativity originates in the matrix
-    elements alone (rescaling ``p`` never flips a sign — see tests).
-    """
-    values = 2.0 * interference_decomposition(u, p, None, outcome).pairs.real
-    xs, xps = _kernels.pair_indices(u.dim)
-    return PairSignReport(
-        outcome=outcome,
-        terms=tuple(zip(xs.tolist(), xps.tolist(), values.tolist())),
-        any_negative=bool((values < 0.0).any()),
-    )

@@ -1,8 +1,11 @@
 import csv
 import ctypes
+import functools
 import io
 import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +149,69 @@ class TestFidelityGram:
             sk.GramMatrix(np.zeros((0, 0)))
 
 
+@functools.cache
+def golden_kernels() -> bool:
+    """Whether this process multiplies with the numpy, BLAS (and the core whose kernels it
+    picked) and SIMD set recorded in tests/golden/fingerprint.json. On those kernels a
+    128-row sub-block product rounds as the same entries of the whole product do, so the
+    Gram tests below demand bytes there; other cores (forced Haswell, for one) round them
+    differently at ragged sizes. The thread pins and CPU count are left out: the bytes
+    hold at one and at two BLAS threads, and a tier-1 run pins no thread count."""
+    golden = json.loads((Path(__file__).parent / "golden" / "fingerprint.json").read_text(encoding="utf-8"))
+    numerics = experiments._numerics()
+    return all(numerics[key] == golden[key] for key in ("numpy", "blas", "simd_found"))
+
+
+U = 2.0**-53  # the unit roundoff of float64
+
+
+def gram_error_bound(d: int) -> float:
+    """The largest difference between two float64 computations, in any order of their sums,
+    of one symmetrised Gram entry |<a|b>|^2 of unit states of dimension ``d``. A complex
+    dot product errs by at most g = gamma_{d+2} |a|^T |b| <= gamma_{d+2}, gamma_k =
+    k u / (1 - k u) (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    eq. (3.5) and sect. 3.6), so its squared modulus errs by at most 2 g + g^2; the
+    modulus (1 ulp), the square and the average add at most 6 u of an entry <= 1."""
+    g = (d + 2) * U / (1 - (d + 2) * U)
+    return 2 * (2 * g + g * g + 6 * U)
+
+
+def assert_gram_equal(got, want, d, what=None):
+    """Gram entries equal byte for byte on the goldens' kernels, else within the bound."""
+    if golden_kernels():
+        assert got.tobytes() == want.tobytes(), what
+    else:
+        assert got.shape == want.shape and np.abs(got - want).max() <= gram_error_bound(d), what
+
+
+def assert_distance_equal(got, want, d, what=None):
+    """Distances sqrt(max(0, 1 - k)) equal bit for bit on the goldens' kernels, else within
+    the Gram bound carried through the square root: |sqrt(a) - sqrt(b)| <= min(sqrt(e),
+    e / (sqrt(a) + sqrt(b))) for |a - b| <= e, where e adds the two roundings of 1 - k to
+    the Gram bound; max(0, .) widens no difference, and each root rounds by u of itself."""
+    if golden_kernels():
+        assert got.hex() == want.hex(), what
+    else:
+        e = gram_error_bound(d) + 2 * U
+        bound = math.sqrt(e) if got + want == 0 else min(math.sqrt(e), e / (got + want)) + U * (got + want)
+        assert abs(got - want) <= bound, what
+
+
+def test_gram_tolerance_path_accepts_rounding_and_rejects_a_moved_entry(monkeypatch):
+    # the Gram tests' second path, exercised whatever this machine's kernels
+    monkeypatch.setitem(globals(), "golden_kernels", lambda: False)
+    states = random_states(129, 16, 0)
+    k = untiled_gram(states)
+    assert_gram_equal(k * (1 + 4 * U), k, 16)
+    with pytest.raises(AssertionError):
+        assert_gram_equal(k + 1e-13 * np.eye(129), k, 16)
+    assert_distance_equal(0.5 * (1 + 4 * U), 0.5, 16)
+    assert_distance_equal(1e-8, 0.0, 16)  # the square root of a rounding-size gap
+    for got, want in ((0.5 + 1e-12, 0.5), (1e-6, 0.0)):
+        with pytest.raises(AssertionError):
+            assert_distance_equal(got, want, 16)
+
+
 def untiled_gram(states):
     """The whole-matrix formula that the tiled assembly reproduces bit for bit."""
     s = np.vstack([st.amplitudes for st in states])
@@ -159,18 +225,19 @@ def random_states(m, d, seed):
 
 
 class TestTiledGram:
-    """``fidelity_gram`` builds the Gram in 128 x 128 tiles; the bytes must not change."""
+    """``fidelity_gram`` builds the Gram in 128 x 128 tiles; on the goldens' kernels
+    (``golden_kernels``) the bytes must not change."""
 
     @pytest.mark.parametrize("m", [1, 2, 127, 128, 129, 300])
     def test_bitwise_equal_to_untiled_formula(self, m):
         states = random_states(m, 8, m)
-        assert sk.fidelity_gram(states).entries.tobytes() == untiled_gram(states).tobytes()
+        assert_gram_equal(sk.fidelity_gram(states).entries, untiled_gram(states), 8)
 
     # m = 1 mod 128 would leave a one-row block, whose product takes another BLAS route
     @pytest.mark.parametrize("m", [257, 385, 2049])
     def test_ragged_edge_bitwise_equal_to_untiled_formula(self, m):
         states = sk.StateStack(np.vstack([s.amplitudes for s in random_states(m, 16, m)]))
-        assert sk.fidelity_gram(states).entries.tobytes() == untiled_gram(states).tobytes()
+        assert_gram_equal(sk.fidelity_gram(states).entries, untiled_gram(states), 16)
 
     def test_tiles_have_no_one_wide_block_and_cover_each_entry_once(self):
         for m in range(1, 1001):
@@ -189,13 +256,13 @@ class TestTiledGram:
         # the complex GEMM rounds k[i, j] and k[j, i] differently for some pairs,
         # so the averaging really decides these entries
         assert np.count_nonzero(raw != raw.T) > 0
-        assert sk.fidelity_gram(states).entries.tobytes() == untiled_gram(states).tobytes()
+        assert_gram_equal(sk.fidelity_gram(states).entries, untiled_gram(states), 8)
 
     def test_real_amplitude_encoding(self):
         for m in (300, 257):
             states = sk.encode_dataset(sk.gen_parity_dataset(16, m, 3), "amplitude")
             gram = sk.fidelity_gram(states, "amplitude")
-            assert gram.entries.tobytes() == untiled_gram(states).tobytes(), m
+            assert_gram_equal(gram.entries, untiled_gram(states), 16, m)
 
     # a stack with no nonzero imaginary part squares the real part of each product,
     # others take the modulus; a route wrongly chosen would change the bytes
@@ -209,7 +276,7 @@ class TestTiledGram:
             stack[m // 2, 3] *= np.exp(0.3j)  # a phase keeps the norm
         states = sk.StateStack(stack)
         assert np.signbit(states.amplitudes.imag).all() == (kind == "negative-zero-imaginary")
-        expected = untiled_gram(states).tobytes()
+        expected = untiled_gram(states)
         complex_moduli = []
         absolute = np.abs
 
@@ -218,7 +285,7 @@ class TestTiledGram:
             return absolute(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "abs", spy)
-        assert sk.fidelity_gram(states).entries.tobytes() == expected, (m, kind)
+        assert_gram_equal(sk.fidelity_gram(states).entries, expected, 16, (m, kind))
         assert any(complex_moduli) == (kind == "one-imaginary-entry"), (m, kind)
 
 
@@ -435,7 +502,7 @@ class TestDistinguishability:
                 stack[r] = scale * stack[rng.choice(np.flatnonzero(labels != labels[r]))]
             states = sk.StateStack(stack)
             expected = cross_block_distinguishability(untiled_gram(states), labels)
-            assert sk.distinguishability(states, labels).hex() == expected.hex(), (m, r, scale)
+            assert_distance_equal(sk.distinguishability(states, labels), expected, 8, (m, r, scale))
             if scale is None:
                 assert expected > 0.0, (m, r)
             elif scale > 1:
@@ -446,7 +513,7 @@ class TestDistinguishability:
         ds = sk.gen_parity_dataset(8, "all", 0)
         states = sk.encode_dataset(ds, enc)
         expected = cross_block_distinguishability(untiled_gram(states), ds.labels)
-        assert sk.distinguishability(states, ds.labels).hex() == expected.hex()
+        assert_distance_equal(sk.distinguishability(states, ds.labels), expected, states.amplitudes.shape[1])
 
     def test_collapse_gives_zero(self):
         ds = sk.gen_parity_dataset(4, "all", 0)
@@ -523,7 +590,7 @@ class TestGramScoreStream:
         states = sk.StateStack(stack)
         acc, dist = sk.experiments._gram_scores(stack, labels)
         assert acc == sk.nn_classify_loo(sk.fidelity_gram(states), labels)
-        assert dist.hex() == cross_block_distinguishability(untiled_gram(states), labels).hex()
+        assert_distance_equal(dist, cross_block_distinguishability(untiled_gram(states), labels), stack.shape[1])
 
     # identical states have fidelity 1 everywhere: every row is fully degenerate and
     # predicts the first label, except at m = 2, where each has one genuine neighbour
@@ -549,7 +616,7 @@ class TestGramScoreStream:
         hits = np.zeros((m, m), dtype=np.int8)
         met = {}
         for rows, cols, blk in sk.experiments._gram_tiles(states.amplitudes):
-            assert blk.tobytes() == k[rows, cols].tobytes(), (m, rows, cols)
+            assert_gram_equal(blk, k[rows, cols], 8, (m, rows, cols))
             hits[rows, cols] += 1
             met.setdefault(rows.start, []).append(cols.start)
         assert (hits == 1).all(), m
@@ -662,6 +729,10 @@ class TestLabels:
         ds = sk.LabeledDataset(np.eye(2), labels, 0)
         assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, -1]
         assert sk.nn_classify_loo(np.eye(2), labels) == 0.0
+
+
+RING_3 = sk.ring_coupling(3).tolist()  # an explicit topology of the wrong size for 4 qubits
+WRONG_SHAPE = "explicit coupling matrix has shape (3, 3), expected (4, 4)"
 
 
 class TestExperimentConfig:
@@ -853,6 +924,53 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="12 qubits"):
             sk.ExperimentConfig.from_dict(dict(raw, encoders=["amplitude", "qift"]))
 
+    # one row per rule: a valid config of the experiment, changed by the overrides, and
+    # the whole message it must raise; the last rows give more than one fault and pin
+    # which rule is met first (the qubit cap, then the topology's shape, then the count)
+    @pytest.mark.parametrize(
+        "experiment, overrides, message",
+        [
+            ("teleport", {}, "unknown experiment 'teleport'; expected one of "
+             "('parity', 'curvature-scan', 'resonance', 'interference-audit')"),
+            (["parity"], {}, "unknown experiment ['parity']; expected one of "
+             "('parity', 'curvature-scan', 'resonance', 'interference-audit')"),
+            ("parity", {"encoders": []}, "parity experiment requires a non-empty encoders list"),
+            ("parity", {"n_features": 3}, "parity experiment requires n_features to be a power of 2 (>= 2)"),
+            ("parity", {"n_features": 1}, "parity experiment requires n_features to be a power of 2 (>= 2)"),
+            ("parity", {"n_features": 64, "count": 4}, "parity supports at most 32 components, got 64"),
+            ("parity", {"n_features": 16}, "parity supports at most 4096 samples, got 65536"),
+            ("parity", {"n_features": 16, "count": 4097}, "parity supports at most 4096 samples, got 4097"),
+            ("parity", {"count": 17}, "count 17 exceeds the 16 distinct sign vectors"),
+            ("parity", {"n_features": 16, "count": 4, "encoders": ["qift"]},
+             "the qift encoder supports at most 12 qubits, got 16"),
+            ("parity", {"encoders": ["qift"], "qift": {"topology": RING_3}}, WRONG_SHAPE),
+            ("curvature-scan", {"n_features": 13}, "curvature-scan supports at most 12 qubits, got 13"),
+            ("resonance", {"n_features": 13}, "resonance supports at most 12 qubits, got 13"),
+            ("interference-audit", {"n_features": 13}, "interference-audit supports at most 12 qubits, got 13"),
+            ("curvature-scan", {"qift": {"topology": RING_3}}, WRONG_SHAPE),
+            ("resonance", {"qift": {"topology": RING_3}}, WRONG_SHAPE),
+            ("resonance", {"count": 1}, "resonance experiment requires an integer count >= 2"),
+            ("resonance", {"count": "all"}, "resonance experiment requires an integer count >= 2"),
+            ("resonance", {"count": 1025}, "resonance supports at most 1024 specs, got 1025"),
+            ("curvature-scan", {"count": "all"}, "curvature-scan requires an integer count"),
+            ("interference-audit", {"count": "all"}, "interference-audit requires an integer count"),
+            ("resonance", {"n_features": 13, "qift": {"topology": RING_3}, "count": "all"},
+             "resonance supports at most 12 qubits, got 13"),
+            ("resonance", {"qift": {"topology": RING_3}, "count": "all"}, WRONG_SHAPE),
+            ("curvature-scan", {"n_features": 13, "count": "all"}, "curvature-scan supports at most 12 qubits, got 13"),
+            ("interference-audit", {"n_features": 13, "count": "all"},
+             "interference-audit supports at most 12 qubits, got 13"),
+        ],
+    )
+    def test_every_rule_raises_its_own_message(self, tmp_path, experiment, overrides, message):
+        raw = parity_config(tmp_path, experiment=experiment)
+        if experiment != "parity":
+            raw.update(count=2, encoders=[])
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            sk.ExperimentConfig.from_dict(dict(raw, **overrides))
+        if experiment in sk.EXPERIMENT_IDS:
+            assert sk.ExperimentConfig.from_dict(raw)  # the fault alone is rejected
+
 
 class TestRunExperiment:
     def test_parity_contrast_report(self, tmp_path):
@@ -921,10 +1039,11 @@ class TestRunExperiment:
         assert not (tmp_path / "out").exists()
 
     def test_failing_compute_writes_nothing(self, tmp_path):
-        # valid schema, but the run itself fails: count exceeds the dataset
-        cfg = sk.ExperimentConfig.from_dict(parity_config(tmp_path, count=100))
-        with pytest.raises(StatekitError):
-            sk.run_experiment(cfg)
+        # a valid config, but the run itself fails: resonance rejects its gap tolerance
+        raw = parity_config(tmp_path, experiment="resonance", n_features=2, count=3, encoders=[])
+        cfg = sk.ExperimentConfig.from_dict(raw)
+        with pytest.raises(StatekitError, match=r"^tolerance must be finite and > 0, got -1$"):
+            sk.run_experiment(cfg, resonance_tolerance=-1)
         assert not (tmp_path / "out").exists()
 
     def test_curvature_scan_run(self, tmp_path):

@@ -373,31 +373,27 @@ class TestCommutator:
 
 
 class TestPairwiseTermSigns:
+    """The signs of the pair terms' real parts at a phase-locked input, read from
+    ``InterferenceReport.pairs`` (pairs in ``np.triu_indices`` order). An outcome that is
+    not an integer is rejected in ``TestDecomposition``."""
+
     def test_permutation_unitary_has_no_cross_terms(self, rng):
         perm = sk.DenseOperator(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        rep = sk.pairwise_term_signs(perm, rng.dirichlet(np.ones(2)), 0)
-        assert all(v == 0.0 for _, _, v in rep.terms)
-        assert not rep.any_negative
+        pairs = sk.interference_decomposition(perm, rng.dirichlet(np.ones(2)), None, 0).pairs
+        assert pairs.shape == (1,) and (pairs.real == 0.0).all()
 
     def test_hadamard_negative_pair(self):
-        rep = sk.pairwise_term_signs(HADAMARD, [0.5, 0.5], 1)
-        assert rep.terms == ((0, 1, pytest.approx(-0.5, abs=1e-12)),)
-        assert rep.any_negative
+        pairs = sk.interference_decomposition(HADAMARD, [0.5, 0.5], None, 1).pairs
+        assert pairs.shape == (1,)
+        assert pairs[0].real == pytest.approx(-0.25, abs=1e-12)
 
     def test_signs_immune_to_distribution_rescaling(self, rng):
-        # the sign pattern is a property of U alone; sweeping P never flips it
+        # the sign pattern is a property of U alone: the data weights sqrt(p_x p_x')
+        # are positive, so sweeping P never flips it
         u = haar(4, rng)
-        y = 2
-        reference = None
+        signs = set()
         for _ in range(20):
-            p = rng.dirichlet(np.ones(4))
-            rep = sk.pairwise_term_signs(u, p, y)
-            signs = tuple(np.sign(v) for _, _, v in rep.terms)
-            if reference is None:
-                reference = signs
-            assert signs == reference
-
-    @pytest.mark.parametrize("outcome", [None, 1.0, True])
-    def test_rejects_an_outcome_that_is_not_an_integer(self, outcome):
-        with pytest.raises(StatekitError, match=f"^outcome {outcome} out of range for dim 2$"):
-            sk.pairwise_term_signs(HADAMARD, [0.5, 0.5], outcome)
+            pairs = sk.interference_decomposition(u, rng.dirichlet(np.ones(4)), None, 2).pairs
+            assert pairs.shape == (6,) and (pairs.real != 0.0).all()
+            signs.add(tuple(np.sign(pairs.real)))
+        assert len(signs) == 1

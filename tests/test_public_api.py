@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "NotDiagonalError",
     "NotHermitianError",
     "NotUnitaryError",
-    "PairSignReport",
     "QiftParams",
     "ResonanceVerdict",
     "SignLockReport",
@@ -69,7 +68,6 @@ PUBLIC_NAMES = [
     "interference_decompositions",
     "nn_classify_loo",
     "operator_distance",
-    "pairwise_term_signs",
     "pauli_string",
     "phase_encoding",
     "probability_loading",
