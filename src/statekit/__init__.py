@@ -70,7 +70,6 @@ from .spectral import (
     ZeemanTrace,
     resonance_similarity,
     spectral_profile,
-    zeeman_sweep,
 )
 from .statevec import (
     DenseOperator,

@@ -386,7 +386,8 @@ def nn_classify_loo(gram: Union[GramMatrix, np.ndarray], labels: Sequence[int]) 
     for start in range(0, m, _GRAM_TILE):  # copy one block of rows, which stays in cache, not all of k
         rows = slice(start, start + _GRAM_TILE)
         nearest.merge(rows, 0, k[rows].copy())
-    return nearest.accuracy(labels)
+    every = np.arange(m)
+    return nearest.accuracy(labels, every, every)
 
 
 def _require_both_classes(labels: np.ndarray) -> None:
@@ -425,11 +426,12 @@ class _Nearest:
         np.minimum(lows, low, out=lows)
         return top
 
-    def accuracy(self, labels: np.ndarray) -> float:
-        """Share of samples whose nearest neighbour shares their label; a fully degenerate
-        row (m > 2, its smallest similarity its best) predicts the first sample's label."""
-        m = labels.size
-        pred = np.where((m > 2) & (self.low == self.best), labels[0], labels[self.index])
+    def accuracy(self, labels: np.ndarray, rows: np.ndarray, stand_in: np.ndarray) -> float:
+        """Share of samples whose nearest neighbour shares their label, where row i merged
+        sample ``rows[i]``'s similarities and sample s has row ``stand_in[s]``'s; a fully
+        degenerate one (m > 2, its smallest similarity its best) predicts sample 0's label."""
+        m, low, best = labels.size, self.low[stand_in], self.best[stand_in]
+        pred = np.where((m > 2) & (low == best), labels[0], labels[rows[self.index[stand_in]]])
         return int((pred == labels).sum()) / m
 
 
@@ -522,16 +524,40 @@ def _gram_scores(stack: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Leave-one-out accuracy and distinguishability of the states ``stack`` under
     checked ``labels``: ``nn_classify_loo`` of ``fidelity_gram`` and the smallest
     cross-class distance of the same Gram, scored from each tile as ``_gram_tiles``
-    yields it, so the Gram is never held whole."""
+    yields it, so the Gram is never held whole. Only ``_scored_rows`` enter the tiles, so
+    m copies of one state cost a tile of four rows at most, not m² entries: bit for bit the
+    stored Gram's scores where equal rows get equal entries wherever they sit, which the
+    BLAS does not promise but parity's only repeats, probability loading's uniform rows, get."""
     _require_both_classes(labels)
-    nearest = _Nearest(labels.size)
+    scored, stand_in = _scored_rows(stack, labels)
+    nearest = _Nearest(scored.size)
     top = -np.inf
-    for rows, cols, blk in _gram_tiles(stack):
+    for rows, cols, blk in _gram_tiles(stack if scored.size == labels.size else stack[scored]):
         mirror = rows.start > cols.start  # a view of the tile before it, whose pairs it holds
         row_best = nearest.merge(rows, cols.start, blk.copy() if mirror else blk)  # a copy's rows are contiguous
         if not mirror and row_best.max() > top:  # else no cross pair of the tile beats top
-            top = max(top, _cross_top(rows, cols, blk, labels))
-    return nearest.accuracy(labels), _distance(top)
+            top = max(top, _cross_top(rows, cols, blk, labels[scored]))
+    return nearest.accuracy(labels, scored, stand_in), _distance(top)
+
+
+def _scored_rows(stack: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``stack`` that ``_gram_scores`` scores, ascending, and for each row the
+    position among them of the row whose neighbours it has. Rows of equal bytes and label
+    form a group, whose lowest two rows are scored, so that the first meets its group in the
+    second; each other row has the second's neighbours, each at its lowest index."""
+    k = np.arange(labels.size)
+    # a stable sort by the rows' bytes, then label, puts each group side by side in index order
+    order = np.lexsort((labels, stack.view(np.dtype((np.void, stack.itemsize * stack.shape[1]))).ravel()))
+    same = np.append(False, labels[order[1:]] == labels[order[:-1]])  # sorted row j in row j - 1's group
+    for col in stack.view(np.uint64).T[::-1]:  # last first: sorted neighbours share their leading bytes
+        if not same.any():
+            return k, k
+        same[1:] &= col[order[1:]] == col[order[:-1]]
+    kept = ~same | np.append(True, ~same[:-1])  # the lowest two rows of each group
+    scored, stand_in = np.sort(order[kept]), np.empty_like(k)
+    second = np.maximum.accumulate(np.where(same, 0, k)) + 1  # sorted position of each group's second row
+    stand_in[order] = np.searchsorted(scored, order[np.where(kept, k, second)])
+    return scored, stand_in
 
 
 def _cross_top(rows: slice, cols: slice, blk: np.ndarray, labels: np.ndarray) -> float:

@@ -9,7 +9,6 @@ similarity notion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -100,15 +99,10 @@ def zeeman_operator(n_qubits: int) -> HermitianOperator:
     return HermitianOperator(_freeze(np.diag((n_qubits - 2 * popcount).astype(np.complex128))))
 
 
-def zeeman_sweep(spec: HamiltonianSpec, epsilons: Sequence[float] | np.ndarray) -> ZeemanTrace:
-    """Mass gap of H_eff + epsilon * sum_j Z_j across a perturbation grid, which must
-    contain 0 (the unperturbed reference); the stability score is the largest
-    absolute gap deviation from that reference."""
-    return _profile_and_zeeman(spec, epsilons)[1]
-
-
 def _profile_and_zeeman(spec: HamiltonianSpec, epsilons) -> tuple[SpectralProfile, ZeemanTrace]:
-    """``spectral_profile`` and ``zeeman_sweep`` of ``spec``; epsilon = 0 reuses the profile's decomposition."""
+    """``spectral_profile`` of ``spec`` and the mass gap of H_eff + epsilon * sum_j Z_j across a
+    perturbation grid, which must contain 0, the unperturbed reference; epsilon = 0 reuses the
+    profile's decomposition. The stability score is the largest gap deviation from the reference."""
     eps = _as_array(epsilons, "epsilon grid", np.float64, flat=True)
     if eps.size == 0:
         raise StatekitError("epsilon grid is empty")

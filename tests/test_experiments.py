@@ -645,6 +645,96 @@ class TestGramScoreStream:
             sk.experiments._gram_scores(stack, np.tile([1, -1], 150))
 
 
+# states of dimension 4 with entries in {0, +-1/2, +-1, +-i/2}: each overlap sums at most four
+# multiples of 1/4 exactly, so every Gram entry is the same on any kernel, in any order of
+# sums, wherever the two rows sit, and a scorer of the distinct states must give the scores
+# of the stored Gram bit for bit; fidelities are 0, 1/4, 1/2 and 1, and ties abound
+EXACT_STATES = np.vstack([
+    np.eye(4), -np.eye(4)[:1],
+    0.5 * np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [-1, -1, -1, -1]]),
+    0.5 * np.array([[1, 1j, -1, -1j]]),
+]).astype(complex)
+
+
+class TestDistinctStateScores:
+    """Parity scores each distinct state once: rows of equal bytes and label are scored
+    through their lowest two, and the scores must be those of the stored Gram."""
+
+    def assert_stored_gram_scores(self, stack, labels):
+        gram = sk.fidelity_gram(sk.StateStack(stack))  # bit for bit the untiled formula's, entries being exact
+        acc, dist = sk.experiments._gram_scores(stack, labels)
+        assert acc == sk.nn_classify_loo(gram, labels)
+        assert dist == cross_block_distinguishability(gram.entries, labels)
+        return acc, dist
+
+    @pytest.mark.parametrize("m", [2, 3, 129, 2048])
+    def test_one_distinct_state(self, rng, m):
+        labels = rng.choice([-1, 1], m)
+        labels[:2] = (1, -1)
+        acc, dist = self.assert_stored_gram_scores(np.tile(EXACT_STATES[5], (m, 1)), labels)
+        assert acc == (0.0 if m == 2 else np.count_nonzero(labels == labels[0]) / m)
+        assert dist == 0.0
+
+    # groups of random size, label mix and place, and groups whose members sit on both sides
+    # of the 128-row tile edges; without the complex state the tiles skip the modulus
+    @pytest.mark.parametrize("complex_state", [True, False])
+    @pytest.mark.parametrize("m", [5, 130, 300, 385])
+    def test_repeated_states(self, rng, m, complex_state):
+        pool = EXACT_STATES if complex_state else EXACT_STATES[:-1]
+        for _ in range(5):
+            pick = rng.integers(len(pool), size=m)
+            pick[[e for e in (126, 127, 128, 129, 255, 256, 257) if e < m]] = pick[0]
+            labels = rng.choice([-1, 1], m)
+            labels[:2] = (1, -1)
+            self.assert_stored_gram_scores(pool[pick], labels)
+
+    def test_a_group_holding_both_labels(self):
+        # rows 0 and 3 are one state with opposite labels: the cross-class distance is 0
+        stack = EXACT_STATES[[0, 1, 2, 0, 5, 5]]
+        acc, dist = self.assert_stored_gram_scores(stack, np.array([1, 1, -1, -1, 1, 1]))
+        assert dist == 0.0
+
+    def test_ties_go_to_the_lowest_sample_of_any_group(self):
+        # samples 0 and 5 are one group; sample 3 is its state times -1, at fidelity 1 too.
+        # Sample 0 picks 3, the lowest of its tied neighbours, not its group's 5, and
+        # predicts -1; sample 5 picks 0 and sample 3 picks 0; 1, 2 and 4 are degenerate
+        stack = EXACT_STATES[[0, 1, 2, 4, 3, 0]]
+        labels = np.array([1, 1, -1, -1, -1, 1])
+        acc, dist = self.assert_stored_gram_scores(stack, labels)
+        assert acc == 2 / 6  # samples 1 and 5
+        assert dist == 0.0
+
+    # the faulty row is a group of its own, and its tile raises what the whole Gram's would
+    @pytest.mark.parametrize("fault", ["nan", "diagonal"])
+    def test_a_faulty_row_among_repeats_is_checked(self, fault):
+        stack = np.tile(EXACT_STATES[5], (300, 1))
+        stack[200] = EXACT_STATES[0]  # fidelity 1/4 with the others, so only its diagonal can fail
+        if fault == "nan":
+            stack[200, 3] = np.nan
+        else:
+            stack[200] *= 1 + 0.5 * sk.TOLS.gram_diagonal
+        with pytest.raises(StatekitError, match=f"^{GRAM_FAULTS[fault][1]}$"):
+            sk.experiments._gram_scores(stack, np.tile([1, -1], 150))
+
+    # the work the grouping saves: probability loading sends every sign vector to one state
+    # (two groups, one per label, four rows, one tile), amplitude to 2,048 distinct ones
+    # (16 row blocks: 16 diagonal tiles and 120 tile pairs, each yielded with its mirror)
+    @pytest.mark.parametrize("enc, tiles", [("probability_loading", 1), ("amplitude", 256)])
+    def test_tiles_per_parity_encoder(self, monkeypatch, enc, tiles):
+        yielded = []
+        gram_tiles = sk.experiments._gram_tiles
+
+        def counted(stack):
+            for tile in gram_tiles(stack):
+                yielded.append(tile[:2])
+                yield tile
+
+        monkeypatch.setattr(sk.experiments, "_gram_tiles", counted)
+        ds = sk.gen_parity_dataset(16, 2048, 0)
+        sk.experiments._gram_scores(sk.encode_dataset(ds, enc).amplitudes, ds.labels)
+        assert len(yielded) == tiles
+
+
 GRAM_FAULTS = {
     "nan": (np.nan, "non-finite value in Gram matrix"),
     "inf": (np.inf, "non-finite value in Gram matrix"),

@@ -287,7 +287,7 @@ def test_information_curvature_keeps_no_view_of_the_tau_grid():
 def test_zeeman_sweep_keeps_no_view_of_the_epsilon_grid():
     spec = sk.HamiltonianSpec([0.4, -0.7], sk.ring_coupling(2))
     eps = np.linspace(-0.1, 0.1, 5)
-    trace = sk.zeeman_sweep(spec, eps)
+    trace = sk.spectral._profile_and_zeeman(spec, eps)[1]
     assert eps.flags.writeable
     before = trace.epsilons.copy()
     eps[...] = np.nan
@@ -314,7 +314,7 @@ FUNCTION_CASES = {
     "information_curvature(taus)": (
         np.geomspace(1e-1, 1e-3, 5).tolist(), lambda t: sk.information_curvature(spec2(), t), StatekitError,
     ),
-    "zeeman_sweep(epsilons)": ([0, 1], lambda e: sk.zeeman_sweep(spec2(), e), StatekitError),
+    "_profile_and_zeeman(epsilons)": ([0, 1], lambda e: sk.spectral._profile_and_zeeman(spec2(), e), StatekitError),
     "nn_classify_loo(gram)": ([[1, 0], [0, 1]], lambda k: sk.nn_classify_loo(k, [1, -1]), StatekitError),
     "amplitude_encoding(x)": ([0, 1], sk.amplitude_encoding, StatekitError),
     "phase_encoding(phi)": ([0, 1], lambda phi: sk.phase_encoding([0.5, 0.5], phi), StatekitError),

@@ -77,7 +77,6 @@ PUBLIC_NAMES = [
     "sandwich_unitary",
     "sign_lock_check",
     "spectral_profile",
-    "zeeman_sweep",
 ]
 
 

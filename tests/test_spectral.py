@@ -3,9 +3,14 @@ import pytest
 
 import statekit as sk
 from statekit.errors import StatekitError
-from statekit.spectral import zeeman_operator
+from statekit.spectral import _profile_and_zeeman, zeeman_operator
 
 from conftest import pauli_matrix_oracle, qubit_permutation_matrix
+
+
+def zeeman_sweep(spec, epsilons):
+    """The Zeeman trace of ``spec``, as ``statekit spectrum --zeeman`` computes it."""
+    return _profile_and_zeeman(spec, epsilons)[1]
 
 
 def ring_spec(x, mu=1.0, tau=0.1):
@@ -54,14 +59,14 @@ class TestZeemanSweep:
             assert np.array_equal(zeeman_operator(n).matrix, expected)
 
     def test_single_point_grid(self, rng):
-        trace = sk.zeeman_sweep(ring_spec(rng.uniform(-1, 1, 2)), [0.0])
+        trace = zeeman_sweep(ring_spec(rng.uniform(-1, 1, 2)), [0.0])
         assert trace.stability_score == 0.0
 
     def test_trivial_spec_gap_is_twice_epsilon(self):
         # H = eps * sum_j Z_j has levels eps*(n-2k): lowest gap 2|eps|
         spec = sk.HamiltonianSpec(np.zeros(3), np.zeros((3, 3)))
         eps = np.array([-0.4, -0.2, 0.0, 0.2, 0.4])
-        trace = sk.zeeman_sweep(spec, eps)
+        trace = zeeman_sweep(spec, eps)
         for e, gap in zip(trace.epsilons, trace.gaps):
             expected = 0.0 if e == 0 else 2 * abs(e)
             assert gap == pytest.approx(expected, abs=1e-12)
@@ -73,21 +78,21 @@ class TestZeemanSweep:
         n = spec.n_qubits
         for points in (11, 21):
             eps = np.linspace(-0.1, 0.1, points)
-            trace = sk.zeeman_sweep(spec, eps)
+            trace = zeeman_sweep(spec, eps)
             d_eps = eps[1] - eps[0]
             jumps = np.abs(np.diff(trace.gaps))
             assert jumps.max() <= 2 * n * d_eps * (1 + 1e-9)
 
     def test_refinement_consistency(self, rng):
         spec = ring_spec(rng.uniform(-1, 1, 3))
-        coarse = sk.zeeman_sweep(spec, np.linspace(-0.1, 0.1, 11))
-        fine = sk.zeeman_sweep(spec, np.linspace(-0.1, 0.1, 21))
+        coarse = zeeman_sweep(spec, np.linspace(-0.1, 0.1, 11))
+        fine = zeeman_sweep(spec, np.linspace(-0.1, 0.1, 21))
         assert np.abs(fine.gaps[::2] - coarse.gaps).max() < 1e-12
 
     def test_even_in_epsilon_without_coupling(self, rng):
         spec = sk.HamiltonianSpec(rng.uniform(-1, 1, 3), np.zeros((3, 3)))
         eps = np.array([-0.3, -0.1, 0.0, 0.1, 0.3])
-        trace = sk.zeeman_sweep(spec, eps)
+        trace = zeeman_sweep(spec, eps)
         gaps = dict(zip(trace.epsilons.tolist(), trace.gaps.tolist()))
         for e in (0.1, 0.3):
             assert gaps[e] == pytest.approx(gaps[-e], abs=1e-10)
@@ -106,9 +111,9 @@ class TestZeemanSweep:
     def test_grid_validation(self, rng):
         spec = ring_spec(rng.uniform(-1, 1, 2))
         with pytest.raises(StatekitError):
-            sk.zeeman_sweep(spec, [])
+            zeeman_sweep(spec, [])
         with pytest.raises(StatekitError):
-            sk.zeeman_sweep(spec, [0.1, 0.2])
+            zeeman_sweep(spec, [0.1, 0.2])
 
 
 class TestResonance:
