@@ -67,7 +67,6 @@ from .qift import (
 from .spectral import (
     ResonanceVerdict,
     SpectralProfile,
-    ZeemanTrace,
     resonance_similarity,
     spectral_profile,
 )

@@ -8,6 +8,7 @@ files (CSV tables plus a summary/report JSON).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -180,7 +181,8 @@ def _cmd_spectrum(args) -> int:
     _require_qubits(x.size, "spectrum")
     spec = QiftParams(mu=args.mu, topology=args.topology).spec(x)
     if args.zeeman:
-        profile, trace = _profile_and_zeeman(spec, _parse_grid(args.zeeman, "--zeeman"))
+        grid = _parse_grid(args.zeeman, "--zeeman")
+        profile, gaps, stability_score = _profile_and_zeeman(spec, grid)
     else:
         profile = spectral_profile(spec)
     tables = [
@@ -196,12 +198,12 @@ def _cmd_spectrum(args) -> int:
         "degenerate": profile.degenerate,
     }
     if args.zeeman:
-        summary["stability_score"] = trace.stability_score
+        summary["stability_score"] = stability_score
         tables.append(
             Table(
                 "zeeman_trace",
                 ("epsilon", "gap"),
-                (trace.epsilons, trace.gaps),
+                (grid, gaps),
             )
         )
     _emit(args, summary, tables)
@@ -245,6 +247,7 @@ def _cmd_run(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser serves every call; each parse_args starts a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     # a subcommand takes only the options it reads: run always prints one JSON document (no
     # --format), only interfere and trotter-scan draw from --seed, and only encode takes one step --tau

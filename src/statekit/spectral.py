@@ -17,7 +17,6 @@ from .qift import HamiltonianSpec, effective_hamiltonian
 from .statevec import (
     HermitianOperator,
     _as_array,
-    _as_int,
     _as_real,
     _freeze,
     _own,
@@ -41,22 +40,6 @@ class SpectralProfile:
         _require_finite("spectral profile", vals, self.mass_gap)
         if np.any(np.diff(vals) < 0):
             raise StatekitError("eigenvalues must be ascending")
-
-
-@dataclass(frozen=True, eq=False)
-class ZeemanTrace:
-    """Gap response to a uniform longitudinal field of strength epsilon."""
-
-    epsilons: np.ndarray
-    gaps: np.ndarray
-    stability_score: float
-
-    def __post_init__(self):
-        eps = _own(self, "epsilons", np.float64)
-        gaps = _own(self, "gaps", np.float64)
-        _require_finite("Zeeman trace", eps, gaps, self.stability_score)
-        if eps.size != gaps.size:
-            raise StatekitError("epsilon and gap traces differ in length")
 
 
 @dataclass(frozen=True)
@@ -92,28 +75,23 @@ def spectral_profile(spec: HamiltonianSpec) -> SpectralProfile:
     return _profile_of(effective_hamiltonian(spec))
 
 
-def zeeman_operator(n_qubits: int) -> HermitianOperator:
-    """Uniform longitudinal field sum_j Z_j, built as its diagonal n - 2 popcount(i)."""
-    idx = np.arange(1 << _as_int(n_qubits, "n_qubits", 1))
-    popcount = ((idx[:, None] >> np.arange(n_qubits)) & 1).sum(axis=1)
-    return HermitianOperator(_freeze(np.diag((n_qubits - 2 * popcount).astype(np.complex128))))
-
-
-def _profile_and_zeeman(spec: HamiltonianSpec, epsilons) -> tuple[SpectralProfile, ZeemanTrace]:
-    """``spectral_profile`` of ``spec`` and the mass gap of H_eff + epsilon * sum_j Z_j across a
-    perturbation grid, which must contain 0, the unperturbed reference; epsilon = 0 reuses the
-    profile's decomposition. The stability score is the largest gap deviation from the reference."""
+def _profile_and_zeeman(spec: HamiltonianSpec, epsilons) -> tuple[SpectralProfile, np.ndarray, float]:
+    """``spectral_profile`` of ``spec``, the mass gaps of H_eff + epsilon * sum_j Z_j over a grid holding 0,
+    the reference, and the stability score, the largest deviation from the reference gap. epsilon = 0 reuses
+    the profile's decomposition; any other shifts a copy of H's diagonal by epsilon * (n - 2 popcount(i))."""
     eps = _as_array(epsilons, "epsilon grid", np.float64, flat=True)
-    if eps.size == 0:
-        raise StatekitError("epsilon grid is empty")
-    if not np.any(eps == 0.0):
+    _require_finite("epsilon grid", eps)  # before an infinite shift meets a zero of n - 2 popcount(i) and warns
+    if not np.any(eps == 0.0):  # an empty grid too
         raise StatekitError("epsilon grid must contain 0 as the reference point")
     h0 = effective_hamiltonian(spec)
     profile = _profile_of(h0)
-    zee = zeeman_operator(spec.n_qubits).matrix
-    profiles = (profile if e == 0 else _profile_of(HermitianOperator(_freeze(h0.matrix + e * zee))) for e in eps)
-    gaps = _freeze(np.array([p.mass_gap for p in profiles]))
-    return profile, ZeemanTrace(eps, gaps, stability_score=float(np.abs(gaps - profile.mass_gap).max()))
+    z_sum = spec.n_qubits - 2 * ((np.arange(spec.dim)[:, None] >> np.arange(spec.n_qubits)) & 1).sum(axis=1)
+    gaps = np.full(eps.size, profile.mass_gap)
+    for k in np.flatnonzero(eps):
+        h = h0.matrix.copy()
+        h[np.diag_indices(spec.dim)] += eps[k] * z_sum
+        gaps[k] = _profile_of(HermitianOperator(_freeze(h))).mass_gap
+    return profile, _freeze(gaps), float(np.abs(gaps - profile.mass_gap).max())
 
 
 def resonance_similarity(

@@ -116,6 +116,15 @@ class TestSubcommands:
         (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         assert list(sub.choices) == SUBCOMMANDS
 
+    def test_the_parser_is_built_once_and_each_parse_starts_from_the_defaults(self):
+        parser = build_parser()
+        assert build_parser() is parser
+        assert parser.parse_args(["run", "x.json", "--seed", "3"]).seed == 3
+        assert parser.parse_args(["run", "y.json"]).seed is None
+        assert parser.parse_args(["spectrum", "--x", "1", "--mu", "2", "--zeeman=0:0:1"]).mu == 2.0
+        again = parser.parse_args(["spectrum", "--x", "1"])
+        assert (again.mu, again.zeeman) == (1.0, None)
+
     def test_readme_lists_the_pinned_subcommands(self):
         sentence = re.search(r"with subcommands (.*?)\.\s", README.read_text(encoding="utf-8"), re.DOTALL)
         assert re.findall(r"`([^`]+)`", sentence.group(1)) == SUBCOMMANDS

@@ -35,8 +35,8 @@ def profile(vals=np.arange(2.0), gap=1.0):
     return sk.SpectralProfile(vals, gap, degenerate=False)
 
 
-def zeeman(eps=np.zeros(2), gaps=np.ones(2), score=0.0):
-    return sk.ZeemanTrace(eps, gaps, score)
+def zeeman_sweep(eps):
+    return sk.spectral._profile_and_zeeman(spec_with_fields(np.array([0.5, -0.3])), eps)
 
 
 def curvature(taus=np.array([0.1, 0.01]), errors=np.ones(2), slope=3.0, resid=0.01, norm=1.0):
@@ -68,9 +68,8 @@ CASES = {
     "GramMatrix": (lambda d: np.eye(d), sk.GramMatrix, StatekitError),
     "SpectralProfile.eigenvalues": (lambda d: np.arange(d, dtype=float), profile, StatekitError),
     "SpectralProfile.mass_gap": (lambda d: np.ones(1), lambda g: profile(gap=g[0]), StatekitError),
-    "ZeemanTrace.epsilons": (lambda d: np.linspace(-1, 1, d), lambda e: zeeman(e, np.ones(e.size)), StatekitError),
-    "ZeemanTrace.gaps": (lambda d: np.ones(d), lambda g: zeeman(np.zeros(g.size), g), StatekitError),
-    "ZeemanTrace.stability_score": (lambda d: np.zeros(1), lambda s: zeeman(score=s[0]), StatekitError),
+    # d >= 2 zeros, so a grid with one entry replaced still holds its reference point
+    "_profile_and_zeeman(epsilons)": (lambda d: np.repeat([0.0, 0.25], d), zeeman_sweep, StatekitError),
     "CurvatureScan.taus": (lambda d: np.geomspace(0.1, 1e-3, d), lambda t: curvature(t, np.ones(t.size)), StatekitError),
     "CurvatureScan.errors": (lambda d: np.ones(d), lambda e: curvature(np.geomspace(0.1, 1e-3, e.size), e), StatekitError),
     "CurvatureScan.fitted_slope": (lambda d: np.ones(1), lambda s: curvature(slope=s[0]), StatekitError),
@@ -95,9 +94,7 @@ PASSED_BEFORE = {
     "GramMatrix": np.array([[1.0, NAN], [NAN, 1.0]]),
     "SpectralProfile.eigenvalues": np.array([0.0, INF]),
     "SpectralProfile.mass_gap": np.array([NAN]),
-    "ZeemanTrace.epsilons": np.array([NAN, 0.0]),
-    "ZeemanTrace.gaps": np.array([1.0, INF]),
-    "ZeemanTrace.stability_score": np.array([NAN]),
+    "_profile_and_zeeman(epsilons)": np.array([0.0, INF]),
     "CurvatureScan.taus": np.array([INF, 0.1]),
     "CurvatureScan.errors": np.array([NAN, 1.0]),
     "CurvatureScan.fitted_slope": np.array([NAN]),

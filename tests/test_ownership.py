@@ -60,8 +60,6 @@ CASES = {
     "SpectralProfile.eigenvalues": (
         [0, 1], lambda v: sk.SpectralProfile(v, 1.0, degenerate=False), StatekitError, True,
     ),
-    "ZeemanTrace.epsilons": ([0, 1], lambda e: sk.ZeemanTrace(e, np.ones(2), 0.0), StatekitError, True),
-    "ZeemanTrace.gaps": ([1, 1], lambda g: sk.ZeemanTrace(np.zeros(2), g, 0.0), StatekitError, True),
     "InterferenceReport.terms": ([0, 1], report, StatekitError, False),
     "SignLockReport.arguments": ([0, 1], sign_lock, StatekitError, True),
 }
@@ -287,11 +285,9 @@ def test_information_curvature_keeps_no_view_of_the_tau_grid():
 def test_zeeman_sweep_keeps_no_view_of_the_epsilon_grid():
     spec = sk.HamiltonianSpec([0.4, -0.7], sk.ring_coupling(2))
     eps = np.linspace(-0.1, 0.1, 5)
-    trace = sk.spectral._profile_and_zeeman(spec, eps)[1]
-    assert eps.flags.writeable
-    before = trace.epsilons.copy()
-    eps[...] = np.nan
-    assert np.array_equal(trace.epsilons, before)
+    before = eps.copy()
+    sk.spectral._profile_and_zeeman(spec, eps)
+    assert eps.flags.writeable and eps.tobytes() == before.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +393,6 @@ OPERATOR_BUILDERS = {
     "exact_unitary": sk.exact_unitary,
     "commutator": lambda s: sk.commutator(sk.build_h_data(s.fields), sk.build_h_topo(s.coupling, s.mu)),
     "pauli_string": lambda s: sk.pauli_string(s.n_qubits, {0: "Y"}),
-    "zeeman_operator": lambda s: sk.spectral.zeeman_operator(s.n_qubits),
     "haar_random_unitary": lambda s: sk.haar_random_unitary(s.dim, 0),
 }
 

@@ -5,6 +5,7 @@ every change to the API shows up in a test diff.
 """
 import ast
 import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -43,7 +44,6 @@ PUBLIC_NAMES = [
     "StatekitError",
     "TOLS",
     "Tolerances",
-    "ZeemanTrace",
     "amplitude_encoding",
     "build_h_data",
     "build_h_topo",
@@ -86,6 +86,30 @@ def test_public_names():
         if not name.startswith("_") and not inspect.ismodule(value)
     ]
     assert sorted(public) == PUBLIC_NAMES
+
+
+def hinted_types(hint):
+    """``hint`` and every type nested in it, as in ``tuple[SpectralProfile, np.ndarray] | None``."""
+    yield hint
+    for arg in typing.get_args(hint):
+        yield from hinted_types(arg)
+
+
+def test_every_public_type_is_returned_or_taken_by_a_public_function():
+    # TOLS is a Tolerances; the error classes are raised, not passed
+    values = [getattr(sk, name) for name in PUBLIC_NAMES]
+    hinted = {
+        t
+        for value in values if callable(value)
+        for hint in typing.get_type_hints(value.__init__ if inspect.isclass(value) else value).values()
+        for t in hinted_types(hint)
+    }
+    orphans = [
+        value.__name__ for value in values
+        if inspect.isclass(value) and value is not sk.Tolerances and not issubclass(value, sk.StatekitError)
+        and value not in hinted
+    ]
+    assert orphans == []
 
 
 def unused_imports(path):

@@ -3,14 +3,9 @@ import pytest
 
 import statekit as sk
 from statekit.errors import StatekitError
-from statekit.spectral import _profile_and_zeeman, zeeman_operator
+from statekit.spectral import _profile_and_zeeman
 
-from conftest import pauli_matrix_oracle, qubit_permutation_matrix
-
-
-def zeeman_sweep(spec, epsilons):
-    """The Zeeman trace of ``spec``, as ``statekit spectrum --zeeman`` computes it."""
-    return _profile_and_zeeman(spec, epsilons)[1]
+from conftest import pauli_matrix_oracle, qubit_permutation_matrix, random_coupling
 
 
 def ring_spec(x, mu=1.0, tau=0.1):
@@ -53,24 +48,49 @@ class TestSpectralProfile:
 
 
 class TestZeemanSweep:
-    def test_operator_equals_pauli_string_sum(self):
-        for n in range(1, 9):
-            expected = sum(sk.pauli_string(n, {q: "Z"}).matrix for q in range(n))
-            assert np.array_equal(zeeman_operator(n).matrix, expected)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_shifted_operator_is_the_dense_sum_byte_for_byte(self, n, rng, monkeypatch):
+        # the sweep shifts H's diagonal by epsilon * (n - 2 popcount(i)); the oracle adds epsilon times
+        # the dense sum_j Z_j of Pauli strings, and both must hand eigh the same bits, so the same gaps
+        profile_of = sk.spectral._profile_of
+        seen = []  # (matrix, profile) of each operator the sweep decomposes
+
+        def recording(h):
+            seen.append((h.matrix, profile_of(h)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(sk.spectral, "_profile_of", recording)
+        zee = sum(sk.pauli_string(n, {q: "Z"}).matrix for q in range(n))
+        eps = np.array([0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 5.0])
+        x = rng.uniform(-np.pi, np.pi, n)
+        x[::2] = -0.0
+        for fields in (x, np.full(n, -0.0)):
+            for mu in (1.0, 0.0, -0.5):
+                for coupling in (sk.ring_coupling(n), sk.complete_coupling(n), random_coupling(n, rng)):
+                    spec = sk.HamiltonianSpec(fields, coupling, mu=mu)
+                    h0 = sk.effective_hamiltonian(spec).matrix
+                    dense = [h0 + e * zee for e in eps]
+                    # each epsilon = 0, -0.0 too, leaves the bits of H, so it may take the profile's gap
+                    assert [d.tobytes() for d in dense[:2]] == [h0.tobytes()] * 2
+                    seen.clear()
+                    profile, gaps, score = _profile_and_zeeman(spec, eps)
+                    assert [m.tobytes() for m, _ in seen] == [h0.tobytes()] + [d.tobytes() for d in dense[2:]]
+                    oracle = np.array([profile.mass_gap] * 2 + [p.mass_gap for _, p in seen[1:]])
+                    assert gaps.tobytes() == oracle.tobytes() and not gaps.flags.writeable
+                    assert score == np.abs(oracle - profile.mass_gap).max()
 
     def test_single_point_grid(self, rng):
-        trace = zeeman_sweep(ring_spec(rng.uniform(-1, 1, 2)), [0.0])
-        assert trace.stability_score == 0.0
+        assert _profile_and_zeeman(ring_spec(rng.uniform(-1, 1, 2)), [0.0])[2] == 0.0
 
     def test_trivial_spec_gap_is_twice_epsilon(self):
         # H = eps * sum_j Z_j has levels eps*(n-2k): lowest gap 2|eps|
         spec = sk.HamiltonianSpec(np.zeros(3), np.zeros((3, 3)))
         eps = np.array([-0.4, -0.2, 0.0, 0.2, 0.4])
-        trace = zeeman_sweep(spec, eps)
-        for e, gap in zip(trace.epsilons, trace.gaps):
+        _, gaps, score = _profile_and_zeeman(spec, eps)
+        for e, gap in zip(eps, gaps):
             expected = 0.0 if e == 0 else 2 * abs(e)
             assert gap == pytest.approx(expected, abs=1e-12)
-        assert trace.stability_score == pytest.approx(0.8, abs=1e-12)
+        assert score == pytest.approx(0.8, abs=1e-12)
 
     def test_trace_continuity_weyl_bound(self, rng):
         # gap increments are bounded by 2*n*d_eps (Weyl), at both resolutions
@@ -78,42 +98,30 @@ class TestZeemanSweep:
         n = spec.n_qubits
         for points in (11, 21):
             eps = np.linspace(-0.1, 0.1, points)
-            trace = zeeman_sweep(spec, eps)
+            _, gaps, _ = _profile_and_zeeman(spec, eps)
             d_eps = eps[1] - eps[0]
-            jumps = np.abs(np.diff(trace.gaps))
+            jumps = np.abs(np.diff(gaps))
             assert jumps.max() <= 2 * n * d_eps * (1 + 1e-9)
 
     def test_refinement_consistency(self, rng):
         spec = ring_spec(rng.uniform(-1, 1, 3))
-        coarse = zeeman_sweep(spec, np.linspace(-0.1, 0.1, 11))
-        fine = zeeman_sweep(spec, np.linspace(-0.1, 0.1, 21))
-        assert np.abs(fine.gaps[::2] - coarse.gaps).max() < 1e-12
+        coarse = _profile_and_zeeman(spec, np.linspace(-0.1, 0.1, 11))[1]
+        fine = _profile_and_zeeman(spec, np.linspace(-0.1, 0.1, 21))[1]
+        assert np.abs(fine[::2] - coarse).max() < 1e-12
 
     def test_even_in_epsilon_without_coupling(self, rng):
         spec = sk.HamiltonianSpec(rng.uniform(-1, 1, 3), np.zeros((3, 3)))
         eps = np.array([-0.3, -0.1, 0.0, 0.1, 0.3])
-        trace = zeeman_sweep(spec, eps)
-        gaps = dict(zip(trace.epsilons.tolist(), trace.gaps.tolist()))
+        gaps = dict(zip(eps.tolist(), _profile_and_zeeman(spec, eps)[1].tolist()))
         for e in (0.1, 0.3):
             assert gaps[e] == pytest.approx(gaps[-e], abs=1e-10)
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_zero_epsilon_leaves_the_bits_of_h(self, n, rng):
-        # so each epsilon = 0, -0.0 too, may take the unperturbed profile's gap
-        zee = zeeman_operator(n).matrix
-        for x in (rng.uniform(-np.pi, np.pi, n), np.zeros(n), np.full(n, -0.0)):
-            for mu in (1.0, 0.0, -0.5):
-                for coupling in (sk.ring_coupling(n), sk.complete_coupling(n)):
-                    h0 = sk.effective_hamiltonian(sk.HamiltonianSpec(x, coupling, mu=mu)).matrix
-                    for e in (0.0, -0.0):
-                        assert (h0 + e * zee).tobytes() == h0.tobytes()
 
     def test_grid_validation(self, rng):
         spec = ring_spec(rng.uniform(-1, 1, 2))
         with pytest.raises(StatekitError):
-            zeeman_sweep(spec, [])
+            _profile_and_zeeman(spec, [])
         with pytest.raises(StatekitError):
-            zeeman_sweep(spec, [0.1, 0.2])
+            _profile_and_zeeman(spec, [0.1, 0.2])
 
 
 class TestResonance:

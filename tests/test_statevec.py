@@ -230,8 +230,6 @@ BAD_SCALARS = {
     "ring_coupling(2.5)": (lambda: sk.ring_coupling(2.5), "n must be an integer >= 0, got 2.5"),
     "complete_coupling(-1)": (lambda: sk.complete_coupling(-1), "n must be an integer >= 0, got -1"),
     "complete_coupling(2.5)": (lambda: sk.complete_coupling(2.5), "n must be an integer >= 0, got 2.5"),
-    "zeeman_operator(-1)": (lambda: sk.spectral.zeeman_operator(-1), "n_qubits must be an integer >= 1, got -1"),
-    "zeeman_operator(0)": (lambda: sk.spectral.zeeman_operator(0), "n_qubits must be an integer >= 1, got 0"),
     "evolve(True)": (lambda: sk.evolve(sk.pauli_string(1, {0: "X"}), True), "t must be a real number, got True"),
     "evolve('1')": (lambda: sk.evolve(sk.pauli_string(1, {0: "X"}), "1"), "t must be a real number, got '1'"),
     "evolution(inf)": (
