@@ -47,37 +47,72 @@ class TestSpectralProfile:
             assert np.abs(vals - ref).max() < 1e-10
 
 
+def z_sum(n):
+    """sum_j Z_j as a dense sum of Pauli strings, the oracle for the sweep's diagonal shift."""
+    return sum(sk.pauli_string(n, {q: "Z"}).matrix for q in range(n))
+
+
+def recorded_sweep(monkeypatch, spec, eps):
+    """``_profile_and_zeeman(spec, eps)`` and the (matrix, profile) of each operator it decomposes."""
+    profile_of = sk.spectral._profile_of
+    seen = []
+
+    def recording(h):
+        seen.append((h.matrix, profile_of(h)))
+        return seen[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sk.spectral, "_profile_of", recording)
+        return _profile_and_zeeman(spec, eps), seen
+
+
+COUPLINGS = {
+    "ring": lambda n, rng: sk.ring_coupling(n),
+    "complete": lambda n, rng: sk.complete_coupling(n),
+    "explicit": random_coupling,
+}
+
+
 class TestZeemanSweep:
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_each_shifted_operator_is_the_dense_sum_byte_for_byte(self, n, rng, monkeypatch):
+    def test_operator_equals_pauli_string_sum(self, n, monkeypatch):
+        # with H = 0 the operator the sweep decomposes at epsilon = 1 is sum_j Z_j itself
+        spec = sk.HamiltonianSpec(np.zeros(n), np.zeros((n, n)))
+        _, seen = recorded_sweep(monkeypatch, spec, [0.0, 1.0])
+        assert seen[1][0].tobytes() == z_sum(n).astype(np.complex128).tobytes()
+
+    @pytest.mark.parametrize("coupling", COUPLINGS)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_shifted_operator_is_the_dense_sum_byte_for_byte(self, n, coupling, rng, monkeypatch):
         # the sweep shifts H's diagonal by epsilon * (n - 2 popcount(i)); the oracle adds epsilon times
         # the dense sum_j Z_j of Pauli strings, and both must hand eigh the same bits, so the same gaps
-        profile_of = sk.spectral._profile_of
-        seen = []  # (matrix, profile) of each operator the sweep decomposes
-
-        def recording(h):
-            seen.append((h.matrix, profile_of(h)))
-            return seen[-1][1]
-
-        monkeypatch.setattr(sk.spectral, "_profile_of", recording)
-        zee = sum(sk.pauli_string(n, {q: "Z"}).matrix for q in range(n))
+        zee = z_sum(n)
         eps = np.array([0.0, -0.0, 1e-300, -1e-300, 0.3, -0.3, 5.0])
         x = rng.uniform(-np.pi, np.pi, n)
         x[::2] = -0.0
         for fields in (x, np.full(n, -0.0)):
             for mu in (1.0, 0.0, -0.5):
-                for coupling in (sk.ring_coupling(n), sk.complete_coupling(n), random_coupling(n, rng)):
-                    spec = sk.HamiltonianSpec(fields, coupling, mu=mu)
+                spec = sk.HamiltonianSpec(fields, COUPLINGS[coupling](n, rng), mu=mu)
+                h0 = sk.effective_hamiltonian(spec).matrix
+                (profile, gaps, score), seen = recorded_sweep(monkeypatch, spec, eps)
+                assert [m.tobytes() for m, _ in seen] == [h0.tobytes()] + [(h0 + e * zee).tobytes() for e in eps[2:]]
+                oracle = np.array([profile.mass_gap] * 2 + [p.mass_gap for _, p in seen[1:]])
+                assert gaps.tobytes() == oracle.tobytes() and not gaps.flags.writeable
+                assert score == np.abs(oracle - profile.mass_gap).max()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_zero_epsilon_leaves_the_bits_of_h(self, n, rng, monkeypatch):
+        # so each epsilon = 0, -0.0 too, may take the unperturbed profile's gap without a decomposition
+        zee = z_sum(n)
+        for x in (rng.uniform(-np.pi, np.pi, n), np.zeros(n), np.full(n, -0.0)):
+            for mu in (1.0, 0.0, -0.5):
+                for coupling in (sk.ring_coupling(n), sk.complete_coupling(n)):
+                    spec = sk.HamiltonianSpec(x, coupling, mu=mu)
                     h0 = sk.effective_hamiltonian(spec).matrix
-                    dense = [h0 + e * zee for e in eps]
-                    # each epsilon = 0, -0.0 too, leaves the bits of H, so it may take the profile's gap
-                    assert [d.tobytes() for d in dense[:2]] == [h0.tobytes()] * 2
-                    seen.clear()
-                    profile, gaps, score = _profile_and_zeeman(spec, eps)
-                    assert [m.tobytes() for m, _ in seen] == [h0.tobytes()] + [d.tobytes() for d in dense[2:]]
-                    oracle = np.array([profile.mass_gap] * 2 + [p.mass_gap for _, p in seen[1:]])
-                    assert gaps.tobytes() == oracle.tobytes() and not gaps.flags.writeable
-                    assert score == np.abs(oracle - profile.mass_gap).max()
+                    for e in (0.0, -0.0):
+                        assert (h0 + e * zee).tobytes() == h0.tobytes()
+                    (profile, gaps, score), seen = recorded_sweep(monkeypatch, spec, [0.0, -0.0])
+                    assert len(seen) == 1 and gaps.tolist() == [profile.mass_gap] * 2 and score == 0.0
 
     def test_single_point_grid(self, rng):
         assert _profile_and_zeeman(ring_spec(rng.uniform(-1, 1, 2)), [0.0])[2] == 0.0
