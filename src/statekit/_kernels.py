@@ -67,22 +67,10 @@ def zz_diagonal(coupling: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("ij,jk,ik->i", z, coupling, z)
 
 
-@functools.lru_cache(maxsize=1)
-def pair_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``np.triu_indices(size, 1)``: every pair x < x' of ``size`` indices.
-
-    One operator's outcomes all share a size, so the last size is kept.
-    """
-    rows, cols = np.triu_indices(size, 1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
-
-
 def pair_terms(t: np.ndarray) -> np.ndarray:
     """One-sided cross terms t_x conj(t_x') for all pairs x < x', in np.triu_indices order."""
     t = np.ascontiguousarray(t, dtype=np.complex128)
-    rows, cols = pair_indices(t.size)
+    rows, cols = np.triu_indices(t.size, 1)
     return t[rows] * t.conj()[cols]  # out of place: an in-place *= rounds N = 2 differently
 
 
@@ -102,7 +90,7 @@ _PACK = 8192  # pair terms per packed block and per leaf of the split tree; at l
 def pair_sums(t: np.ndarray) -> np.ndarray:
     """``pair_sum(pair_terms(row))`` for each row of the (k, N) block ``t``, bit for bit.
 
-    Rows of M = N(N-1)/2 <= ``_PACK`` terms are gathered through ``pair_indices``,
+    Rows of M = N(N-1)/2 <= ``_PACK`` terms are gathered through ``np.triu_indices``,
     ``_PACK`` // M rows at a time as one C-ordered (rows, M) block summed along axis 1,
     which keeps numpy's pairwise tree per row (a ``t[:, rows]`` gather is F-ordered and
     leaves it). Longer rows follow the tree by hand: n doubles split at n/2 - (n/2 mod 8),
@@ -114,7 +102,7 @@ def pair_sums(t: np.ndarray) -> np.ndarray:
     if m > _PACK:
         leaves = np.empty((len(t), _PACK), dtype=np.complex128)  # one leaf per row, filled together
         return 2.0 * _tree_node(t, t.conj(), leaves, [0, 0], m).real
-    rows, cols = pair_indices(t.shape[1])
+    rows, cols = np.triu_indices(t.shape[1], 1)  # once per call, outside the block loop
     step = _PACK // max(m, 1)
     out = np.empty(len(t))
     for i in range(0, len(t), step):

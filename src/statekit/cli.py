@@ -32,7 +32,7 @@ from .experiments import (
 from .interference import _decomposition_blocks
 from .qift import QiftParams, information_curvature
 from .spectral import _profile_and_zeeman, resonance_similarity, spectral_profile
-from .statevec import DenseOperator, Distribution, _as_array, _as_int, _freeze, as_rng, haar_random_unitary
+from .statevec import DenseOperator, Distribution, _as_array, _as_int, _as_real, _freeze, as_rng, haar_random_unitary
 from .tolerances import TOLS
 
 
@@ -57,7 +57,7 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
         raise ConfigError(f"cannot parse {name}: {exc}") from exc
     if points < 1:
         raise ConfigError(f"{name} needs at least one point")
-    return np.linspace(start, stop, points)
+    return np.linspace(_as_real(start, name, ConfigError), _as_real(stop, name, ConfigError), points)
 
 
 def _hadamard_layer(dim: int) -> np.ndarray:
@@ -157,8 +157,9 @@ def _cmd_interfere(args) -> int:
 
 def _cmd_trotter_scan(args) -> int:
     _as_int(args.n, "--n", 1, ConfigError)
-    if not (args.tau_min > 0 and args.tau_max > 0) or args.points < 0:
-        raise ConfigError("--tau-min and --tau-max must be > 0 and --points must be >= 0")
+    _as_real(args.tau_min, "--tau-min", ConfigError, positive=True)
+    _as_real(args.tau_max, "--tau-max", ConfigError, positive=True)
+    _as_int(args.points, "--points", 0, ConfigError)
     _require_qubits(args.n, "trotter-scan")
     if args.x is not None:
         x = _parse_floats(args.x, "--x")
@@ -179,9 +180,9 @@ def _cmd_trotter_scan(args) -> int:
 def _cmd_spectrum(args) -> int:
     x = _parse_floats(args.x, "--x")
     _require_qubits(x.size, "spectrum")
+    grid = _parse_grid(args.zeeman, "--zeeman") if args.zeeman else None  # argv is checked before any build
     spec = QiftParams(mu=args.mu, topology=args.topology).spec(x)
     if args.zeeman:
-        grid = _parse_grid(args.zeeman, "--zeeman")
         profile, gaps, stability_score = _profile_and_zeeman(spec, grid)
     else:
         profile = spectral_profile(spec)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import asdict, dataclass, replace
@@ -229,8 +228,11 @@ def _check_gram_block(k: np.ndarray, diagonal: bool) -> None:
 
 def _labels(labels) -> np.ndarray:
     """``labels`` as a flat int64 array; raise unless each is +1 or -1, not a bool."""
-    flat = np.asarray(labels, dtype=object).ravel()
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and v in (-1, 1) for v in flat):
+    try:
+        flat = _as_array(labels, "labels", np.float64, flat=True)
+    except StatekitError:
+        flat = np.zeros(1)  # rejected below, with the labels' own message
+    if not (np.abs(flat) == 1).all():
         raise StatekitError("labels must be +1 or -1")
     return _freeze(flat.astype(np.int64))  # adopted by the intake, not copied
 

@@ -284,6 +284,7 @@ def information_curvature(
     window; a commuting spec is flagged instead of fitted.
     """
     grid = _as_array(DEFAULT_TAU_GRID if taus is None else taus, "tau grid", np.float64)
+    _require_finite("tau grid", grid)
     if grid.size < 5:
         raise StatekitError("tau grid needs at least 5 points")
     if np.any(grid <= 0):

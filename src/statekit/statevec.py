@@ -72,7 +72,9 @@ def _as_array(value, name: str, dtype, error=StatekitError, flat=False) -> np.nd
         arr = np.asarray(value)
     except ValueError:  # ragged rows
         arr = np.asarray(None)  # an object array, rejected below
-    if arr.dtype.kind not in "iufc" or not np.can_cast(arr.dtype, dtype, "safe"):  # bools, strings, lossy casts
+    numeric = arr.dtype.kind in "iufc" and (isinstance(value, np.ndarray) or not any(  # a bool among numbers
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat))
+    if not numeric or not np.can_cast(arr.dtype, dtype, "safe"):  # bools, strings, lossy casts
         raise error(f"{name} must be an array of numbers safely castable to {np.dtype(dtype)}")
     out = np.ascontiguousarray(arr, dtype=dtype)
     return out.ravel() if flat else out

@@ -132,6 +132,14 @@ def count_calls(monkeypatch, name, module="statevec"):
 
 
 @pytest.fixture
+def triu_calls(monkeypatch):
+    """List of the sizes passed to ``np.triu_indices`` while the test runs."""
+    original, calls = np.triu_indices, []
+    monkeypatch.setattr(np, "triu_indices", lambda n, *args, **kwargs: calls.append(n) or original(n, *args, **kwargs))
+    return calls
+
+
+@pytest.fixture
 def eigh_calls(monkeypatch):
     """List of the operators passed to hermitian_spectral_decomposition."""
     return count_calls(monkeypatch, "hermitian_spectral_decomposition")

@@ -355,6 +355,9 @@ BAD_SIZE_ARGV = {
     "trotter-scan --n -1": ["trotter-scan", "--n", "-1"],
     "trotter-scan --tau-min 0": ["trotter-scan", "--n", "2", "--tau-min", "0"],
     "trotter-scan --points -1": ["trotter-scan", "--n", "2", "--points", "-1"],
+    "trotter-scan --tau-min inf": ["trotter-scan", "--n", "2", "--tau-min", "inf"],
+    "spectrum --zeeman=-inf:0:3": ["spectrum", "--x", "1,0.5", "--zeeman=-inf:0:3"],
+    "spectrum --zeeman=0:nan:3": ["spectrum", "--x", "1,0.5", "--zeeman=0:nan:3"],
 }
 
 
@@ -363,7 +366,7 @@ def test_bad_sizes_fail_before_allocation(capsys, tripwire, case):
     code, out, err = run_cli(capsys, *BAD_SIZE_ARGV[case])
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1  # one line, no warning before it
 
 
 class TestQubitCap:

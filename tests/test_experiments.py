@@ -823,6 +823,7 @@ class TestLabels:
 
 RING_3 = sk.ring_coupling(3).tolist()  # an explicit topology of the wrong size for 4 qubits
 WRONG_SHAPE = "explicit coupling matrix has shape (3, 3), expected (4, 4)"
+RING_4_TRUE = [[bool(v) or 0 for v in row] for row in sk.ring_coupling(4).tolist()]  # JSON true for each 1
 
 
 class TestExperimentConfig:
@@ -1039,6 +1040,8 @@ class TestExperimentConfig:
             ("interference-audit", {"n_features": 13}, "interference-audit supports at most 12 qubits, got 13"),
             ("curvature-scan", {"qift": {"topology": RING_3}}, WRONG_SHAPE),
             ("resonance", {"qift": {"topology": RING_3}}, WRONG_SHAPE),
+            ("curvature-scan", {"qift": {"topology": RING_4_TRUE}},
+             "topology must be an array of numbers safely castable to float64"),
             ("resonance", {"count": 1}, "resonance experiment requires an integer count >= 2"),
             ("resonance", {"count": "all"}, "resonance experiment requires an integer count >= 2"),
             ("resonance", {"count": 1025}, "resonance supports at most 1024 specs, got 1025"),

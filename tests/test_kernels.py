@@ -1,10 +1,12 @@
 """Checks of the numpy kernels against dense and plain-python oracles."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from statekit import _kernels
 
-from conftest import count_calls, random_coupling, two_copy_ry_layer, zz_energy_oracle
+from conftest import random_coupling, two_copy_ry_layer, zz_energy_oracle
 
 
 class TestBackendResolution:
@@ -123,14 +125,16 @@ class TestPairSum:
         # vectorized complex products may differ from scalar ones in the last bit
         assert _kernels.pair_terms(t) == pytest.approx(expected, rel=8 * np.finfo(np.float64).eps)
 
-    @pytest.mark.parametrize("dim", [1, 2, 5, 64])
-    def test_pair_indices_are_shared_and_read_only(self, dim):
-        rows, cols = _kernels.pair_indices(dim)
-        assert _kernels.pair_indices(dim)[0] is rows
-        expected = np.triu_indices(dim, 1)
-        assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
-        with pytest.raises(ValueError):
-            rows[...] = 0
+    def test_no_index_pair_outlives_a_call(self, rng):
+        _kernels.pair_terms(np.ones(3, dtype=complex))  # another size first: a kept pair would be built below
+        t = rng.standard_normal(2048) + 1j * rng.standard_normal(2048)
+        tracemalloc.start()
+        try:
+            _kernels.pair_terms(t)  # 2,096,128 terms from a 32 MB index pair, neither of them kept
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 20
 
     def test_single_element_no_pairs(self):
         terms = _kernels.pair_terms(np.array([1.0 + 2.0j]))
@@ -236,22 +240,21 @@ class TestPairSums:
     def test_split_tree_at_size(self, dim, rng):
         self.assert_bit_equal(self.rows("complex", 2, dim, rng))
 
-    def test_one_row_of_4096(self, monkeypatch, rng):
+    def test_one_row_of_4096(self, triu_calls, rng):
         # the oracle's terms come from row products, not the 2 x 67 MB index pair
-        indices = count_calls(monkeypatch, "pair_indices", module="_kernels")
         t = self.rows("zeros", 1, 4096, rng)
         terms = np.concatenate([t[0, x] * t[0, x + 1:].conj() for x in range(4095)])
         expected = np.float64(2.0 * terms.sum().real)
         del terms
         assert _kernels.pair_sums(t).tobytes() == expected.tobytes()
-        assert indices == []
+        assert triu_calls == []
 
-    def test_split_tree_builds_no_index_pair(self, monkeypatch, rng):
-        indices = count_calls(monkeypatch, "pair_indices", module="_kernels")
+    def test_split_tree_builds_no_index_pair(self, triu_calls, rng):
         _kernels.pair_sums(self.rows("complex", 2, 129, rng))  # M = 8,256 terms: the tree
-        assert indices == []
-        _kernels.pair_sums(self.rows("complex", 2, 128, rng))  # M = 8,128: the gather
-        assert indices == [128]
+        assert triu_calls == []
+        _kernels.pair_sums(self.rows("complex", 2, 128, rng))  # M = 8,128: the gather, one pair a call
+        _kernels.pair_sums(self.rows("complex", 3, 128, rng))
+        assert triu_calls == [128, 128]
 
 
 def test_dispatchers_accept_loose_dtypes():

@@ -12,7 +12,7 @@ NAN, INF = float("nan"), float("inf")
 
 
 def spec_with_fields(x):
-    return sk.HamiltonianSpec(x, sk.ring_coupling(x.size))
+    return sk.HamiltonianSpec(x, sk.ring_coupling(len(x)))
 
 
 def spec_with_coupling(j):
@@ -24,7 +24,7 @@ def spec_with_mu(mu):
 
 
 def phase_encoding_uniform(phi):
-    return sk.phase_encoding(np.full(phi.size, 1.0 / phi.size), phi)
+    return sk.phase_encoding(np.full(len(phi), 1.0 / len(phi)), phi)
 
 
 def dataset(v):
@@ -39,6 +39,10 @@ def zeeman_sweep(eps):
     return sk.spectral._profile_and_zeeman(spec_with_fields(np.array([0.5, -0.3])), eps)
 
 
+def curvature_scan(taus):
+    return sk.information_curvature(spec_with_fields(np.array([0.5, -0.3])), taus)
+
+
 def curvature(taus=np.array([0.1, 0.01]), errors=np.ones(2), slope=3.0, resid=0.01, norm=1.0):
     return sk.CurvatureScan(taus, errors, slope, resid, commuting=False, commutator_norm=norm)
 
@@ -50,7 +54,7 @@ CASES = {
     "HermitianOperator": (lambda d: np.eye(d, dtype=complex), sk.HermitianOperator, StatekitError),
     "SpectralDecomposition.eigenvalues": (
         lambda d: np.arange(d, dtype=float),
-        lambda vals: sk.SpectralDecomposition(vals, np.eye(vals.size)),
+        lambda vals: sk.SpectralDecomposition(vals, np.eye(len(vals))),
         EigensolverError,
     ),
     "SpectralDecomposition.eigenvectors": (
@@ -70,11 +74,12 @@ CASES = {
     "SpectralProfile.mass_gap": (lambda d: np.ones(1), lambda g: profile(gap=g[0]), StatekitError),
     # d >= 2 zeros, so a grid with one entry replaced still holds its reference point
     "_profile_and_zeeman(epsilons)": (lambda d: np.repeat([0.0, 0.25], d), zeeman_sweep, StatekitError),
-    "CurvatureScan.taus": (lambda d: np.geomspace(0.1, 1e-3, d), lambda t: curvature(t, np.ones(t.size)), StatekitError),
-    "CurvatureScan.errors": (lambda d: np.ones(d), lambda e: curvature(np.geomspace(0.1, 1e-3, e.size), e), StatekitError),
+    "CurvatureScan.taus": (lambda d: np.geomspace(0.1, 1e-3, d), lambda t: curvature(t, np.ones(len(t))), StatekitError),
+    "CurvatureScan.errors": (lambda d: np.ones(d), lambda e: curvature(np.geomspace(0.1, 1e-3, len(e)), e), StatekitError),
     "CurvatureScan.fitted_slope": (lambda d: np.ones(1), lambda s: curvature(slope=s[0]), StatekitError),
     "CurvatureScan.fit_residual": (lambda d: np.ones(1), lambda r: curvature(resid=r[0]), StatekitError),
     "CurvatureScan.commutator_norm": (lambda d: np.ones(1), lambda c: curvature(norm=c[0]), StatekitError),
+    "information_curvature(taus)": (lambda d: np.geomspace(1.0, 1e-3, d + 4), curvature_scan, StatekitError),
 }
 
 # one input per type that passed every check before the non-finite guards
@@ -100,6 +105,7 @@ PASSED_BEFORE = {
     "CurvatureScan.fitted_slope": np.array([NAN]),
     "CurvatureScan.fit_residual": np.array([INF]),
     "CurvatureScan.commutator_norm": np.array([NAN]),
+    "information_curvature(taus)": np.array([NAN, 1.0, 0.1, 0.01, 0.001]),  # once named as not monotone
 }
 
 
@@ -132,3 +138,17 @@ def test_any_non_finite_entry_rejected(name, data):
         flat[i] = bad
     with pytest.raises(error):
         build(flat.reshape(base.shape))
+
+
+# the constructors of arrays, each given a nested list with a bool among its numbers
+ARRAY_CASES = sorted(name for name, (make, _, _) in CASES.items() if make(4).size > 1)
+
+
+@pytest.mark.parametrize("name", ARRAY_CASES)
+def test_a_bool_among_numbers_rejected(name):
+    make, build, error = CASES[name]
+    base = make(4)
+    entries = base.astype(object).ravel()
+    entries[0] = True  # numpy alone would read it as 1
+    with pytest.raises(error, match="must be an array of numbers"):
+        build(entries.reshape(base.shape).tolist())

@@ -197,9 +197,8 @@ def test_post_init_takes_arrays_through_the_intake(module):
     assert intake_bypasses(ast.parse((SRC / module).read_text())) == []
 
 
-# the one conversion of outside arrays, and one call that converts no array:
-# _labels reads each label as a Python object
-CONVERSIONS = {"statevec._as_array", "experiments._labels"}
+# the one conversion of outside arrays
+CONVERSIONS = {"statevec._as_array"}
 
 
 def conversions(module, tree):
@@ -226,9 +225,9 @@ def test_outside_arrays_are_converted_in_one_place():
 
 
 # the one scalar intake, and three functions that test for a bool as a value of its own:
-# _labels (the per-label rule) and the two output formatters (JSON values, CSV columns)
+# the array intake (a bool among numbers) and the two output formatters (JSON values, CSV columns)
 SCALAR_RULES = {
-    "statevec._is_int", "statevec._as_real", "experiments._labels", "experiments._jsonify", "experiments._column_cells",
+    "statevec._is_int", "statevec._as_real", "statevec._as_array", "experiments._jsonify", "experiments._column_cells",
 }
 
 
@@ -247,3 +246,23 @@ def test_scalars_are_checked_in_one_place():
     found = [name for path in SRC.glob("*.py") for name in scalar_rules(path.stem, ast.parse(path.read_text()))]
     # both ways: a stale entry would let a later scalar rule in its function pass unseen
     assert sorted(set(found) ^ SCALAR_RULES) == []
+
+
+# every cache in src/statekit: one parser for every CLI call. A cache keeps what it
+# holds between calls, so a new one must show up here
+CACHES = {"cli.build_parser"}
+
+
+def caches(module, tree):
+    """``module.name`` of each function with a cache decorator (``functools.cache``, ``lru_cache``)."""
+    return [
+        f"{module}.{fn.name}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and any("cache" in ast.unparse(d) for d in fn.decorator_list)
+    ]
+
+
+def test_caches_are_listed():
+    found = [name for path in SRC.glob("*.py") for name in caches(path.stem, ast.parse(path.read_text()))]
+    # both ways, as for CONVERSIONS
+    assert sorted(set(found) ^ CACHES) == []
