@@ -57,7 +57,8 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
         raise ConfigError(f"cannot parse {name}: {exc}") from exc
     if points < 1:
         raise ConfigError(f"{name} needs at least one point")
-    return np.linspace(_as_real(start, name, ConfigError), _as_real(stop, name, ConfigError), points)
+    _as_real(stop - start, name, ConfigError, f"{name} or its span")  # NaN, an infinite end or overflow
+    return np.linspace(start, stop, points)
 
 
 def _hadamard_layer(dim: int) -> np.ndarray:

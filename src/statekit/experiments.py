@@ -2,7 +2,7 @@
 
 Every experiment is a pure function of (config, seed), and resonance of its gap tolerance
 too (``results.tolerance``): repeated runs emit byte-identical CSV tables. ``EXPERIMENTS``
-holds each of the four with its own config rules and its runner:
+holds each of the four with the inputs it reads, its own config rules and its runner:
 
     parity              encoder contrast on the sign-vector parity task
     curvature-scan      Trotter-error scaling of the sandwich step
@@ -182,6 +182,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown encoder {enc!r}; expected one of {ENCODER_IDS}")
             if enc in self.encoders[:i]:
                 raise ConfigError(f"encoder {enc!r} is listed more than once")
+        for name in ("encoders", "qift"):  # an empty encoders list is no input
+            if getattr(self, name) and name not in EXPERIMENTS[self.experiment].reads:
+                raise ConfigError(f"{self.experiment} does not read {name}")
         EXPERIMENTS[self.experiment].check(self)
 
     def qift_params(self) -> QiftParams:
@@ -462,10 +465,11 @@ def distinguishability(
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment: ``check(config)`` raises ``ConfigError`` on a config that breaks its
-    own rules, after the shared ones are checked, and ``run(config, tolerance)`` computes
-    its results and tables (only resonance reads the tolerance)."""
+    """One experiment: ``reads`` names which of ``encoders``, ``qift`` and ``tolerance`` it reads,
+    the others being refused; ``check(config)`` raises ``ConfigError`` on a config that breaks its
+    own rules, after the shared ones, and ``run(config, tolerance)`` computes its results and tables."""
 
+    reads: tuple[str, ...]
     check: Callable[[ExperimentConfig], None]
     run: Callable[[ExperimentConfig, float], tuple[dict, list[Table]]]
 
@@ -485,12 +489,16 @@ def _check_parity(config: ExperimentConfig) -> None:
         raise ConfigError(f"count {samples} exceeds the {1 << n} distinct sign vectors")
     if "qift" in config.encoders:
         _require_qubits(n, "the qift encoder", config.qift_params())
+    elif config.qift is not None:
+        raise ConfigError("parity reads qift only with the qift encoder")
 
 
 def _check_curvature(config: ExperimentConfig) -> None:
     _require_qubits(config.n_features, "curvature-scan", config.qift_params())
     if config.count == "all":
         raise ConfigError("curvature-scan requires an integer count")
+    if config.count != 1:  # the scan draws one spec from seed
+        raise ConfigError(f"curvature-scan requires count 1, got {config.count}")
 
 
 def _check_resonance(config: ExperimentConfig) -> None:
@@ -651,10 +659,10 @@ def _run_interference_audit(config: ExperimentConfig, tolerance: float) -> tuple
 
 
 EXPERIMENTS: dict[str, Experiment] = {
-    "parity": Experiment(_check_parity, _run_parity),
-    "curvature-scan": Experiment(_check_curvature, _run_curvature),
-    "resonance": Experiment(_check_resonance, _run_resonance),
-    "interference-audit": Experiment(_check_audit, _run_interference_audit),
+    "parity": Experiment(("encoders", "qift"), _check_parity, _run_parity),
+    "curvature-scan": Experiment(("qift",), _check_curvature, _run_curvature),
+    "resonance": Experiment(("qift", "tolerance"), _check_resonance, _run_resonance),
+    "interference-audit": Experiment((), _check_audit, _run_interference_audit),
 }
 EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
@@ -664,8 +672,10 @@ def compute_experiment(
     resonance_tolerance: float | None = None,
 ) -> tuple[dict, list[Table]]:
     """Run the configured experiment in memory; no files touched."""
-    tol = TOLS.resonance if resonance_tolerance is None else resonance_tolerance
-    return EXPERIMENTS[config.experiment].run(config, tol)
+    experiment = EXPERIMENTS[config.experiment]
+    if resonance_tolerance is not None and "tolerance" not in experiment.reads:
+        raise ConfigError(f"{config.experiment} does not read tolerance")
+    return experiment.run(config, TOLS.resonance if resonance_tolerance is None else resonance_tolerance)
 
 
 def run_experiment(

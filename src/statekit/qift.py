@@ -292,13 +292,14 @@ def information_curvature(
     d = np.diff(grid)
     if not (np.all(d > 0) or np.all(d < 0)):
         raise StatekitError("tau grid must be strictly monotone")
-    if math.log10(grid.max() / grid.min()) < 1.5:
+    if math.log10(grid.max()) - math.log10(grid.min()) < 1.5:
         raise StatekitError("tau grid must span at least 1.5 decades")
 
     h = effective_hamiltonian(spec_base)
     comm = _commutator_norm(h.matrix)
     # H does not depend on tau: one decomposition gives every exact U(tau)
     dec = hermitian_spectral_decomposition(h)
+    _as_real(float(grid.max()) * float(np.abs(dec.eigenvalues).max()), "tau", what="tau grid times the spectrum")
     del h  # 2^n x 2^n: not held across the tau loop
     errors = _freeze(np.array([
         operator_distance(sandwich_unitary(replace(spec_base, tau=t)), dec.evolution(t))

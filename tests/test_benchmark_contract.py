@@ -7,13 +7,18 @@ src/ that breaks one of them fails here instead of in a traced benchmark run.
 """
 import importlib
 import importlib.util
+import os
+import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from statekit.experiments import ExperimentConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def load(name):
@@ -60,3 +65,29 @@ def test_loo_accepts_an_ndarray():
 
     sim = np.array([[1.0, 0.9, 0.1], [0.9, 1.0, 0.2], [0.1, 0.2, 1.0]])
     assert nn_classify_loo(sim, np.array([1, 1, -1])) == pytest.approx(2 / 3)
+
+
+def benchmark_configs():
+    """Every config that a benchmark pass, the checker self-test or the golden gate runs,
+    each as a pytest param named after its source."""
+    workloads = load("workloads")
+    for workload in workloads.WORKLOADS:
+        for seed in (0, 1, 7):
+            for name, config in workloads.make_configs(workload, seed, "out"):
+                yield pytest.param(config, id=f"{workload}-{name}-seed{seed}")
+    # selftest.py imports checks.py and worker.py as its own run does; make_goldens.py pins
+    # the BLAS threads of its process: both are loaded, not run, and leave no trace here
+    with mock.patch.object(sys, "path", [str(PERFBENCH), *sys.path]), mock.patch.dict(os.environ):
+        small = load("selftest").SMALL
+        spec = importlib.util.spec_from_file_location("make_goldens", GOLDEN / "make_goldens.py")
+        spec.loader.exec_module(goldens := importlib.util.module_from_spec(spec))
+    for name, config in small.items():
+        yield pytest.param(dict(config, seed=11, output_dir="out"), id=f"selftest-{name}")
+    for case, config in goldens.CONFIGS.items():
+        yield pytest.param(dict(config, output_dir="out"), id=f"golden-{case}")
+
+
+# a stricter config rule fails here, not in a benchmark run or the golden gate
+@pytest.mark.parametrize("config", benchmark_configs())
+def test_benchmark_config_passes_the_config_rules(config):
+    assert ExperimentConfig.from_dict(config)

@@ -228,6 +228,20 @@ class TestTrotterScan:
         assert code == 2
         assert "error:" in err
 
+    def test_grid_of_a_subnormal_tau_scans(self, capsys):
+        # max / min overflows here; the span is tested as log10(max) - log10(min)
+        code, out, _ = run_cli(capsys, "trotter-scan", "--n", "2", "--tau-min", "1e-320", "--points", "5")
+        assert code == 0
+        assert len(parse_csv_tables(out)[1]) == 6  # header and 5 rows
+
+    def test_phase_beyond_the_float_range_fails_cleanly(self, capsys):
+        # tau times the spectrum overflows: refused before a step or an evolution is formed
+        code, out, err = run_cli(capsys, "trotter-scan", "--n", "2", "--tau-max", "1e308", "--tau-min", "1e-300",
+                                 "--points", "5")
+        assert code == 2
+        assert out == ""
+        assert err == "error: non-finite value in tau grid times the spectrum\n"
+
 
 class TestSpectrum:
     def test_single_qubit_gap(self, capsys):
@@ -358,6 +372,7 @@ BAD_SIZE_ARGV = {
     "trotter-scan --tau-min inf": ["trotter-scan", "--n", "2", "--tau-min", "inf"],
     "spectrum --zeeman=-inf:0:3": ["spectrum", "--x", "1,0.5", "--zeeman=-inf:0:3"],
     "spectrum --zeeman=0:nan:3": ["spectrum", "--x", "1,0.5", "--zeeman=0:nan:3"],
+    "spectrum --zeeman=-1e308:1e308:3": ["spectrum", "--x", "1,0.5", "--zeeman=-1e308:1e308:3"],
 }
 
 
@@ -471,6 +486,34 @@ class TestRun:
         assert err == f"error: tolerance must be finite and > 0, got {float(tol)}\n"
         assert not (tmp_path / "run_out").exists()
 
+    # each input that its experiment does not read, and the error that names it
+    @pytest.mark.parametrize(
+        "overrides, flags, message",
+        [
+            ({"experiment": "curvature-scan", "count": 1, "encoders": ["amplitude"]}, [],
+             "curvature-scan does not read encoders"),
+            ({"experiment": "resonance", "count": 3, "encoders": ["amplitude"]}, [], "resonance does not read encoders"),
+            ({"experiment": "interference-audit", "count": 1, "encoders": ["amplitude"]}, [],
+             "interference-audit does not read encoders"),
+            ({"experiment": "interference-audit", "count": 1, "encoders": [], "qift": {"mu": 5, "topology": "complete"}},
+             [], "interference-audit does not read qift"),
+            ({"qift": {"mu": 5}}, [], "parity reads qift only with the qift encoder"),
+            ({"experiment": "curvature-scan", "count": 2, "encoders": []}, [], "curvature-scan requires count 1, got 2"),
+            ({}, ["--tol", "1e-3"], "parity does not read tolerance"),
+            ({"experiment": "curvature-scan", "count": 1, "encoders": []}, ["--tol", "-1"],
+             "curvature-scan does not read tolerance"),
+            ({"experiment": "interference-audit", "count": 1, "encoders": []}, ["--tol", "1e-3"],
+             "interference-audit does not read tolerance"),
+        ],
+        ids=["curvature-encoders", "resonance-encoders", "audit-encoders", "audit-qift", "parity-qift",
+             "curvature-count", "parity-tol", "curvature-tol", "audit-tol"],
+    )
+    def test_unread_input_fails_cleanly(self, capsys, tmp_path, overrides, flags, message):
+        path = self.write_config(tmp_path, n_features=2, **overrides)
+        code, out, err = run_cli(capsys, "run", str(path), *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "run_out").exists()
+
     def test_invalid_json_fails(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -488,3 +531,26 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "statekit" in capsys.readouterr().out
+
+
+# the parse errors of the CLI's own intake: one error line, exit 2, nothing built
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--x", "1,a"], "cannot parse --x: could not convert string to float: 'a'"),
+        (["spectrum", "--x", ", ,"], "--x must contain at least one number"),
+        (["spectrum", "--x", "1", "--zeeman", "0:1"], "--zeeman must look like start:stop:points"),
+        (["spectrum", "--x", "1", "--zeeman", "0:1:x"], "cannot parse --zeeman: invalid literal for int() with base 10: 'x'"),
+        (["spectrum", "--x", "1", "--zeeman", "0:1:0"], "--zeeman needs at least one point"),
+        (["encode", "--encoder", "amplitude", "--input", "missing.json"], "cannot read input vector: "),
+        (["encode", "--encoder", "amplitude", "--input", "bad.json"], "cannot read input vector: "),
+    ],
+    ids=["floats-text", "floats-empty", "grid-parts", "grid-points-text", "grid-no-point", "input-missing",
+         "input-not-json"],
+)
+def test_parse_error_fails_cleanly(capsys, tmp_path, monkeypatch, tripwire, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text("[1, 2")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1

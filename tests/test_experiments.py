@@ -907,7 +907,7 @@ class TestExperimentConfig:
 
     def test_qift_topology_matrix(self, tmp_path):
         j = [[0.0, 1.0], [1.0, 0.0]]
-        raw = parity_config(tmp_path, n_features=2, qift={"topology": j})
+        raw = parity_config(tmp_path, n_features=2, encoders=["qift"], qift={"topology": j})
         cfg = sk.ExperimentConfig.from_dict(raw)
         assert np.array_equal(cfg.qift_params().coupling_for(2), np.array(j))
 
@@ -955,9 +955,11 @@ class TestExperimentConfig:
         raw = parity_config(tmp_path, experiment=experiment, count=2, encoders=encoders, qift=qift)
         with pytest.raises(ConfigError, match=r"^explicit coupling matrix has shape \(3, 3\), expected \(4, 4\)$"):
             sk.ExperimentConfig.from_dict(raw)
-        # interference-audit, and parity without the qift encoder, build no Hamiltonian
-        assert sk.ExperimentConfig.from_dict(dict(raw, experiment="interference-audit", encoders=[]))
-        assert sk.ExperimentConfig.from_dict(dict(raw, experiment="parity", encoders=["amplitude"]))
+        # interference-audit, and parity without the qift encoder, build no Hamiltonian and refuse the block
+        with pytest.raises(ConfigError, match="^interference-audit does not read qift$"):
+            sk.ExperimentConfig.from_dict(dict(raw, experiment="interference-audit", encoders=[]))
+        with pytest.raises(ConfigError, match="^parity reads qift only with the qift encoder$"):
+            sk.ExperimentConfig.from_dict(dict(raw, experiment="parity", encoders=["amplitude"]))
 
     def test_qift_block_echo(self, tmp_path):
         raw = parity_config(tmp_path, n_features=2, encoders=["qift"], qift={"mu": 1, "topology": [[0, 1], [1, 0]]})
@@ -974,13 +976,14 @@ class TestExperimentConfig:
             sk.ExperimentConfig.from_dict(parity_config(tmp_path, n_features=3))
 
     def test_resonance_needs_integer_count(self, tmp_path):
-        raw = parity_config(tmp_path, experiment="resonance", count="all")
+        raw = parity_config(tmp_path, experiment="resonance", count="all", encoders=[])
         with pytest.raises(ConfigError, match="count"):
             sk.ExperimentConfig.from_dict(raw)
 
     @pytest.mark.parametrize("experiment", ["curvature-scan", "resonance", "interference-audit"])
     def test_qubit_experiments_capped_at_12(self, tmp_path, experiment):
-        raw = parity_config(tmp_path, experiment=experiment, n_features=12, count=2)
+        count = 1 if experiment == "curvature-scan" else 2
+        raw = parity_config(tmp_path, experiment=experiment, n_features=12, count=count, encoders=[])
         assert sk.ExperimentConfig.from_dict(raw).n_features == 12
         for n in (13, 15):
             with pytest.raises(ConfigError, match="12 qubits"):
@@ -1017,7 +1020,9 @@ class TestExperimentConfig:
 
     # one row per rule: a valid config of the experiment, changed by the overrides, and
     # the whole message it must raise; the last rows give more than one fault and pin
-    # which rule is met first (the qubit cap, then the topology's shape, then the count)
+    # which rule is met first (a known encoder, then an input the experiment reads, then its
+    # own rules: the qubit cap, then the topology's shape, then the count, and parity's qift
+    # block without the qift encoder last)
     @pytest.mark.parametrize(
         "experiment, overrides, message",
         [
@@ -1047,18 +1052,30 @@ class TestExperimentConfig:
             ("resonance", {"count": 1025}, "resonance supports at most 1024 specs, got 1025"),
             ("curvature-scan", {"count": "all"}, "curvature-scan requires an integer count"),
             ("interference-audit", {"count": "all"}, "interference-audit requires an integer count"),
+            ("curvature-scan", {"count": 2}, "curvature-scan requires count 1, got 2"),
+            ("curvature-scan", {"encoders": ["amplitude"]}, "curvature-scan does not read encoders"),
+            ("resonance", {"encoders": ["amplitude"]}, "resonance does not read encoders"),
+            ("interference-audit", {"encoders": ["amplitude"]}, "interference-audit does not read encoders"),
+            ("interference-audit", {"qift": {}}, "interference-audit does not read qift"),
+            ("parity", {"qift": {}}, "parity reads qift only with the qift encoder"),
+            ("interference-audit", {"encoders": ["warp"]}, "unknown encoder 'warp'; expected one of "
+             "('probability_loading', 'amplitude', 'phase', 'qift')"),
+            ("resonance", {"n_features": 13, "encoders": ["qift"], "count": 1}, "resonance does not read encoders"),
+            ("interference-audit", {"n_features": 13, "qift": {}}, "interference-audit does not read qift"),
+            ("parity", {"n_features": 3, "qift": {}}, "parity experiment requires n_features to be a power of 2 (>= 2)"),
             ("resonance", {"n_features": 13, "qift": {"topology": RING_3}, "count": "all"},
              "resonance supports at most 12 qubits, got 13"),
             ("resonance", {"qift": {"topology": RING_3}, "count": "all"}, WRONG_SHAPE),
             ("curvature-scan", {"n_features": 13, "count": "all"}, "curvature-scan supports at most 12 qubits, got 13"),
             ("interference-audit", {"n_features": 13, "count": "all"},
              "interference-audit supports at most 12 qubits, got 13"),
+            ("curvature-scan", {"n_features": 13, "count": 2}, "curvature-scan supports at most 12 qubits, got 13"),
         ],
     )
     def test_every_rule_raises_its_own_message(self, tmp_path, experiment, overrides, message):
         raw = parity_config(tmp_path, experiment=experiment)
         if experiment != "parity":
-            raw.update(count=2, encoders=[])
+            raw.update(count=1 if experiment == "curvature-scan" else 2, encoders=[])
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             sk.ExperimentConfig.from_dict(dict(raw, **overrides))
         if experiment in sk.EXPERIMENT_IDS:
@@ -1154,16 +1171,24 @@ class TestRunExperiment:
         assert csv_text.startswith("tau,error")
         assert len(csv_text.strip().splitlines()) == 14  # header + 13 points
 
-    def test_curvature_scan_ignores_count(self, tmp_path):
-        # count is validated but unused; README documents it as ignored
-        reports = []
-        for count in (1, 7):
-            raw = {"experiment": "curvature-scan", "n_features": 3, "count": count, "seed": 11,
-                   "output_dir": str(tmp_path / f"scan{count}")}
-            reports.append(sk.run_experiment(sk.ExperimentConfig.from_dict(raw)))
-        assert reports[0].results == reports[1].results
-        csv_1 = (tmp_path / "scan1" / "curvature_scan.csv").read_bytes()
-        assert csv_1 == (tmp_path / "scan7" / "curvature_scan.csv").read_bytes()
+    def test_curvature_scan_refuses_a_count_other_than_one(self, tmp_path):
+        # the scan draws one spec from seed, so a count of more specs would go unread
+        raw = {"experiment": "curvature-scan", "n_features": 3, "count": 1, "seed": 11,
+               "output_dir": str(tmp_path / "scan")}
+        assert sk.ExperimentConfig.from_dict(raw).count == 1
+        with pytest.raises(ConfigError, match="^curvature-scan requires count 1, got 7$"):
+            sk.ExperimentConfig.from_dict(dict(raw, count=7))
+
+    @pytest.mark.parametrize("experiment", ["parity", "curvature-scan", "interference-audit"])
+    @pytest.mark.parametrize("run", [compute_experiment, sk.run_experiment], ids=["compute", "run"])
+    def test_only_resonance_reads_a_tolerance(self, tmp_path, experiment, run):
+        raw = parity_config(tmp_path, experiment=experiment, n_features=2)
+        if experiment != "parity":
+            raw.update(count=1, encoders=[])
+        cfg = sk.ExperimentConfig.from_dict(raw)
+        with pytest.raises(ConfigError, match=f"^{experiment} does not read tolerance$"):
+            run(cfg, resonance_tolerance=1e-3)
+        assert not (tmp_path / "out").exists()
 
     def test_resonance_run(self, tmp_path):
         raw = {
@@ -1383,3 +1408,28 @@ def test_encoder_table_and_qift_params_are_re_exported():
     assert statekit.experiments.QiftParams is statekit.qift.QiftParams
     assert statekit.experiments.ENCODERS is statekit.encoders.ENCODERS
     assert statekit.experiments.ENCODER_IDS is statekit.encoders.ENCODER_IDS
+
+
+# raise branches of this module that a public call reaches and no other test runs
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: sk.LabeledDataset(np.ones((3, 2)), [1, -1], 0), StatekitError,
+         "vectors and labels must have matching first dimension"),
+        (lambda tmp: sk.GramMatrix(np.ones((2, 3))), StatekitError, "Gram matrix must be square, got (2, 3)"),
+        (lambda tmp: sk.gen_parity_dataset(4, 0), StatekitError, "count must be a positive integer or 'all'"),
+        (lambda tmp: sk.ExperimentConfig.from_dict(parity_config(tmp, encoders="amplitude")), ConfigError,
+         "encoders must be a list"),
+        (lambda tmp: sk.ExperimentConfig.from_dict(parity_config(tmp, output_dir="")), ConfigError,
+         "output_dir must be a non-empty string"),
+        (lambda tmp: sk.ExperimentConfig.from_dict(parity_config(tmp, output_dir=["out"])), ConfigError,
+         "output_dir must be a non-empty string"),
+        (lambda tmp: sk.ExperimentConfig.from_dict(parity_config(tmp, encoders=["qift"], qift=[1.0])), ConfigError,
+         "qift block must be a JSON object"),
+    ],
+    ids=["dataset-rows", "gram-square", "parity-count", "encoders-list", "output-dir-empty", "output-dir-list",
+         "qift-object"],
+)
+def test_intake_rule_raises_its_message(tmp_path, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(tmp_path)

@@ -50,8 +50,9 @@ def golden_outputs():
 @pytest.fixture(scope="module")
 def fresh(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
+    # a RuntimeWarning (an overflow, a NaN formed) fails the gate, as it fails a test in process
     done = subprocess.run(
-        [sys.executable, str(GOLDEN / "make_goldens.py"), "--out", str(out)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(GOLDEN / "make_goldens.py"), "--out", str(out)],
         capture_output=True,
         text=True,
     )

@@ -396,3 +396,23 @@ class TestPairwiseTermSigns:
             assert pairs.shape == (6,) and (pairs.real != 0.0).all()
             signs.add(tuple(np.sign(pairs.real)))
         assert len(signs) == 1
+
+
+# raise branches of this module that a public call reaches and no other test runs
+@pytest.mark.parametrize(
+    "u, distributions, phases, error, message",
+    [
+        (HADAMARD, [], None, StatekitError, r"at least one distribution is required"),
+        (HADAMARD, [[0.5, 0.5], [0.25, 0.75]], [[0.0, 1.0]], DimensionMismatchError,
+         r"phases list must match distributions list in length"),
+        (HADAMARD, [[0.5, 0.5], [1.0, 0.0]], None, StatekitError,
+         r"distribution 1 has zero probability on pair \(0, 1\); argument undefined"),
+        # the identity sends no amplitude of basis state 1 to outcome 0
+        (sk.DenseOperator(np.eye(2, dtype=complex)), [[0.5, 0.5]], None, StatekitError,
+         r"pair term \(0, 1\) vanishes at outcome 0; argument undefined"),
+    ],
+    ids=["no-distribution", "phases-length", "zero-probability", "vanishing-term"],
+)
+def test_sign_lock_rule_raises_its_message(u, distributions, phases, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        sk.sign_lock_check(u, 0, (0, 1), distributions, phases)

@@ -486,3 +486,19 @@ def test_coupling_presets():
     assert np.array_equal(sk.ring_coupling(1), np.zeros((1, 1)))
     # n=2 ring must not double-count the single edge
     assert np.array_equal(sk.ring_coupling(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+# raise branches of this module that a public call reaches and no other test runs
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sk.CurvatureScan([0.1, 0.01, 0.05], [1e-3, 1e-6, 1e-4], 3.0, 0.1, False, 1.0),
+         "tau grid must be strictly monotone"),
+        (lambda: sk.CurvatureScan([0.1, 0.01], [1e-3, -1e-6], 3.0, 0.1, False, 1.0), "errors must be non-negative"),
+        (lambda: sk.build_h_data([]), "at least one field strength is required"),
+    ],
+    ids=["scan-monotone", "scan-errors", "h-data-empty"],
+)
+def test_constructor_rule_raises_its_message(call, message):
+    with pytest.raises(StatekitError, match=f"^{message}$"):
+        call()

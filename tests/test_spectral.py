@@ -211,3 +211,13 @@ class TestResonance:
         verdict = sk.resonance_similarity(a, b, 1e-3)
         assert verdict.spectrum_distance == pytest.approx(1.0, abs=1e-12)
 
+
+# raise branches of this module that a public call reaches and no other test runs
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: sk.SpectralProfile(np.array([1.0, 0.0]), 0.0, True), "eigenvalues must be ascending")],
+    ids=["profile-descending"],
+)
+def test_constructor_rule_raises_its_message(call, message):
+    with pytest.raises(StatekitError, match=f"^{message}$"):
+        call()

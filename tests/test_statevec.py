@@ -271,3 +271,17 @@ def test_numpy_integers_are_integers():
     assert np.array_equal(a.vectors, b.vectors) and type(a.seed) is int
     # a register of no qubits is legal for the presets: QiftParams.spec sizes the coupling before it is checked
     assert sk.ring_coupling(0).shape == sk.complete_coupling(np.int64(0)).shape == (0, 0)
+
+
+# raise branches of this module that a public call reaches and no other test runs
+@pytest.mark.parametrize(
+    "vals, vecs, message",
+    [
+        ([1.0, 0.0], np.eye(2), r"^eigenvalues are not sorted ascending$"),
+        ([0.0, 1.0], [[1.0, 1.0], [0.0, 1.0]], r"^eigenvector orthonormality residual \d\.\d{3}e[-+]\d+$"),
+    ],
+    ids=["descending", "not-orthonormal"],
+)
+def test_decomposition_rule_raises_its_message(vals, vecs, message):
+    with pytest.raises(EigensolverError, match=message):
+        sk.SpectralDecomposition(np.array(vals), np.array(vecs, dtype=complex))
