@@ -234,13 +234,10 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if isinstance(raw, dict):  # from_dict reports any other JSON value
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.out is not None:
-            raw["output_dir"] = args.out
-    config = ExperimentConfig.from_dict(raw)
-    report = run_experiment(config, resonance_tolerance=args.tol)
+    for key, flag in (("seed", args.seed), ("output_dir", args.out), ("tolerance", args.tol)):
+        if flag is not None and isinstance(raw, dict):  # from_dict reports any other JSON value
+            raw[key] = flag
+    report = run_experiment(ExperimentConfig.from_dict(raw))
     print(dumps({"results": report.results, "written": list(report.written)}, indent=2))
     return 0
 
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[out_opts], help="run an experiment from a JSON config")
     p.add_argument("config", help="path to the config JSON file")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: the config's)")
-    p.add_argument("--tol", type=float, default=None, help="resonance gap-coincidence tolerance")
+    p.add_argument("--tol", type=float, default=None, help="resonance gap tolerance (default: the config's)")
     p.set_defaults(func=_cmd_run)
 
     return parser

@@ -1,8 +1,8 @@
 """Seeded experiments: datasets, fidelity kernels, classification, reports.
 
-Every experiment is a pure function of (config, seed), and resonance of its gap tolerance
-too (``results.tolerance``): repeated runs emit byte-identical CSV tables. ``EXPERIMENTS``
-holds each of the four with the inputs it reads, its own config rules and its runner:
+Every experiment is a pure function of its config: repeated runs of one config emit
+byte-identical CSV tables. ``EXPERIMENTS`` holds each of the four with the inputs it reads,
+its own config rules and its runner:
 
     parity              encoder contrast on the sign-vector parity task
     curvature-scan      Trotter-error scaling of the sandwich step
@@ -148,12 +148,13 @@ class ExperimentConfig:
     output_dir: str
     encoders: tuple[str, ...] = ()
     qift: QiftParams | None = None
+    tolerance: float | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"experiment", "n_features", "count", "seed", "encoders", "qift", "output_dir"}
+        known = {"experiment", "n_features", "count", "seed", "encoders", "qift", "tolerance", "output_dir"}
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -161,13 +162,10 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
 
-        encoders = raw.get("encoders", [])
+        encoders, qift = raw.get("encoders", []), raw.get("qift")
         if not isinstance(encoders, list):
             raise ConfigError("encoders must be a list")
-        qift = raw.get("qift")
-        if qift is not None:
-            qift = _parse_qift_block(qift)
-        return cls(**{**raw, "encoders": tuple(encoders), "qift": qift})
+        return cls(**{**raw, "encoders": tuple(encoders), "qift": None if qift is None else _parse_qift_block(qift)})
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:  # a tuple: an unhashable id is unknown, no TypeError
@@ -182,9 +180,11 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown encoder {enc!r}; expected one of {ENCODER_IDS}")
             if enc in self.encoders[:i]:
                 raise ConfigError(f"encoder {enc!r} is listed more than once")
-        for name in ("encoders", "qift"):  # an empty encoders list is no input
-            if getattr(self, name) and name not in EXPERIMENTS[self.experiment].reads:
+        for name, value in (("encoders", self.encoders or None), ("qift", self.qift), ("tolerance", self.tolerance)):
+            if value is not None and name not in EXPERIMENTS[self.experiment].reads:  # an empty list is no input
                 raise ConfigError(f"{self.experiment} does not read {name}")
+        if self.tolerance is not None:
+            object.__setattr__(self, "tolerance", _as_real(self.tolerance, "tolerance", ConfigError, positive=True))
         EXPERIMENTS[self.experiment].check(self)
 
     def qift_params(self) -> QiftParams:
@@ -201,12 +201,14 @@ class ExperimentConfig:
         }
         if self.qift is not None:
             out["qift"] = _jsonify(asdict(self.qift))
+        if self.tolerance is not None:  # echoed only when set, so a config without one keeps its bytes
+            out["tolerance"] = self.tolerance
         return out
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """Results plus provenance; every number reproducible from (config, seed) and resonance's tolerance."""
+    """Results plus provenance; every number reproducible from the echoed config."""
 
     config: dict
     results: dict
@@ -467,11 +469,11 @@ def distinguishability(
 class Experiment:
     """One experiment: ``reads`` names which of ``encoders``, ``qift`` and ``tolerance`` it reads,
     the others being refused; ``check(config)`` raises ``ConfigError`` on a config that breaks its
-    own rules, after the shared ones, and ``run(config, tolerance)`` computes its results and tables."""
+    own rules, after the shared ones, and ``run(config)`` computes its results and tables."""
 
     reads: tuple[str, ...]
     check: Callable[[ExperimentConfig], None]
-    run: Callable[[ExperimentConfig, float], tuple[dict, list[Table]]]
+    run: Callable[[ExperimentConfig], tuple[dict, list[Table]]]
 
 
 def _check_parity(config: ExperimentConfig) -> None:
@@ -515,7 +517,7 @@ def _check_audit(config: ExperimentConfig) -> None:
         raise ConfigError("interference-audit requires an integer count")
 
 
-def _run_parity(config: ExperimentConfig, tolerance: float) -> tuple[dict, list[Table]]:
+def _run_parity(config: ExperimentConfig) -> tuple[dict, list[Table]]:
     ds = gen_parity_dataset(config.n_features, config.count, config.seed)
     params = {enc: config.qift_params() if enc == "qift" else None for enc in config.encoders}
     # one encoder's states at a time: each stack is freed once it is scored
@@ -582,7 +584,7 @@ def _distance(top: float) -> float:
     return float(np.sqrt(np.maximum(0.0, 1.0 - top)))
 
 
-def _run_curvature(config: ExperimentConfig, tolerance: float) -> tuple[dict, list[Table]]:
+def _run_curvature(config: ExperimentConfig) -> tuple[dict, list[Table]]:
     x = as_rng(config.seed).uniform(-math.pi, math.pi, config.n_features)
     results, tables = _curvature_results(information_curvature(config.qift_params().spec(x)))
     results["fields"] = x.tolist()
@@ -605,19 +607,18 @@ def _curvature_results(scan: CurvatureScan) -> tuple[dict, list[Table]]:
     return results, [table]
 
 
-def _run_resonance(config: ExperimentConfig, tolerance: float) -> tuple[dict, list[Table]]:
-    tolerance = _as_real(tolerance, "tolerance", positive=True)
+def _run_resonance(config: ExperimentConfig) -> tuple[dict, list[Table]]:
+    tolerance = TOLS.resonance if config.tolerance is None else config.tolerance
     params = config.qift_params()
     rng = as_rng(config.seed)
-    count = int(config.count)
-    specs = [params.spec(rng.uniform(-math.pi, math.pi, config.n_features)) for _ in range(count)]
+    specs = [params.spec(rng.uniform(-math.pi, math.pi, config.n_features)) for _ in range(config.count)]
     gaps = np.array([spectral_profile(s).mass_gap for s in specs])  # one eigendecomposition per spec
-    a, b = np.triu_indices(count, 1)  # the pairs in itertools.combinations order
+    a, b = np.triu_indices(config.count, 1)  # the pairs in itertools.combinations order
     delta = np.abs(gaps[a] - gaps[b])
     resonant = delta <= tolerance
     results = {
         "tolerance": tolerance,
-        "n_specs": count,
+        "n_specs": config.count,
         "n_pairs": a.size,
         "n_resonant": int(resonant.sum()),
         "gaps": gaps.tolist(),
@@ -630,7 +631,7 @@ def _run_resonance(config: ExperimentConfig, tolerance: float) -> tuple[dict, li
     return results, [table]
 
 
-def _run_interference_audit(config: ExperimentConfig, tolerance: float) -> tuple[dict, list[Table]]:
+def _run_interference_audit(config: ExperimentConfig) -> tuple[dict, list[Table]]:
     n = config.n_features
     dim = 1 << n
     rng = as_rng(config.seed)
@@ -667,27 +668,18 @@ EXPERIMENTS: dict[str, Experiment] = {
 EXPERIMENT_IDS = tuple(EXPERIMENTS)
 
 
-def compute_experiment(
-    config: ExperimentConfig,
-    resonance_tolerance: float | None = None,
-) -> tuple[dict, list[Table]]:
+def compute_experiment(config: ExperimentConfig) -> tuple[dict, list[Table]]:
     """Run the configured experiment in memory; no files touched."""
-    experiment = EXPERIMENTS[config.experiment]
-    if resonance_tolerance is not None and "tolerance" not in experiment.reads:
-        raise ConfigError(f"{config.experiment} does not read tolerance")
-    return experiment.run(config, TOLS.resonance if resonance_tolerance is None else resonance_tolerance)
+    return EXPERIMENTS[config.experiment].run(config)
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    resonance_tolerance: float | None = None,
-) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute an experiment and write its report JSON plus CSV tables.
 
     All computation happens before the first file is created, so a failing
     run leaves no partial output behind.
     """
-    results, tables = compute_experiment(config, resonance_tolerance)
+    results, tables = compute_experiment(config)
     provenance = {
         "version": __version__,
         "seed": config.seed,

@@ -41,6 +41,7 @@ from .statevec import (
     _freeze,
     _own,
     _require_finite,
+    _scaled,
     evolve,
     hermitian_spectral_decomposition,
     operator_distance,
@@ -210,7 +211,7 @@ def build_h_topo(coupling: np.ndarray, mu: float) -> HermitianOperator:
     """
     j = _as_array(coupling, "coupling", np.float64)
     _check_coupling(j)
-    diag = _as_real(mu, "mu") * _kernels.zz_diagonal(j)
+    diag = _scaled(_as_real(mu, "mu"), _kernels.zz_diagonal(j), "mu times the z-z diagonal")
     return HermitianOperator(_freeze(np.diag(diag.astype(np.complex128))))
 
 
@@ -231,13 +232,14 @@ def build_h_topo_dense(coupling: np.ndarray, mu: float) -> HermitianOperator:
 def effective_hamiltonian(spec: HamiltonianSpec) -> HermitianOperator:
     """H_data + H_topo for one spec: H_topo's diagonal added onto a copy of H_data."""
     h = build_h_data(spec.fields).matrix.copy()
-    h[np.diag_indices(spec.dim)] += spec.mu * _kernels.zz_diagonal(spec.coupling)
+    h[np.diag_indices(spec.dim)] += _scaled(spec.mu, _kernels.zz_diagonal(spec.coupling), "mu times the z-z diagonal")
     return HermitianOperator(_freeze(h))
 
 
 def _diagonal_phase(spec: HamiltonianSpec) -> np.ndarray:
     """The diagonal phase exp(-i tau mu zz) of one symmetric step."""
-    return np.exp(-1j * spec.tau * spec.mu * _kernels.zz_diagonal(spec.coupling))
+    zz = _kernels.zz_diagonal(spec.coupling)
+    return np.exp(_scaled(-1j * spec.tau * spec.mu, zz, "tau times mu times the z-z diagonal"))
 
 
 def sandwich_unitary(spec: HamiltonianSpec, method: str = "factorized") -> DenseOperator:
@@ -248,7 +250,7 @@ def sandwich_unitary(spec: HamiltonianSpec, method: str = "factorized") -> Dense
     spectral-norm distance of 1e-12.
     """
     if method == "factorized":
-        rot = _kernels.ry_matrix((spec.tau / 2.0) * spec.fields)
+        rot = _kernels.ry_matrix(_scaled(spec.tau / 2.0, spec.fields, "tau times the fields"))
         return DenseOperator(_freeze(rot @ (_diagonal_phase(spec)[:, None] * rot)))
     if method == "dense":
         half = evolve(build_h_data(spec.fields), spec.tau / 2.0).matrix
@@ -270,6 +272,7 @@ def commutator_norm(spec: HamiltonianSpec) -> float:
 def _commutator_norm(h: np.ndarray) -> float:
     """Spectral norm of [H, D] = [H_data, H_topo], D the diagonal of H = H_data + H_topo, formed elementwise."""
     d = np.diagonal(h).real
+    _as_real(2.0 * float(np.abs(h).max()) * float(np.abs(d).max()), "H", what="the commutator [H_data, H_topo]")
     return float(np.linalg.norm(h * d - d[:, None] * h, 2))
 
 
@@ -299,7 +302,6 @@ def information_curvature(
     comm = _commutator_norm(h.matrix)
     # H does not depend on tau: one decomposition gives every exact U(tau)
     dec = hermitian_spectral_decomposition(h)
-    _as_real(float(grid.max()) * float(np.abs(dec.eigenvalues).max()), "tau", what="tau grid times the spectrum")
     del h  # 2^n x 2^n: not held across the tau loop
     errors = _freeze(np.array([
         operator_distance(sandwich_unitary(replace(spec_base, tau=t)), dec.evolution(t))
@@ -333,7 +335,7 @@ def _vacuum_stack(spec: HamiltonianSpec, fields: np.ndarray) -> np.ndarray:
     The m vacua evolve as the columns of one (2^n, m) stack: they share the
     diagonal phase, and each column turns by the half-angles of its own row.
     """
-    half_angles = (spec.tau / 2.0) * fields.T
+    half_angles = _scaled(spec.tau / 2.0, fields.T, "tau times the fields")
     amps = np.zeros((spec.dim, len(fields)), dtype=np.complex128)
     amps[0] = 1.0
     amps = _kernels.ry_layer(amps, half_angles)

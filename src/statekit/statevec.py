@@ -105,6 +105,12 @@ def _as_real(value, name: str, error=StatekitError, what: str = "", positive=Fal
     return float(value)
 
 
+def _scaled(scale, values: np.ndarray, what: str) -> np.ndarray:
+    """``scale * values``, refused before it is formed if |scale| max|values| leaves the float range."""
+    _as_real(abs(scale) * float(np.abs(values).max(initial=0.0)), what)
+    return scale * values
+
+
 def _own(obj, name: str, dtype, error=StatekitError, finite: str | None = None, flat=False, value=None):
     """Set field ``name`` of ``obj`` to a frozen ``_as_array`` of ``value`` (default: the
     field itself) and return it; ``finite`` names it when a NaN or an infinity raises ``error``."""
@@ -298,7 +304,7 @@ class SpectralDecomposition:
 
     def evolution(self, t: float) -> DenseOperator:
         """exp(-i t H) = V exp(-i t Lambda) V^dag for the H decomposed here; t is a finite real."""
-        phases = np.exp(-1j * _as_real(t, "t") * self.eigenvalues)
+        phases = np.exp(_scaled(-1j * _as_real(t, "t"), self.eigenvalues, "t times the spectrum"))
         return DenseOperator(_freeze((self.eigenvectors * phases) @ self.eigenvectors.conj().T))
 
 

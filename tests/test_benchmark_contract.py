@@ -91,3 +91,11 @@ def benchmark_configs():
 @pytest.mark.parametrize("config", benchmark_configs())
 def test_benchmark_config_passes_the_config_rules(config):
     assert ExperimentConfig.from_dict(config)
+
+
+# report.json echoes a config that loads to itself, and one that sets no tolerance echoes none
+@pytest.mark.parametrize("config", benchmark_configs())
+def test_benchmark_config_echo_loads_to_itself(config):
+    echo = ExperimentConfig.from_dict(config).to_jsonable()
+    assert ExperimentConfig.from_dict(echo).to_jsonable() == echo
+    assert ("tolerance" in echo) == (config.get("tolerance") is not None)

@@ -102,6 +102,11 @@ class TestEncode:
         assert code == 2
         assert "error:" in err
 
+    def test_qift_rotation_beyond_the_float_range_fails_cleanly(self, capsys):
+        # tau/2 times a field overflows: refused before the rotation layer takes its cosine
+        code, out, err = run_cli(capsys, "encode", "--encoder", "qift", "--values", "4,4", "--tau", "1e308")
+        assert (code, out, err) == (2, "", "error: non-finite value in tau times the fields\n")
+
     @pytest.mark.parametrize("encoder", ["probability_loading", "amplitude", "phase"])
     def test_padded_from_records_the_input_length(self, capsys, encoder):
         code, out, _ = run_cli(capsys, "encode", "--encoder", encoder, "--values", "1,2,3")
@@ -234,16 +239,27 @@ class TestTrotterScan:
         assert code == 0
         assert len(parse_csv_tables(out)[1]) == 6  # header and 5 rows
 
-    def test_phase_beyond_the_float_range_fails_cleanly(self, capsys):
-        # tau times the spectrum overflows: refused before a step or an evolution is formed
-        code, out, err = run_cli(capsys, "trotter-scan", "--n", "2", "--tau-max", "1e308", "--tau-min", "1e-300",
-                                 "--points", "5")
-        assert code == 2
-        assert out == ""
-        assert err == "error: non-finite value in tau grid times the spectrum\n"
+    # a phase exponent that leaves the float range is refused where it is formed, before any warning
+    @pytest.mark.parametrize(
+        "argv, fault",
+        [
+            (["--tau-max", "1e308", "--tau-min", "1e-300", "--points", "5"], "t times the spectrum"),
+            (["--x", "4,4", "--tau-max", "1e308", "--tau-min", "1e-300", "--points", "5"], "tau times the fields"),
+            (["--mu", "1e300"], "the commutator [H_data, H_topo]"),
+        ],
+        ids=["tau-spectrum", "tau-fields", "mu-commutator"],
+    )
+    def test_phase_beyond_the_float_range_fails_cleanly(self, capsys, argv, fault):
+        code, out, err = run_cli(capsys, "trotter-scan", "--n", "2", *argv)
+        assert (code, out, err) == (2, "", f"error: non-finite value in {fault}\n")
 
 
 class TestSpectrum:
+    def test_coupling_beyond_the_float_range_fails_cleanly(self, capsys):
+        # mu times the z-z diagonal overflows: refused before H's diagonal is formed
+        code, out, err = run_cli(capsys, "spectrum", "--x", "1,1,1", "--mu", "1e308", "--topology", "complete")
+        assert (code, out, err) == (2, "", "error: non-finite value in mu times the z-z diagonal\n")
+
     def test_single_qubit_gap(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--x", "1")
         assert code == 0
@@ -440,7 +456,7 @@ class TestRun:
             report = json.load(fh)
         assert report["provenance"]["seed"] == 9
 
-    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--out", "elsewhere"]], ids=["seed", "out"])
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--out", "elsewhere"], ["--tol", "0.1"]], ids=["seed", "out", "tol"])
     @pytest.mark.parametrize("document", ["[1, 2]", '"parity"', "7"], ids=["list", "string", "number"])
     def test_config_not_an_object_fails_cleanly(self, capsys, tmp_path, flag, document):
         path = tmp_path / "config.json"
@@ -476,6 +492,29 @@ class TestRun:
         assert out == ""
         assert err == "error: topology must be an array of numbers safely castable to float64\n"
         assert not (tmp_path / "run_out").exists()
+
+    def test_echoed_config_reruns_the_same_bytes(self, capsys, tmp_path):
+        # report.json's config alone reproduces a run, its --tol included
+        path = self.write_config(tmp_path, experiment="resonance", n_features=2, count=40, seed=3, encoders=[])
+        assert run_cli(capsys, "run", str(path), "--tol", "0.05")[0] == 0
+        out = tmp_path / "run_out"
+        first = json.loads((out / "report.json").read_text())
+        csv_bytes = (out / "resonance_pairs.csv").read_bytes()
+        assert first["config"]["tolerance"] == first["results"]["tolerance"] == 0.05
+        assert first["results"]["n_resonant"] > 1  # the default tolerance finds 1 of these pairs
+        echoed = tmp_path / "echoed.json"
+        echoed.write_text(json.dumps(first["config"]))
+        assert run_cli(capsys, "run", str(echoed))[0] == 0
+        second = json.loads((out / "report.json").read_text())
+        assert (second["config"], second["results"]) == (first["config"], first["results"])
+        assert (out / "resonance_pairs.csv").read_bytes() == csv_bytes
+
+    def test_tol_replaces_the_configs_tolerance(self, capsys, tmp_path):
+        path = self.write_config(tmp_path, experiment="resonance", n_features=2, count=3, encoders=[], tolerance=0.5)
+        code, out, _ = run_cli(capsys, "run", str(path), "--tol", "0.25")
+        assert code == 0
+        assert json.loads(out)["results"]["tolerance"] == 0.25
+        assert json.loads((tmp_path / "run_out" / "report.json").read_text())["config"]["tolerance"] == 0.25
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_resonance_tolerance_is_finite(self, capsys, tmp_path, tol):

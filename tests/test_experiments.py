@@ -1148,12 +1148,22 @@ class TestRunExperiment:
             sk.ExperimentConfig.from_dict(raw)
         assert not (tmp_path / "out").exists()
 
-    def test_failing_compute_writes_nothing(self, tmp_path):
-        # a valid config, but the run itself fails: resonance rejects its gap tolerance
+    def test_failing_compute_writes_nothing(self, tmp_path, monkeypatch):
+        # a valid config, but the run itself fails: its third spectrum raises
         raw = parity_config(tmp_path, experiment="resonance", n_features=2, count=3, encoders=[])
         cfg = sk.ExperimentConfig.from_dict(raw)
-        with pytest.raises(StatekitError, match=r"^tolerance must be finite and > 0, got -1$"):
-            sk.run_experiment(cfg, resonance_tolerance=-1)
+        profiles = []
+
+        def failing_profile(spec):
+            profiles.append(spec)
+            if len(profiles) == 3:
+                raise StatekitError("eigensolver failed")
+            return sk.spectral_profile(spec)
+
+        monkeypatch.setattr(experiments, "spectral_profile", failing_profile)
+        with pytest.raises(StatekitError, match=r"^eigensolver failed$"):
+            sk.run_experiment(cfg)
+        assert len(profiles) == 3
         assert not (tmp_path / "out").exists()
 
     def test_curvature_scan_run(self, tmp_path):
@@ -1180,15 +1190,48 @@ class TestRunExperiment:
             sk.ExperimentConfig.from_dict(dict(raw, count=7))
 
     @pytest.mark.parametrize("experiment", ["parity", "curvature-scan", "interference-audit"])
-    @pytest.mark.parametrize("run", [compute_experiment, sk.run_experiment], ids=["compute", "run"])
-    def test_only_resonance_reads_a_tolerance(self, tmp_path, experiment, run):
+    @pytest.mark.parametrize("form", ["key", "flag"])
+    def test_only_resonance_reads_a_tolerance(self, tmp_path, capsys, experiment, form):
+        # the config's "tolerance" key, or `statekit run --tol`, which writes that key
         raw = parity_config(tmp_path, experiment=experiment, n_features=2)
         if experiment != "parity":
             raw.update(count=1, encoders=[])
-        cfg = sk.ExperimentConfig.from_dict(raw)
-        with pytest.raises(ConfigError, match=f"^{experiment} does not read tolerance$"):
-            run(cfg, resonance_tolerance=1e-3)
+        sk.ExperimentConfig.from_dict(raw)  # valid without the tolerance
+        if form == "key":
+            with pytest.raises(ConfigError, match=f"^{experiment} does not read tolerance$"):
+                sk.ExperimentConfig.from_dict(dict(raw, tolerance=1e-3))
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(raw))
+            assert cli.main(["run", str(path), "--tol", "1e-3"]) == 2
+            assert capsys.readouterr().err == f"error: {experiment} does not read tolerance\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            (float("nan"), "tolerance must be finite and > 0, got nan"),
+            (float("inf"), "tolerance must be finite and > 0, got inf"),
+            (0, "tolerance must be finite and > 0, got 0"),
+            (-1e-3, "tolerance must be finite and > 0, got -0.001"),
+            (True, "tolerance must be a real number, got True"),
+            ("0.1", "tolerance must be a real number, got '0.1'"),
+        ],
+        ids=["nan", "inf", "zero", "negative", "bool", "string"],
+    )
+    def test_resonance_tolerance_is_checked_at_load(self, tmp_path, tolerance, message):
+        raw = parity_config(tmp_path, experiment="resonance", n_features=2, count=3, encoders=[], tolerance=tolerance)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            sk.ExperimentConfig.from_dict(raw)
+
+    def test_tolerance_is_echoed_only_when_set(self, tmp_path):
+        raw = parity_config(tmp_path, experiment="resonance", n_features=2, count=3, encoders=[])
+        assert "tolerance" not in sk.ExperimentConfig.from_dict(raw).to_jsonable()
+        assert sk.ExperimentConfig.from_dict(dict(raw, tolerance=None)).tolerance is None  # JSON null: not set
+        cfg = sk.ExperimentConfig.from_dict(dict(raw, tolerance=1))
+        assert cfg.tolerance == 1.0 and type(cfg.tolerance) is float
+        assert cfg.to_jsonable()["tolerance"] == 1.0
+        assert compute_experiment(cfg)[0]["tolerance"] == 1.0
 
     def test_resonance_run(self, tmp_path):
         raw = {
@@ -1215,8 +1258,8 @@ class TestRunExperiment:
     def test_resonance_rows_match_pairwise_verdicts(self, tmp_path, n, count):
         qift = {"mu": 0.8, "tau": 0.1, "topology": "complete"}
         raw = {"experiment": "resonance", "n_features": n, "count": count, "seed": 9, "qift": qift,
-               "output_dir": str(tmp_path / "res")}
-        results, (table,) = compute_experiment(sk.ExperimentConfig.from_dict(raw), 0.5)
+               "tolerance": 0.5, "output_dir": str(tmp_path / "res")}
+        results, (table,) = compute_experiment(sk.ExperimentConfig.from_dict(raw))
         # the runner draws each spec's fields uniformly from [-pi, pi], in order
         draws = np.random.default_rng(9)
         specs = [

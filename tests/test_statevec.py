@@ -236,6 +236,34 @@ BAD_SCALARS = {
         lambda: sk.hermitian_spectral_decomposition(sk.pauli_string(1, {0: "X"})).evolution(np.inf),
         "non-finite value in t",
     ),
+    # a phase exponent is checked where it is formed: each product is finite, or none is formed
+    "evolve(t 1e308)": (lambda: sk.evolve(sk.build_h_data([1.0, 2.0]), 1e308), "non-finite value in t times the spectrum"),
+    "sandwich_unitary(mu 1e300)": (
+        lambda: sk.sandwich_unitary(sk.HamiltonianSpec([1.0, 2.0], sk.ring_coupling(2), mu=1e300, tau=1e10)),
+        "non-finite value in tau times mu times the z-z diagonal",
+    ),
+    "sandwich_unitary(tau 1e308)": (
+        lambda: sk.sandwich_unitary(sk.HamiltonianSpec([4.0, 4.0], sk.ring_coupling(2), tau=1e308)),
+        "non-finite value in tau times the fields",
+    ),
+    "evolve_vacuum(mu 1e300)": (
+        lambda: sk.evolve_vacuum(sk.HamiltonianSpec([1.0, 2.0], sk.ring_coupling(2), mu=1e300, tau=1e10)),
+        "non-finite value in tau times mu times the z-z diagonal",
+    ),
+    "evolve_vacuum(tau 1e308)": (
+        lambda: sk.evolve_vacuum(sk.HamiltonianSpec([4.0, 4.0], sk.ring_coupling(2), tau=1e308)),
+        "non-finite value in tau times the fields",
+    ),
+    "build_h_topo(mu 1e308)": (
+        lambda: sk.build_h_topo(sk.complete_coupling(3), 1e308), "non-finite value in mu times the z-z diagonal"),
+    "effective_hamiltonian(mu 1e308)": (
+        lambda: sk.effective_hamiltonian(sk.HamiltonianSpec([1.0, 1.0, 1.0], sk.complete_coupling(3), mu=1e308)),
+        "non-finite value in mu times the z-z diagonal",
+    ),
+    "commutator_norm(mu 1e300)": (
+        lambda: sk.commutator_norm(sk.HamiltonianSpec([1.0, 2.0], sk.ring_coupling(2), mu=1e300)),
+        "non-finite value in the commutator [H_data, H_topo]",
+    ),
     "in_positive_orthant(True)": (
         lambda: sk.in_positive_orthant(sk.amplitude_encoding([1.0, 1.0]), True), "tolerance must be a real number, got True"),
     "resonance_similarity(True)": (
