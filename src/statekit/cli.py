@@ -30,7 +30,7 @@ from .experiments import (
     write_outputs,
 )
 from .interference import _decomposition_blocks
-from .qift import QiftParams, information_curvature
+from .qift import COUPLINGS, QiftParams, information_curvature
 from .spectral import _profile_and_zeeman, resonance_similarity, spectral_profile
 from .statevec import DenseOperator, Distribution, _as_array, _as_int, _as_real, _freeze, as_rng, haar_random_unitary
 from .tolerances import TOLS
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     coupling_opts = argparse.ArgumentParser(add_help=False)
     coupling_opts.add_argument("--mu", type=float, default=1.0, help="global coupling strength")
-    coupling_opts.add_argument("--topology", default="ring", help="coupling preset: ring or complete")
+    coupling_opts.add_argument("--topology", default="ring", help=f"coupling preset: one of {', '.join(COUPLINGS)}")
 
     parser = argparse.ArgumentParser(
         prog="statekit",

@@ -9,11 +9,11 @@ its own config rules and its runner:
     resonance           pairwise gap-coincidence verdicts on seeded specs
     interference-audit  decomposition and diagonal-trap residuals at scale
 
-Configs arrive as strict JSON (unknown keys are rejected); reports echo the config with
-the version, seed and numeric environment. The encoder table (``ENCODERS``) lives in
-``encoders`` and the Hamiltonian parameters (``QiftParams``) in ``qift``; both are
-re-exported here. ``ExperimentConfig`` and its ``QiftParams`` check themselves on
-construction, so a config that exists has passed every check of its experiment.
+Configs arrive as strict JSON keyed by the fields of ``ExperimentConfig`` (other keys are
+rejected); reports echo the config with the version, seed and numeric environment. The
+encoder table (``ENCODERS``) lives in ``encoders`` and the Hamiltonian parameters
+(``QiftParams``) in ``qift``; both are re-exported here. A config and its ``QiftParams``
+check themselves when built, so one that exists has passed every check of its experiment.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import json
 import math
 import os
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
@@ -152,20 +152,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {"experiment", "n_features", "count", "seed", "encoders", "qift", "tolerance", "output_dir"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"experiment", "n_features", "count", "seed", "output_dir"} - set(raw)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
-
-        encoders, qift = raw.get("encoders", []), raw.get("qift")
+        encoders, qift = _json_fields(raw, cls, "config", "config").get("encoders", []), raw.get("qift")
         if not isinstance(encoders, list):
             raise ConfigError("encoders must be a list")
-        return cls(**{**raw, "encoders": tuple(encoders), "qift": None if qift is None else _parse_qift_block(qift)})
+        qift = None if qift is None else QiftParams(**_json_fields(qift, QiftParams, "qift", "qift block"))
+        return cls(**{**raw, "encoders": tuple(encoders), "qift": qift})
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:  # a tuple: an unhashable id is unknown, no TypeError
@@ -191,19 +182,8 @@ class ExperimentConfig:
         return self.qift if self.qift is not None else QiftParams()
 
     def to_jsonable(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "n_features": self.n_features,
-            "count": self.count,
-            "seed": self.seed,
-            "encoders": list(self.encoders),
-            "output_dir": self.output_dir,
-        }
-        if self.qift is not None:
-            out["qift"] = _jsonify(asdict(self.qift))
-        if self.tolerance is not None:  # echoed only when set, so a config without one keeps its bytes
-            out["tolerance"] = self.tolerance
-        return out
+        """The config as ``from_dict`` reads it: the fields in field order, an unset (None) one left out."""
+        return _jsonify({key: value for key, value in asdict(self).items() if value is not None})
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,13 +231,18 @@ def _require_qubits(n: int, what: str, params: QiftParams | None = None) -> None
         params.coupling_for(n)
 
 
-def _parse_qift_block(raw: dict) -> QiftParams:
+def _json_fields(raw, cls, name: str, what: str) -> dict:
+    """``raw`` once it is a JSON object (``what``) whose keys (``name`` keys) are fields of the
+    dataclass ``cls`` and cover each field without a default: the fields are the one key list."""
     if not isinstance(raw, dict):
-        raise ConfigError("qift block must be a JSON object")
-    unknown = set(raw) - {"mu", "tau", "topology"}
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(raw) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown qift keys: {sorted(unknown)}")
-    return QiftParams(**raw)
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING is f.default_factory} - set(raw)
+    if missing:
+        raise ConfigError(f"missing {name} keys: {sorted(missing)}")
+    return raw
 
 
 # ---------------------------------------------------------------------------

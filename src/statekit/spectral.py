@@ -21,6 +21,7 @@ from .statevec import (
     _freeze,
     _own,
     _require_finite,
+    _scaled,
     hermitian_spectral_decomposition,
 )
 from .tolerances import TOLS
@@ -38,7 +39,7 @@ class SpectralProfile:
     def __post_init__(self):
         vals = _own(self, "eigenvalues", np.float64)
         _require_finite("spectral profile", vals, self.mass_gap)
-        if np.any(np.diff(vals) < 0):
+        if np.any(vals[1:] < vals[:-1]):  # no difference formed: one could overflow
             raise StatekitError("eigenvalues must be ascending")
 
 
@@ -61,7 +62,7 @@ class ResonanceVerdict:
 
 def _profile_of(h: HermitianOperator) -> SpectralProfile:
     vals = hermitian_spectral_decomposition(h).eigenvalues
-    raw_gap = float(vals[1] - vals[0])
+    raw_gap = _as_real(float(vals[1]) - float(vals[0]), "mass gap")  # Python floats: an overflow gives inf, no warning
     degenerate = raw_gap < TOLS.degeneracy
     return SpectralProfile(
         eigenvalues=vals,
@@ -89,7 +90,8 @@ def _profile_and_zeeman(spec: HamiltonianSpec, epsilons) -> tuple[SpectralProfil
     gaps = np.full(eps.size, profile.mass_gap)
     for k in np.flatnonzero(eps):
         h = h0.matrix.copy()
-        h[np.diag_indices(spec.dim)] += eps[k] * z_sum
+        with np.errstate(over="ignore"):  # a diagonal pushed past the float range is refused as H's non-finite value
+            h[np.diag_indices(spec.dim)] += _scaled(float(eps[k]), z_sum, "epsilon times sum_j Z_j")
         gaps[k] = _profile_of(HermitianOperator(_freeze(h))).mass_gap
     return profile, _freeze(gaps), float(np.abs(gaps - profile.mass_gap).max())
 

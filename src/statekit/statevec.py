@@ -295,7 +295,7 @@ class SpectralDecomposition:
     def __post_init__(self):
         vals = _own(self, "eigenvalues", np.float64, EigensolverError, finite="eigenpairs", flat=True)
         vecs = _own(self, "eigenvectors", np.complex128, EigensolverError, finite="eigenpairs")
-        if np.any(np.diff(vals) < 0):
+        if np.any(vals[1:] < vals[:-1]):  # no difference formed: one could overflow
             raise EigensolverError("eigenvalues are not sorted ascending")
         gram = vecs.conj().T @ vecs
         resid = np.linalg.norm(gram - np.eye(vecs.shape[0]))
@@ -382,11 +382,15 @@ def hermitian_spectral_decomposition(h: HermitianOperator) -> SpectralDecomposit
         vals, vecs = np.linalg.eigh(h.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver failed to converge: {exc}") from exc
-    recon = (vecs * vals) @ vecs.conj().T
-    resid = np.linalg.norm(recon - h.matrix)
-    bound = TOLS.spectral_residual * max(1.0, np.linalg.norm(h.matrix))
+    _require_finite("eigenpairs", vals, error=EigensolverError)  # before an infinite one meets a zero of vecs
+    # measured on H and its reconstruction scaled by one power of two (exact) so that no square
+    # of an entry overflows: an infinite norm would pass any residual
+    scale = 2.0 ** -max(0, int(np.frexp(np.abs(h.matrix).max())[1]))
+    hs = h.matrix * scale
+    resid = float(np.linalg.norm((vecs * (vals * scale)) @ vecs.conj().T - hs))  # a float: / scale never warns
+    bound = TOLS.spectral_residual * max(scale, np.linalg.norm(hs))
     if resid > bound:
-        raise EigensolverError(f"reconstruction residual {resid:.3e} exceeds {bound:.3e}")
+        raise EigensolverError(f"reconstruction residual {resid / scale:.3e} exceeds {bound / scale:.3e}")
     return SpectralDecomposition(_freeze(vals), _freeze(vecs))  # adopted, not copied
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from statekit.cli import build_parser, main
 from statekit.experiments import ENCODER_IDS, LabeledDataset, encode_dataset
+from statekit.qift import COUPLINGS
 
 from conftest import count_calls
 
@@ -129,6 +130,12 @@ class TestSubcommands:
         assert parser.parse_args(["spectrum", "--x", "1", "--mu", "2", "--zeeman=0:0:1"]).mu == 2.0
         again = parser.parse_args(["spectrum", "--x", "1"])
         assert (again.mu, again.zeeman) == (1.0, None)
+
+    @pytest.mark.parametrize("command", ["trotter-scan", "spectrum", "resonance"])
+    def test_topology_help_names_the_coupling_presets(self, command):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (topology,) = [a for a in sub.choices[command]._actions if "--topology" in a.option_strings]
+        assert topology.help == f"coupling preset: one of {', '.join(COUPLINGS)}"
 
     def test_readme_lists_the_pinned_subcommands(self):
         sentence = re.search(r"with subcommands (.*?)\.\s", README.read_text(encoding="utf-8"), re.DOTALL)
@@ -253,12 +260,35 @@ class TestTrotterScan:
         code, out, err = run_cli(capsys, "trotter-scan", "--n", "2", *argv)
         assert (code, out, err) == (2, "", f"error: non-finite value in {fault}\n")
 
+    def test_coupling_near_the_square_root_of_the_float_range_scans(self, capsys):
+        # H's entries near 1e154, whose squares overflow: its norms are taken on a scaled copy
+        code, out, _ = run_cli(capsys, "trotter-scan", "--n", "2", "--mu", "9e153")
+        assert code == 0
+        assert len(parse_csv_tables(out)[1]) == 14
+
 
 class TestSpectrum:
-    def test_coupling_beyond_the_float_range_fails_cleanly(self, capsys):
-        # mu times the z-z diagonal overflows: refused before H's diagonal is formed
-        code, out, err = run_cli(capsys, "spectrum", "--x", "1,1,1", "--mu", "1e308", "--topology", "complete")
-        assert (code, out, err) == (2, "", "error: non-finite value in mu times the z-z diagonal\n")
+    # a product, a shifted diagonal, a spectrum or a gap beyond the float range is refused before any warning
+    @pytest.mark.parametrize(
+        "argv, fault",
+        [
+            (["--x", "1,1,1", "--mu", "1e308", "--topology", "complete"], "mu times the z-z diagonal"),
+            (["--x", "1,1,1", "--zeeman=0:1e308:2"], "epsilon times sum_j Z_j"),
+            (["--x", "1,1,1", "--mu", "5e307", "--zeeman=0:2e307:2"], "operator"),
+            (["--x", "1e308,1e308"], "eigenpairs"),
+            (["--x", "1.7e308"], "mass gap"),
+        ],
+        ids=["mu", "zeeman", "zeeman-diagonal", "spectrum", "gap"],
+    )
+    def test_coupling_beyond_the_float_range_fails_cleanly(self, capsys, argv, fault):
+        code, out, err = run_cli(capsys, "spectrum", *argv)
+        assert (code, out, err) == (2, "", f"error: non-finite value in {fault}\n")
+
+    def test_coupling_near_the_square_root_of_the_float_range_runs(self, capsys):
+        # H's entries near 1e154, whose squares overflow: its norms are taken on a scaled copy
+        code, out, _ = run_cli(capsys, "spectrum", "--x", "1,1", "--mu", "9e153")
+        assert code == 0
+        assert np.isfinite(float(parse_csv_tables(out)[0]["mass_gap"]))
 
     def test_single_qubit_gap(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--x", "1")

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -966,6 +967,23 @@ class TestExperimentConfig:
         echo = sk.ExperimentConfig.from_dict(raw).to_jsonable()["qift"]
         assert echo == {"mu": 1.0, "tau": 0.1, "topology": [[0.0, 1.0], [1.0, 0.0]]}
         assert type(echo["mu"]) is float and type(echo["topology"][0][1]) is float
+
+    def test_the_dataclass_fields_are_the_json_schema(self, tmp_path):
+        names, qift_names = [f.name for f in fields(sk.ExperimentConfig)], [f.name for f in fields(sk.QiftParams)]
+        # resonance reads qift and tolerance, and an empty encoder list is no input: every field can be named
+        qift = {f.name: f.default for f in fields(sk.QiftParams)}
+        raw = parity_config(tmp_path, experiment="resonance", n_features=2, count=3, encoders=[], qift=qift, tolerance=0.5)
+        assert sorted(raw) == sorted(names) and sorted(qift) == sorted(qift_names)
+        echo = sk.ExperimentConfig.from_dict(raw).to_jsonable()
+        assert (list(echo), list(echo["qift"])) == (names, qift_names)  # field order, output_dir before encoders
+        assert sk.ExperimentConfig.from_dict(echo).to_jsonable() == echo
+        unset = sk.ExperimentConfig.from_dict(dict(raw, qift=None, tolerance=None)).to_jsonable()
+        assert list(unset) == [name for name in names if name not in ("qift", "tolerance")]
+        required = [f.name for f in fields(sk.ExperimentConfig) if f.default is MISSING is f.default_factory]
+        assert required[-1] == "output_dir"
+        for name in required:
+            with pytest.raises(ConfigError, match=f"^missing config keys: \\['{name}'\\]$"):
+                sk.ExperimentConfig.from_dict({k: v for k, v in raw.items() if k != name})
 
     def test_parity_requires_encoders(self, tmp_path):
         with pytest.raises(ConfigError, match="encoders"):

@@ -11,6 +11,7 @@ from statekit.errors import (
     StatekitError,
 )
 from statekit.statevec import _row_norms
+from statekit.tolerances import TOLS
 
 from conftest import pauli_matrix_oracle, random_hermitian
 
@@ -132,6 +133,49 @@ class TestSpectralDecomposition:
     def test_sorted_invariant_enforced(self):
         with pytest.raises(EigensolverError):
             sk.SpectralDecomposition(np.array([2.0, 1.0]), np.eye(2))
+
+    # eigh converges and reconstructs on every H that HermitianOperator admits: a stub reaches the two raises
+    def test_eigensolver_failure_raises(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigensolverError, match="^eigensolver failed to converge: Eigenvalues did not converge$"):
+            sk.hermitian_spectral_decomposition(sk.pauli_string(1, {0: "X"}))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e154], ids=["unit", "near-overflow"])
+    def test_perturbed_eigenvectors_fail_the_reconstruction(self, monkeypatch, rng, scale):
+        # at 1e154 the squares of H's entries overflow: an unscaled bound is infinite and passes any residual
+        h = sk.HermitianOperator(scale * random_hermitian(8, rng))
+        eigh = np.linalg.eigh
+
+        def perturbed(matrix):
+            vals, vecs = eigh(matrix)
+            return vals, vecs + 1e-6
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        number = r"\d\.\d{3}e[-+]\d+"
+        with pytest.raises(EigensolverError, match=f"^reconstruction residual {number} exceeds {number}$"):
+            sk.hermitian_spectral_decomposition(h)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e100])
+    def test_reconstruction_verdict_is_the_unscaled_formulas(self, monkeypatch, rng, scale):
+        # the norms are taken on H scaled by a power of two, which is exact: the verdict does not move
+        h = sk.HermitianOperator(scale * random_hermitian(8, rng))
+        vals, vecs = np.linalg.eigh(h.matrix)
+        bound = TOLS.spectral_residual * max(1.0, np.linalg.norm(h.matrix))
+        verdicts = set()
+        for shift in bound * np.linspace(0.34, 0.37, 61):  # a residual of about sqrt(8) shift crosses the bound
+            passes = np.linalg.norm((vecs * (vals + shift)) @ vecs.conj().T - h.matrix) <= bound
+            monkeypatch.setattr(np.linalg, "eigh", lambda matrix, shifted=vals + shift: (shifted, vecs))
+            try:
+                sk.hermitian_spectral_decomposition(h)
+            except EigensolverError:
+                assert not passes
+            else:
+                assert passes
+            verdicts.add(bool(passes))
+        assert verdicts == {True, False}
 
 
 class TestEvolve:
