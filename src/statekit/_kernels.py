@@ -28,13 +28,19 @@ def ry_layer(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
     states. ``angles`` holds one angle per qubit, shape (n,), shared by
     every column, or one angle per qubit and column, shape (n, k). The
     rotations act on distinct qubits, hence commute; application order is
-    irrelevant. Returns a new array.
+    irrelevant. Returns a new array: ``_ry_layer_in_place`` of a copy.
     """
+    out = np.array(amps, dtype=np.complex128, order="C")
+    _ry_layer_in_place(out, angles)
+    return out
+
+
+def _ry_layer_in_place(out: np.ndarray, angles: np.ndarray) -> None:
+    """Rotate the C-ordered complex128 state or stack ``out`` by ``ry_layer``'s layer, in place."""
     angles = np.ascontiguousarray(angles, dtype=np.float64)
     cosines = np.cos(angles)
     sines = np.sin(angles)
     n = angles.shape[0]
-    out = np.array(amps, dtype=np.complex128, order="C")
     for q in range(n):
         # qubit q is axis 1 of shape (2^q, 2, 2^(n-1-q), columns); an angle per column
         # broadcasts along the last axis. In place, only a0 is copied; the products and their
@@ -45,7 +51,6 @@ def ry_layer(amps: np.ndarray, angles: np.ndarray) -> np.ndarray:
         v[:, 0] -= sines[q] * v[:, 1]
         v[:, 1] *= cosines[q]
         v[:, 1] += sines[q] * a0
-    return out
 
 
 def ry_matrix(angles: np.ndarray) -> np.ndarray:

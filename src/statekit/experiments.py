@@ -331,12 +331,13 @@ def _gram_tiles(stack: np.ndarray):
     0.5 * (K + K.T) with K = |stack.conj() @ stack.T|^2; the tile is yielded first and
     its mirror ``blk.T`` right after, so each block of rows meets its column blocks
     in ascending order. States with real amplitudes, such as phase-locked ones, skip the
-    modulus: their overlaps' imaginary parts are +-0, and hypot(x, +-0)^2 = x^2 exactly."""
-    conj = stack.conj()
+    modulus: their overlaps' imaginary parts are +-0, and hypot(x, +-0)^2 = x^2 exactly.
+    No conjugate of the whole stack is held: each product conjugates its own block of
+    rows, which is exact, so the products keep their bits."""
     part = np.abs if stack.imag.any() else np.real
     for rows, cols in _tile_pairs(stack.shape[0]):
-        blk = np.square(part(conj[rows] @ stack[cols].T))
-        blk += blk.T if rows == cols else np.square(part(conj[cols] @ stack[rows].T)).T
+        blk = np.square(part(stack[rows].conj() @ stack[cols].T))
+        blk += blk.T if rows == cols else np.square(part(stack[cols].conj() @ stack[rows].T)).T
         blk *= 0.5
         _check_gram_block(blk, diagonal=rows == cols)
         yield rows, cols, blk

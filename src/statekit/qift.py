@@ -332,15 +332,17 @@ def _vacuum_stack(spec: HamiltonianSpec, fields: np.ndarray) -> np.ndarray:
     ``fields`` (m, n) in turn as its fields; the caller wraps them in one
     checked ``StateStack`` or ``StateVector``.
 
-    The m vacua evolve as the columns of one (2^n, m) stack: they share the
-    diagonal phase, and each column turns by the half-angles of its own row.
+    The m vacua evolve as the columns of one (2^n, m) stack, rotated and phased
+    in place, so it is the only stack held: they share the diagonal phase, and
+    each column turns by the half-angles of its own row.
     """
     half_angles = _scaled(spec.tau / 2.0, fields.T, "tau times the fields")
     amps = np.zeros((spec.dim, len(fields)), dtype=np.complex128)
     amps[0] = 1.0
-    amps = _kernels.ry_layer(amps, half_angles)
+    _kernels._ry_layer_in_place(amps, half_angles)
     amps *= _diagonal_phase(spec)[:, None]
-    return _freeze(_kernels.ry_layer(amps, half_angles)).T
+    _kernels._ry_layer_in_place(amps, half_angles)
+    return _freeze(amps).T
 
 
 def evolve_vacuum(spec: HamiltonianSpec) -> StateVector:

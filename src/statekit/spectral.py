@@ -1,13 +1,15 @@
 """Mass-gap extraction, Zeeman stability sweeps, and gap-coincidence verdicts.
 
 The mass gap is the difference between the two lowest eigenvalues of the
-effective Hamiltonian; gaps below the degeneracy tolerance are reported as
-zero and flagged. Two data points count as resonant when their gaps
+effective Hamiltonian; gaps below the degeneracy tolerance, or below the
+eigensolver's rounding floor where that is larger, are reported as zero and
+flagged. Two data points count as resonant when their gaps
 coincide within a tolerance, replacing geometric state overlap as the
 similarity notion.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +32,7 @@ from .tolerances import TOLS
 @dataclass(frozen=True, eq=False)
 class SpectralProfile:
     """Full ascending spectrum plus the mass gap, reported as 0 (and flagged
-    degenerate) below ``TOLS.degeneracy``."""
+    degenerate) below ``TOLS.degeneracy`` or the rounding floor ``_gap_floor``."""
 
     eigenvalues: np.ndarray
     mass_gap: float
@@ -60,10 +62,22 @@ class ResonanceVerdict:
     spectrum_distance: float
 
 
+def _gap_floor(vals: np.ndarray) -> float:
+    """4 eps sqrt(N) ||H||_F, below which a gap of ``vals``, the ascending eigenvalues eigh computed
+    for an N x N Hermitian H, is rounding noise: they are exact for some H + E, so by Weyl a gap is
+    within 2 ||E||_F of H's own, with ||E||_F taken as 2 sqrt(N) eps ||H||_F (summed rounding errors
+    grow as sqrt(N) eps: Higham & Mary, SIAM J. Sci. Comput. 41(5), 2019). README derives and checks
+    it. ||H||_F = ||vals||_2, over the largest |eigenvalue| so that no square overflows."""
+    top = max(-float(vals[0]), float(vals[-1]))
+    if top == 0.0:
+        return 0.0
+    return 4.0 * np.finfo(np.float64).eps * math.sqrt(vals.size) * top * float(np.linalg.norm(vals / top))
+
+
 def _profile_of(h: HermitianOperator) -> SpectralProfile:
     vals = hermitian_spectral_decomposition(h).eigenvalues
     raw_gap = _as_real(float(vals[1]) - float(vals[0]), "mass gap")  # Python floats: an overflow gives inf, no warning
-    degenerate = raw_gap < TOLS.degeneracy
+    degenerate = raw_gap < max(TOLS.degeneracy, _gap_floor(vals))
     return SpectralProfile(
         eigenvalues=vals,
         mass_gap=0.0 if degenerate else raw_gap,

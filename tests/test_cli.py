@@ -290,6 +290,15 @@ class TestSpectrum:
         assert code == 0
         assert np.isfinite(float(parse_csv_tables(out)[0]["mass_gap"]))
 
+    # the lowest pair splits by 2 / mu; at mu = 1e12 that is far below eigh's noise, about 6e-4 there
+    @pytest.mark.parametrize("mu, gap", [("1e12", 0.0), ("1e4", 2e-4)])
+    def test_a_gap_below_the_rounding_floor_is_degenerate(self, capsys, mu, gap):
+        code, out, _ = run_cli(capsys, "spectrum", "--x", "1,1", "--mu", mu)
+        assert code == 0
+        summary = parse_csv_tables(out)[0]
+        assert float(summary["mass_gap"]) == pytest.approx(gap, rel=1e-6)
+        assert summary["degenerate"] == str(gap == 0.0)
+
     def test_single_qubit_gap(self, capsys):
         code, out, _ = run_cli(capsys, "spectrum", "--x", "1")
         assert code == 0

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -288,6 +289,21 @@ class TestTiledGram:
         monkeypatch.setattr(np, "abs", spy)
         assert_gram_equal(sk.fidelity_gram(states).entries, expected, 16, (m, kind))
         assert any(complex_moduli) == (kind == "one-imaginary-entry"), (m, kind)
+
+    def test_scoring_holds_no_conjugate_of_the_stack(self):
+        # 4,096 phase states of 32 amplitudes: a 2 MiB stack. The tiles conjugate one
+        # block of rows at a time, so scoring holds tiles, not a second stack
+        ds = sk.gen_parity_dataset(32, 4096, 0)
+        stack = sk.encode_dataset(ds, "phase").amplitudes
+        sk.experiments._gram_scores(stack[:300], ds.labels[:300])  # first-call imports are not the stream's
+        tracemalloc.start()
+        try:
+            sk.experiments._gram_scores(stack, ds.labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stack.nbytes == 2 << 20
+        assert peak < stack.nbytes
 
 
 def gram_with_asymmetry(m, i, j, delta):

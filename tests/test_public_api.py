@@ -136,8 +136,10 @@ def test_no_unused_imports(module):
 
 
 # top-level names of src/statekit that only perfbench/ reads, as "module.name"; pair_sum is
-# also the tests' oracle of pair_sums and the name of perfbench's kernels.pair_sum span
-READ_ONLY_BY_PERFBENCH = {"_kernels.backend", "_kernels.pair_sum"}
+# also the tests' oracle of pair_sums and the name of perfbench's kernels.pair_sum span, and
+# ry_layer, the copying form of the in-place layer the encoder runs, is the tests' rotation
+# layer and the name of perfbench's kernels.ry_layer span
+READ_ONLY_BY_PERFBENCH = {"_kernels.backend", "_kernels.pair_sum", "_kernels.ry_layer"}
 
 
 def top_level_names(tree):

@@ -399,7 +399,7 @@ class TestInformationCurvature:
     def test_one_build_per_scan(self, rng, monkeypatch, eigh_calls):
         h_data = count_calls(monkeypatch, "build_h_data", "qift")
         h_topo = count_calls(monkeypatch, "build_h_topo", "qift")
-        layers = count_calls(monkeypatch, "ry_layer", "_kernels")
+        layers = count_calls(monkeypatch, "_ry_layer_in_place", "_kernels")
         sk.information_curvature(seeded_spec(rng, 4, "complete"))
         assert (len(h_data), len(h_topo), len(layers), len(eigh_calls)) == (1, 0, 0, 1)
 

@@ -3,6 +3,7 @@ import pytest
 
 import statekit as sk
 from statekit.errors import StatekitError
+from statekit.qift import COUPLINGS as PRESETS
 from statekit.spectral import _profile_and_zeeman
 
 from conftest import pauli_matrix_oracle, qubit_permutation_matrix, random_coupling
@@ -45,6 +46,50 @@ class TestSpectralProfile:
             vals = sk.hermitian_spectral_decomposition(conj).eigenvalues
             ref = sk.hermitian_spectral_decomposition(sk.HermitianOperator(h)).eigenvalues
             assert np.abs(vals - ref).max() < 1e-10
+
+
+class TestGapFloor:
+    """A gap is degenerate below max(``TOLS.degeneracy``, 4 eps sqrt(N) ||H||_F), the
+    rounding noise of a gap that ``eigh`` computes."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_the_noise_of_a_near_degenerate_pair_reads_degenerate(self, n):
+        # at mu >= 1e10 the lowest pair splits by about prod |x_j| / mu^(n-1) <= 1e-7, where the
+        # floor is above 3e-5 and eigh's noise of order eps mu: the flat 1e-10 took that noise for a gap
+        rng = np.random.default_rng(n)
+        above_the_tolerance = 0
+        for topology in PRESETS:
+            for _ in range(200 if n == 2 else 40):
+                x = rng.uniform(-np.pi, np.pi, n) * 10 ** rng.uniform(-2, 1)
+                spec = sk.HamiltonianSpec(x, PRESETS[topology](n), mu=10 ** rng.uniform(10, 15))
+                profile = sk.spectral_profile(spec)
+                assert profile.degenerate and profile.mass_gap == 0.0, (topology, spec.fields, spec.mu)
+                above_the_tolerance += profile.eigenvalues[1] - profile.eigenvalues[0] >= sk.TOLS.degeneracy
+        assert above_the_tolerance > 0
+
+    def test_floor_is_four_eps_sqrt_n_times_the_frobenius_norm(self, rng):
+        eps = np.finfo(np.float64).eps
+        for n in range(1, 7):
+            for mu in (1.0, 1e6, 1e160):  # at 1e160 the squares of H's entries overflow
+                spec = sk.HamiltonianSpec(rng.uniform(-3, 3, n), random_coupling(n, rng), mu=mu)
+                h = sk.effective_hamiltonian(spec)
+                want = 4 * eps * np.sqrt(h.dim) * mu * np.linalg.norm(h.matrix / mu)
+                floor = sk.spectral._gap_floor(sk.hermitian_spectral_decomposition(h).eigenvalues)
+                assert floor == pytest.approx(want, rel=1e-12), (n, mu)
+
+    # the experiments draw each field from (-pi, pi); ||H||_F^2 = N (mu^2 sum_{j<k} J_jk^2 + sum_j x_j^2),
+    # the Z-Z strings and the sigma_y strings being orthogonal, so fields of modulus pi bound it
+    @pytest.mark.parametrize("topology", sorted(PRESETS))
+    def test_no_verdict_at_unit_coupling_moves(self, topology):
+        eps = np.finfo(np.float64).eps
+        for n in range(1, 13):
+            coupling, x = PRESETS[topology](n), np.full(n, np.pi)
+            dim = 1 << n
+            bound = 4 * eps * np.sqrt(dim) * np.sqrt(dim * (np.sum(np.triu(coupling, 1) ** 2) + np.sum(x**2)))
+            if n <= 8:
+                vals = sk.spectral_profile(sk.HamiltonianSpec(x, coupling, mu=1.0)).eigenvalues
+                assert sk.spectral._gap_floor(vals) == pytest.approx(bound, rel=1e-12), n
+            assert bound < sk.TOLS.degeneracy, n
 
 
 def z_sum(n):
