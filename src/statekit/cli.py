@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -103,10 +104,13 @@ def _cmd_encode(args) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read input vector: {exc}") from exc
         row = _as_array(raw, "input vector", np.float64, ConfigError, flat=True)
+    given = {key: value for key in ("mu", "tau", "topology") if (value := getattr(args, key)) is not None}
     params = None
     if args.encoder == "qift":
         _require_qubits(row.size, "the qift encoder")
-        params = QiftParams(mu=args.mu, tau=args.tau, topology=args.topology)
+        params = QiftParams(**given)
+    elif given:
+        raise ConfigError(f"{args.encoder} does not read --{next(iter(given))}")
     state = ENCODERS[args.encoder](row[None], params)[0]
     amps = state.amplitudes
     # float_power is libm pow, as a scalar ** 2 is; a vector square moves about one value in 1,300
@@ -268,12 +272,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"statekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", parents=[common, coupling_opts], help="encode a feature vector")
+    p = sub.add_parser("encode", parents=[common], help="encode a feature vector")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--values", help="comma-separated feature values")
     group.add_argument("--input", help="JSON file containing a feature array")
     p.add_argument("--encoder", choices=ENCODER_IDS, required=True)
-    p.add_argument("--tau", type=float, default=0.1, help="Trotter step")
+    # only qift reads these three; None marks one not given, and QiftParams holds the defaults
+    p.add_argument("--mu", type=float, default=None, help="global coupling strength (qift only)")
+    p.add_argument("--tau", type=float, default=None, help="Trotter step (qift only)")
+    p.add_argument("--topology", default=None, help=f"coupling preset (qift only): one of {', '.join(COUPLINGS)}")
     p.add_argument("--tol", type=float, default=None, help="positive-orthant tolerance")
     p.set_defaults(func=_cmd_encode)
 
@@ -318,10 +325,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader raises here, inside the try, not at interpreter exit
+        return code
     except StatekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left early (`| head`): the rest of the output goes to devnull, so the
+        # interpreter's last flush cannot raise; exit 1 as Python does on EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

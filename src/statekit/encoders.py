@@ -42,13 +42,17 @@ from .tolerances import TOLS
 def _data_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Check every row of ``v`` (m, k) as a data vector; return the rows
     zero-padded to 2^n and their norms. Zero padding leaves a norm's zero test
-    unchanged: the norm is zero exactly when every square underflows to 0."""
+    unchanged: the norm is zero exactly when every square underflows to 0. A
+    norm is infinite exactly when the sum of squares leaves the float range, so
+    a row whose squares an encoder forms passes only if they are finite."""
     values = _pad_pow2(v)
-    norms = _row_norms(values)
+    with np.errstate(over="ignore"):  # a sum of squares beyond the float range is refused below
+        norms = _row_norms(values)
     _raise_first_failure(
         StatekitError,
         (np.full(len(v), v.shape[1] == 0), "empty data vector"),
         (~np.isfinite(v).all(axis=1), "non-finite value in data vector"),
+        (np.isinf(norms), "non-finite value in the squares of the data vector"),
         (norms == 0.0, "data vector has zero norm"),
     )
     return values, norms
@@ -124,6 +128,7 @@ def phase_encoding(p: DistributionLike, phi: PhaseLike) -> StateVector:
 
 
 def _probability_loading_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
+    _data_rows(rows)  # each row is a data vector whose squares are finite and not all 0
     probs = _distribution_rows(rows**2 / np.sum(rows**2, axis=1, keepdims=True))
     return StateStack(_loading_stack(probs), _padding_of(rows.shape[1], probs.shape[1]))
 

@@ -3,8 +3,9 @@
 Every module reads its tolerances from the single ``TOLS`` record below
 instead of scattering magic numbers. Only two are also set per call, both
 by the CLI's ``--tol``: the orthant tolerance of ``in_positive_orthant`` and
-the resonance tolerance of ``resonance_similarity`` and ``run_experiment``.
-Every other check reads ``TOLS`` directly.
+the resonance tolerance of ``resonance_similarity``. The resonance
+experiment reads the latter from the config's ``tolerance`` key, which
+``statekit run --tol`` writes. Every other check reads ``TOLS`` directly.
 """
 from __future__ import annotations
 

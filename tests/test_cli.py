@@ -2,12 +2,16 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from statekit import cli
 from statekit.cli import build_parser, main
 from statekit.experiments import ENCODER_IDS, LabeledDataset, encode_dataset
 from statekit.qift import COUPLINGS
@@ -16,6 +20,7 @@ from conftest import count_calls
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(cli.__file__).resolve().parent.parent
 
 # Adding or removing a subcommand is an edit of this list, so every change to
 # the CLI surface shows up in a test diff.
@@ -98,10 +103,16 @@ class TestEncode:
         cli_amps = np.array([complex(r[1], r[2]) for r in rows])
         assert cli_amps.tobytes() == state.amplitudes.tobytes()
 
-    def test_zero_vector_fails_cleanly(self, capsys):
-        code, _, err = run_cli(capsys, "encode", "--encoder", "amplitude", "--values", "0,0")
-        assert code == 2
-        assert "error:" in err
+    @pytest.mark.parametrize("encoder", ["probability_loading", "amplitude"])
+    def test_zero_vector_fails_cleanly(self, capsys, encoder):
+        code, out, err = run_cli(capsys, "encode", "--encoder", encoder, "--values", "0,0")
+        assert (code, out, err) == (2, "", "error: data vector has zero norm\n")
+
+    @pytest.mark.parametrize("encoder", ["probability_loading", "amplitude"])
+    def test_squares_beyond_the_float_range_fail_cleanly(self, capsys, encoder):
+        # a finite vector whose sum of squares overflows: refused with no NumPy warning before it
+        code, out, err = run_cli(capsys, "encode", "--encoder", encoder, "--values", "1e200,1")
+        assert (code, out, err) == (2, "", "error: non-finite value in the squares of the data vector\n")
 
     def test_qift_rotation_beyond_the_float_range_fails_cleanly(self, capsys):
         # tau/2 times a field overflows: refused before the rotation layer takes its cosine
@@ -181,6 +192,19 @@ class TestFlagsASubcommandDoesNotRead:
     )
     def test_flags_that_are_read_still_parse(self, capsys, argv):
         assert main(argv) == 0
+
+    @pytest.mark.parametrize("encoder", ["probability_loading", "amplitude", "phase"])
+    @pytest.mark.parametrize("flag, value", [("--mu", "5"), ("--tau", "9"), ("--topology", "nonsense")])
+    def test_a_static_encoder_refuses_the_qift_flags(self, capsys, encoder, flag, value):
+        code, out, err = run_cli(capsys, "encode", "--encoder", encoder, "--values", "1,2", flag, value)
+        assert (code, out, err) == (2, "", f"error: {encoder} does not read {flag}\n")
+
+    def test_qift_reads_its_flags_and_keeps_their_defaults(self, capsys):
+        base = ["encode", "--encoder", "qift", "--values", "0.5,-0.5", "--format", "json"]
+        _, default, _ = run_cli(capsys, *base)
+        _, spelled_out, _ = run_cli(capsys, *base, "--mu", "1.0", "--tau", "0.1", "--topology", "ring")
+        assert default == spelled_out
+        assert run_cli(capsys, *base, "--topology", "complete", "--mu", "0.5", "--tau", "0.2")[0] == 0
 
 
 class TestInterfere:
@@ -602,6 +626,17 @@ class TestRun:
     def test_missing_file_fails(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "run", str(tmp_path / "nope.json"))
         assert code == 2
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    # more output than the 64 KiB pipe buffer, so the write after the reader leaves must fail
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "statekit.cli", "spectrum", "--x", "1,1", "--zeeman=0:1:20000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"# n: 2\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_version_flag(capsys):

@@ -15,7 +15,7 @@ import pytest
 import statekit as sk
 from statekit import _kernels
 from statekit import cli
-from statekit.errors import ConfigError, InvalidDistributionError, StatekitError
+from statekit.errors import ConfigError, StatekitError
 from statekit.experiments import ENCODERS, LabeledDataset
 
 from conftest import count_calls, two_copy_ry_layer
@@ -185,7 +185,8 @@ def single_state_error(encoder, row, params):
     """The error the one-row path raises on ``row``."""
     padded = pad(row)
     encode = {
-        "probability_loading": lambda: sk.probability_loading(row**2 / np.sum(row**2)),
+        # the row is checked as a data vector, as amplitude_encoding checks it, before its squares load
+        "probability_loading": lambda: (sk.amplitude_encoding(row), sk.probability_loading(row**2 / np.sum(row**2))),
         "amplitude": lambda: sk.amplitude_encoding(row),
         "phase": lambda: sk.phase_encoding(np.full(padded.size, 1.0 / padded.size), padded),
         "qift": lambda: sk.evolve_vacuum(
@@ -212,8 +213,7 @@ class TestBadRowInABatch:
     def test_non_finite_entry(self, encoder, bad):
         rows = np.random.default_rng(3).standard_normal((5, 4))
         rows[2, 1] = bad
-        with np.errstate(invalid="ignore"):  # inf / inf in the p_i = v_i^2 / |v|^2 step
-            assert_raises_like_single_row(encoder, rows, 2)
+        assert_raises_like_single_row(encoder, rows, 2)
 
     def test_zero_norm_row_for_amplitude(self):
         rows = np.random.default_rng(3).standard_normal((5, 3))
@@ -223,16 +223,24 @@ class TestBadRowInABatch:
     def test_zero_row_for_probability_loading(self):
         rows = np.random.default_rng(3).standard_normal((5, 3))
         rows[1] = 0.0
-        with np.errstate(invalid="ignore"):  # 0 / 0
-            assert_raises_like_single_row("probability_loading", rows, 1)
-        with pytest.raises(InvalidDistributionError, match="non-finite value in distribution"):
-            with np.errstate(invalid="ignore"):
-                ENCODERS["probability_loading"](rows, None)
+        assert_raises_like_single_row("probability_loading", rows, 1)
+        with pytest.raises(StatekitError, match="^data vector has zero norm$"):
+            ENCODERS["probability_loading"](rows, None)
+
+    @pytest.mark.parametrize("encoder", ["probability_loading", "amplitude"])
+    def test_row_whose_squares_overflow(self, encoder):
+        rows = np.random.default_rng(3).standard_normal((5, 4))
+        rows[2, 0] = 1e200
+        assert_raises_like_single_row(encoder, rows, 2)
+        with pytest.raises(StatekitError, match="^non-finite value in the squares of the data vector$"):
+            ENCODERS[encoder](rows, None)
+        # a sum of squares just inside the float range still encodes
+        assert ENCODERS[encoder](np.array([[1.3e154, 0.0, 0.0, 0.0]]), None).amplitudes[0, 0] == 1.0
 
     @pytest.mark.parametrize(
         "encoder, error, message",
         [
-            ("probability_loading", InvalidDistributionError, "empty probability vector"),
+            ("probability_loading", StatekitError, "empty data vector"),
             ("amplitude", StatekitError, "empty data vector"),
             ("phase", StatekitError, "empty phase profile"),
             ("qift", StatekitError, "at least one field strength is required"),
