@@ -5,7 +5,8 @@ roots of a distribution, all phases fixed to zero), amplitude encoding of a
 data vector (signs preserved), and phase encoding (a distribution dressed
 with per-basis-state phases). Inputs of non-power-of-2 length are
 zero-padded to the next power of two and the original length is recorded on
-the output.
+the output. A data vector is scaled by a power of two before it is squared,
+so any finite row that is not all zeros encodes.
 
 Each map is written once, as the amplitude array of a stack of checked rows
 (``_loading_stack`` and its siblings). The encoder table ``ENCODERS`` wraps
@@ -39,33 +40,25 @@ from .statevec import (
 from .tolerances import TOLS
 
 
-def _data_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check every row of ``v`` (m, k) as a data vector; return the rows
-    zero-padded to 2^n and their norms. Zero padding leaves a norm's zero test
-    unchanged: the norm is zero exactly when every square underflows to 0. A
-    norm is infinite exactly when the sum of squares leaves the float range, so
-    a row whose squares an encoder forms passes only if they are finite."""
-    values = _pad_pow2(v)
-    with np.errstate(over="ignore"):  # a sum of squares beyond the float range is refused below
-        norms = _row_norms(values)
-    _raise_first_failure(
-        StatekitError,
-        (np.full(len(v), v.shape[1] == 0), "empty data vector"),
-        (~np.isfinite(v).all(axis=1), "non-finite value in data vector"),
-        (np.isinf(norms), "non-finite value in the squares of the data vector"),
-        (norms == 0.0, "data vector has zero norm"),
-    )
-    return values, norms
+def _row_checks(v: np.ndarray, what: str) -> tuple:
+    """The empty and non-finite checks of every row of ``v`` (m, k) as a ``what``."""
+    empty = np.full(len(v), v.shape[1] == 0)
+    return (empty, f"empty {what}"), (~np.isfinite(v).all(axis=1), f"non-finite value in {what}")
+
+
+def _data_rows(v: np.ndarray) -> np.ndarray:
+    """Check every row of ``v`` (m, k) as a data vector; return each scaled by 2^-e, with e the
+    exponent of its largest magnitude, so that no square an encoder forms overflows or all
+    underflow. The scaling is exact outside the subnormal range, so ratios keep their bits."""
+    zero = (v == 0).all(axis=1)
+    _raise_first_failure(StatekitError, *_row_checks(v, "data vector"), (zero, "data vector has zero norm"))
+    return np.ldexp(v, -np.frexp(np.abs(v).max(axis=1, keepdims=True, initial=0.0))[1])
 
 
 def _phase_rows(p: np.ndarray) -> np.ndarray:
     """Check every row of ``p`` (m, k) as a phase profile; return the rows
     zero-padded to 2^n."""
-    _raise_first_failure(
-        StatekitError,
-        (np.full(len(p), p.shape[1] == 0), "empty phase profile"),
-        (~np.isfinite(p).all(axis=1), "non-finite value in phase profile"),
-    )
+    _raise_first_failure(StatekitError, *_row_checks(p, "phase profile"))
     return _pad_pow2(p)
 
 
@@ -86,9 +79,10 @@ def _loading_stack(probs: np.ndarray) -> np.ndarray:
     return _freeze(np.sqrt(probs).astype(np.complex128))
 
 
-def _amplitude_stack(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Each checked data row of ``values`` divided by its norm from ``norms``."""
-    return _freeze((values / norms[:, None]).astype(np.complex128))
+def _amplitude_stack(rows: np.ndarray) -> np.ndarray:
+    """Each scaled data row of ``rows``, zero-padded to 2^n, divided by its norm."""
+    values = _pad_pow2(rows)
+    return _freeze((values / _row_norms(values)[:, None]).astype(np.complex128))
 
 
 def _phase_stack(probs: np.ndarray, phases: np.ndarray) -> np.ndarray:
@@ -111,8 +105,8 @@ def probability_loading(p: DistributionLike) -> StateVector:
 def amplitude_encoding(x: Sequence[float] | np.ndarray) -> StateVector:
     """Normalize a nonzero real data vector into amplitudes, preserving component signs."""
     row = _as_array(x, "data vector", np.float64, flat=True)[None]
-    values, norms = _data_rows(row)
-    return StateVector(_amplitude_stack(values, norms), _padding_of(row.shape[1], values.shape[1]))
+    amps = _amplitude_stack(_data_rows(row))
+    return StateVector(amps, _padding_of(row.shape[1], amps.shape[1]))
 
 
 def phase_encoding(p: DistributionLike, phi: PhaseLike) -> StateVector:
@@ -128,14 +122,14 @@ def phase_encoding(p: DistributionLike, phi: PhaseLike) -> StateVector:
 
 
 def _probability_loading_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
-    _data_rows(rows)  # each row is a data vector whose squares are finite and not all 0
-    probs = _distribution_rows(rows**2 / np.sum(rows**2, axis=1, keepdims=True))
+    scaled = _data_rows(rows)
+    probs = _distribution_rows(scaled**2 / np.sum(scaled**2, axis=1, keepdims=True))
     return StateStack(_loading_stack(probs), _padding_of(rows.shape[1], probs.shape[1]))
 
 
 def _amplitude_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
-    values, norms = _data_rows(rows)
-    return StateStack(_amplitude_stack(values, norms), _padding_of(rows.shape[1], values.shape[1]))
+    amps = _amplitude_stack(_data_rows(rows))
+    return StateStack(amps, _padding_of(rows.shape[1], amps.shape[1]))
 
 
 def _phase_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:

@@ -159,14 +159,15 @@ def _row_dots(r: np.ndarray) -> np.ndarray:
 def _check_state_rows(amps: np.ndarray) -> None:
     """Raise unless every row of ``amps`` (m, d) is a valid ``StateVector``."""
     dim = amps.shape[1]
-    norms = _row_norms(amps)
+    with np.errstate(over="ignore"):  # an infinite norm is refused below
+        norms = _row_norms(amps)
     _raise_first_failure(
         StatekitError,
         (~np.isfinite(amps).all(axis=1), "non-finite value in state"),
         (np.full(len(amps), not _is_pow2(dim) or dim < 2), f"state length {dim} is not 2^n with n >= 1"),
         (
             np.abs(norms - 1.0) > TOLS.state_norm,
-            lambda row: f"state norm {norms[row]!r} deviates from 1 beyond {TOLS.state_norm}",
+            lambda row: f"state norm {norms[row].item()!r} deviates from 1 beyond {TOLS.state_norm}",
         ),
     )
 
@@ -175,15 +176,16 @@ def _distribution_rows(p: np.ndarray) -> np.ndarray:
     """Check every row of ``p`` (m, k) as a ``Distribution``; return the rows
     zero-padded to 2^n, each divided by its sum unless that is exactly 1."""
     padded = _pad_pow2(p)
-    total = padded.sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        total = padded.sum(axis=1)
     _raise_first_failure(
         InvalidDistributionError,
         (np.full(len(p), p.shape[1] == 0), "empty probability vector"),
         (~np.isfinite(p).all(axis=1), "non-finite value in distribution"),
-        ((p < 0).any(axis=1), lambda row: f"negative entry {p[row].min()!r} in distribution"),
+        ((p < 0).any(axis=1), lambda row: f"negative entry {p[row].min().item()!r} in distribution"),
         (
             np.abs(total - 1.0) > TOLS.distribution_sum,
-            lambda row: f"probabilities sum to {total[row]!r}, not 1",
+            lambda row: f"probabilities sum to {total[row].item()!r}, not 1",
         ),
     )
     exact = total == 1.0
@@ -403,7 +405,10 @@ def operator_distance(a: DenseOperator, b: DenseOperator) -> float:
     """Spectral-norm distance: the largest singular value of A - B."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"operator dims differ: {a.dim} vs {b.dim}")
-    return float(np.linalg.norm(a.matrix - b.matrix, 2))
+    with np.errstate(over="ignore"):  # a difference beyond the float range is refused below
+        diff = a.matrix - b.matrix
+    _require_finite("A - B", diff)
+    return float(np.linalg.norm(diff, 2))
 
 
 def commutator(a: DenseOperator, b: DenseOperator) -> DenseOperator:

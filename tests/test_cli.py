@@ -13,7 +13,7 @@ import pytest
 
 from statekit import cli
 from statekit.cli import build_parser, main
-from statekit.experiments import ENCODER_IDS, LabeledDataset, encode_dataset
+from statekit.experiments import ENCODER_IDS, ENCODERS, LabeledDataset, encode_dataset
 from statekit.qift import COUPLINGS
 
 from conftest import count_calls
@@ -108,11 +108,30 @@ class TestEncode:
         code, out, err = run_cli(capsys, "encode", "--encoder", encoder, "--values", "0,0")
         assert (code, out, err) == (2, "", "error: data vector has zero norm\n")
 
-    @pytest.mark.parametrize("encoder", ["probability_loading", "amplitude"])
-    def test_squares_beyond_the_float_range_fail_cleanly(self, capsys, encoder):
-        # a finite vector whose sum of squares overflows: refused with no NumPy warning before it
-        code, out, err = run_cli(capsys, "encode", "--encoder", encoder, "--values", "1e200,1")
-        assert (code, out, err) == (2, "", "error: non-finite value in the squares of the data vector\n")
+    @pytest.mark.parametrize("encoder, second", [("probability_loading", 0.0), ("amplitude", 1e-200)])
+    def test_squares_beyond_the_float_range_encode(self, capsys, encoder, second):
+        # the row is scaled by a power of two before it is squared; loading's second probability,
+        # 1e-400, rounds to 0
+        code, out, err = run_cli(capsys, "encode", "--encoder", encoder, "--values", "1e200,1", "--format", "json")
+        assert (code, err) == (0, "")
+        assert [row[1:3] for row in json.loads(out)["tables"]["state"]["rows"]] == [[1.0, 0.0], [second, 0.0]]
+
+    @pytest.mark.parametrize(
+        "encoder, values, expected",
+        [
+            ("amplitude", "1e-161,3e-162", np.array([1.0, 0.3]) / np.sqrt(1.09)),
+            ("probability_loading", "3e-162,7e-163,1e-162", np.array([3.0, 0.7, 1.0, 0.0]) / np.sqrt(10.49)),
+            ("amplitude", "1e-200", [1.0, 0.0]),
+            ("probability_loading", "1e-200", [1.0, 0.0]),
+        ],
+    )
+    def test_squares_in_the_subnormal_range_encode(self, capsys, encoder, values, expected):
+        code, out, err = run_cli(capsys, "encode", "--encoder", encoder, f"--values={values}", "--format", "json")
+        assert (code, err) == (0, "")
+        amps = np.array([complex(r[1], r[2]) for r in json.loads(out)["tables"]["state"]["rows"]])
+        row = np.array([float(v) for v in values.split(",")])
+        assert amps.tobytes() == ENCODERS[encoder](row[None], None).amplitudes.tobytes()
+        assert amps.real == pytest.approx(expected, rel=1e-14) and not amps.imag.any()
 
     def test_qift_rotation_beyond_the_float_range_fails_cleanly(self, capsys):
         # tau/2 times a field overflows: refused before the rotation layer takes its cosine
@@ -628,15 +647,35 @@ class TestRun:
         assert code == 2
 
 
+def cli_argv(*args):
+    """argv and environment that run the CLI of this checkout in a child process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    return [sys.executable, "-m", "statekit.cli", *args], env
+
+
 def test_a_reader_that_leaves_early_gets_no_traceback():
     # more output than the 64 KiB pipe buffer, so the write after the reader leaves must fail
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    argv = [sys.executable, "-m", "statekit.cli", "spectrum", "--x", "1,1", "--zeeman=0:1:20000"]
+    argv, env = cli_argv("spectrum", "--x", "1,1", "--zeeman=0:1:20000")
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         assert proc.stdout.readline() == b"# n: 2\n"
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+def test_an_overflowing_probability_sum_is_refused_with_no_warning():
+    # a child process keeps NumPy's default warning filter, which prints to stderr
+    argv, env = cli_argv("interfere", "--probs", "1e308,1e308")
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: probabilities sum to inf, not 1\n")
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [("-0.5,1.5", "negative entry -0.5 in distribution"), ("0.5,0.6", "probabilities sum to 1.1, not 1")],
+)
+def test_a_bad_distribution_is_named_with_plain_numbers(capsys, probs, message):
+    assert run_cli(capsys, "interfere", f"--probs={probs}") == (2, "", f"error: {message}\n")
 
 
 def test_version_flag(capsys):

@@ -112,6 +112,98 @@ class TestBytesMatchOneRowFormulas:
             assert single(row).amplitudes.tobytes() == state.amplitudes.tobytes()
 
 
+def scaled_rows(seed, count):
+    """Seeded data rows of 1-32 entries: Gaussian at a magnitude 10^U(-150, 150), every fourth one +-1."""
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(1, 33, count)
+    return [
+        rng.choice([-1.0, 1.0], w) if i % 4 == 3 else rng.standard_normal(w) * 10.0 ** rng.uniform(-150, 150)
+        for i, w in enumerate(widths)
+    ]
+
+
+def normal_or_zero(v):
+    return bool(np.all((v == 0) | (np.abs(v) >= np.finfo(float).tiny)))
+
+
+POWERS = range(-1000, 1001, 125)
+MAX = np.finfo(float).max
+
+
+def stays_normal(rows, k):
+    """Whether each row of ``rows`` (no zero entries) times 2^k keeps every entry normal and finite."""
+    exponents = np.frexp(np.abs(np.atleast_2d(rows)))[1]
+    return (exponents.min(axis=1) + k >= -1021) & (exponents.max(axis=1) + k <= 1024)
+
+
+# a data row is scaled by a power of two before any norm or square is formed
+SQUARING = ("probability_loading", "amplitude")
+SINGLE = {
+    "probability_loading": lambda row: ENCODERS["probability_loading"](row[None], None)[0],
+    "amplitude": sk.amplitude_encoding,
+}
+
+
+class TestScaledDataRows:
+    @pytest.mark.parametrize("encoder", SQUARING)
+    def test_bytes_match_the_unscaled_formula_where_every_square_is_normal(self, encoder):
+        rows = [row for row in scaled_rows(46, 1000) if normal_or_zero(row**2)]
+        assert len(rows) > 900
+        oracle = ORACLES[encoder]
+        for row in rows:
+            assert SINGLE[encoder](row).amplitudes.tobytes() == oracle(row, None).tobytes()
+        batch = np.random.default_rng(47).standard_normal((257, 16)) * 10.0 ** np.random.default_rng(48).uniform(
+            -150, 150, (257, 1)
+        )
+        expected = np.array([oracle(row, None) for row in batch])
+        assert ENCODERS[encoder](batch, None).amplitudes.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("encoder", SQUARING)
+    def test_a_power_of_two_leaves_a_single_state_unchanged(self, encoder):
+        for row in scaled_rows(5, 200):
+            expected = SINGLE[encoder](row).amplitudes.tobytes()
+            for k in POWERS:
+                if stays_normal(row, k)[0]:
+                    assert SINGLE[encoder](np.ldexp(row, k)).amplitudes.tobytes() == expected
+
+    @pytest.mark.parametrize("encoder", SQUARING)
+    def test_a_power_of_two_leaves_each_row_of_a_stack_unchanged(self, encoder):
+        rng = np.random.default_rng(6)
+        rows = rng.standard_normal((64, 5)) * 10.0 ** rng.uniform(-150, 150, (64, 1))
+        expected = ENCODERS[encoder](rows, None).amplitudes
+        for k in POWERS:
+            kept = stays_normal(rows, k)
+            assert kept.sum() >= 16
+            assert ENCODERS[encoder](np.ldexp(rows[kept], k), None).amplitudes.tobytes() == expected[kept].tobytes()
+
+    @pytest.mark.parametrize("encoder", SQUARING)
+    def test_a_row_whose_squares_overflow_encodes(self, encoder):
+        rows = np.random.default_rng(3).standard_normal((5, 4))
+        rows[2, 0] = 1e200
+        stack = ENCODERS[encoder](rows, None).amplitudes
+        assert stack[2, 0] == 1.0
+        others = [0, 1, 3, 4]
+        assert stack[others].tobytes() == ENCODERS[encoder](rows[others], None).amplitudes.tobytes()
+        # amplitude keeps 1e-200; loading squares it to 1e-400, which rounds to 0
+        second = 1e-200 if encoder == "amplitude" else 0.0
+        assert ENCODERS[encoder](np.array([[1e200, 1.0]]), None).amplitudes.tolist() == [[1.0, second]]
+
+    @pytest.mark.parametrize(
+        "row, amplitude, loading",
+        [
+            ([1e300, 1e-300], [1.0, 0.0], [1.0, 0.0]),
+            ([MAX, 1.0], [1.0, 1.0 / MAX], [1.0, 0.0]),
+            ([MAX, -MAX, 3.0], [0.5**0.5, -(0.5**0.5), 3.0 / 2**0.5 / MAX, 0.0], [0.5**0.5, 0.5**0.5, 0.0, 0.0]),
+        ],
+        ids=["1e300,1e-300", "max,1", "max,-max,3"],
+    )
+    def test_rows_at_the_ends_of_the_float_range_encode(self, row, amplitude, loading):
+        # an amplitude below 2^-1022 is subnormal and keeps fewer bits; loading squares it to 0
+        for encoder, expected in [("amplitude", amplitude), ("probability_loading", loading)]:
+            amps = SINGLE[encoder](np.array(row)).amplitudes
+            assert amps == pytest.approx(expected, rel=1e-15, abs=1e-310)
+
+
 def test_qift_encoding_builds_one_diagonal_and_two_rotation_layers(monkeypatch):
     calls = Counter()
     for name in ("zz_diagonal", "_ry_layer_in_place"):
@@ -226,16 +318,6 @@ class TestBadRowInABatch:
         assert_raises_like_single_row("probability_loading", rows, 1)
         with pytest.raises(StatekitError, match="^data vector has zero norm$"):
             ENCODERS["probability_loading"](rows, None)
-
-    @pytest.mark.parametrize("encoder", ["probability_loading", "amplitude"])
-    def test_row_whose_squares_overflow(self, encoder):
-        rows = np.random.default_rng(3).standard_normal((5, 4))
-        rows[2, 0] = 1e200
-        assert_raises_like_single_row(encoder, rows, 2)
-        with pytest.raises(StatekitError, match="^non-finite value in the squares of the data vector$"):
-            ENCODERS[encoder](rows, None)
-        # a sum of squares just inside the float range still encodes
-        assert ENCODERS[encoder](np.array([[1.3e154, 0.0, 0.0, 0.0]]), None).amplitudes[0, 0] == 1.0
 
     @pytest.mark.parametrize(
         "encoder, error, message",

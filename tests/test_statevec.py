@@ -25,6 +25,12 @@ class TestTypes:
         with pytest.raises(StatekitError):
             sk.StateVector(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("amps, norm", [([1.0, 1.0], "1.4142135623730951"), ([1e200, 0.0], "inf")])
+    def test_a_bad_norm_is_named_as_a_plain_number(self, amps, norm):
+        # a norm beyond the float range is formed with no warning and refused like any other
+        with pytest.raises(StatekitError, match=f"^state norm {norm} deviates from 1 beyond {TOLS.state_norm}$"):
+            sk.StateVector(np.array(amps))
+
     def test_state_norm_tolerance_boundary(self):
         amps = np.array([1.0 + 5e-11, 0.0])
         s = sk.StateVector(amps)
@@ -212,6 +218,13 @@ class TestOperatorDistance:
         a = sk.DenseOperator(np.eye(2))
         b = sk.DenseOperator(-np.eye(2))
         assert sk.operator_distance(a, b) == pytest.approx(2.0)
+
+    def test_a_difference_beyond_the_float_range_is_refused(self):
+        a = sk.DenseOperator(1e308 * np.eye(2))
+        with pytest.raises(StatekitError, match="^non-finite value in A - B$"):
+            sk.operator_distance(a, sk.DenseOperator(-1e308 * np.eye(2)))
+        assert sk.operator_distance(a, a) == 0.0
+        assert sk.operator_distance(a, sk.DenseOperator(np.zeros((2, 2)))) == pytest.approx(1e308)
 
     def test_errors(self):
         a = sk.DenseOperator(np.eye(2))
