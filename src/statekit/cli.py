@@ -25,16 +25,18 @@ from .experiments import (
     Table,
     dumps,
     run_experiment,
-    _curvature_results,
+    _curvature,
     _require_qubits,
     write_csv,
     write_outputs,
 )
 from .interference import _decomposition_blocks
-from .qift import COUPLINGS, QiftParams, information_curvature
-from .spectral import _profile_and_zeeman, resonance_similarity, spectral_profile
+from .qift import COUPLINGS, DEFAULT_TAU_GRID, QiftParams
+from .spectral import _profile_and_zeeman, resonance_similarity
 from .statevec import DenseOperator, Distribution, _as_array, _as_int, _as_real, _freeze, as_rng, haar_random_unitary
 from .tolerances import TOLS
+
+QIFT_FLAGS = ("mu", "tau", "topology")  # the QiftParams fields a subcommand may take as flags
 
 
 def _parse_floats(text: str, name: str) -> np.ndarray:
@@ -60,6 +62,11 @@ def _parse_grid(text: str, name: str) -> np.ndarray:
         raise ConfigError(f"{name} needs at least one point")
     _as_real(stop - start, name, ConfigError, f"{name} or its span")  # NaN, an infinite end or overflow
     return np.linspace(start, stop, points)
+
+
+def _qift_params(args) -> QiftParams:
+    """``QiftParams`` of the QIFT flags given; one not given (None), or not taken, keeps ``QiftParams``' default."""
+    return QiftParams(**{key: value for key in QIFT_FLAGS if (value := getattr(args, key, None)) is not None})
 
 
 def _hadamard_layer(dim: int) -> np.ndarray:
@@ -104,13 +111,13 @@ def _cmd_encode(args) -> int:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read input vector: {exc}") from exc
         row = _as_array(raw, "input vector", np.float64, ConfigError, flat=True)
-    given = {key: value for key in ("mu", "tau", "topology") if (value := getattr(args, key)) is not None}
+    given = next((key for key in QIFT_FLAGS if getattr(args, key) is not None), None)
     params = None
     if args.encoder == "qift":
         _require_qubits(row.size, "the qift encoder")
-        params = QiftParams(**given)
+        params = _qift_params(args)
     elif given:
-        raise ConfigError(f"{args.encoder} does not read --{next(iter(given))}")
+        raise ConfigError(f"{args.encoder} does not read --{given}")
     state = ENCODERS[args.encoder](row[None], params)[0]
     amps = state.amplitudes
     # float_power is libm pow, as a scalar ** 2 is; a vector square moves about one value in 1,300
@@ -166,16 +173,12 @@ def _cmd_trotter_scan(args) -> int:
     _as_real(args.tau_max, "--tau-max", ConfigError, positive=True)
     _as_int(args.points, "--points", 0, ConfigError)
     _require_qubits(args.n, "trotter-scan")
-    if args.x is not None:
-        x = _parse_floats(args.x, "--x")
-        if x.size != args.n:
-            raise ConfigError(f"--x has {x.size} entries but --n is {args.n}")
-    else:
-        x = as_rng(args.seed).uniform(-math.pi, math.pi, args.n)
-    spec = QiftParams(mu=args.mu, tau=args.tau_max, topology=args.topology).spec(x)
-    taus = np.geomspace(args.tau_max, args.tau_min, args.points)
-    results, tables = _curvature_results(information_curvature(spec, taus))
-    summary = {"n": args.n, "topology": args.topology, "mu": args.mu, **results}
+    x = None if args.x is None else _parse_floats(args.x, "--x")
+    if x is not None and x.size != args.n:
+        raise ConfigError(f"--x has {x.size} entries but --n is {args.n}")
+    params = _qift_params(args)
+    results, tables = _curvature(params, args.n, args.seed, x, np.geomspace(args.tau_max, args.tau_min, args.points))
+    summary = {"n": args.n, "topology": params.topology, "mu": params.mu, **results}
     if results["commuting"]:
         summary["note"] = "commuting: no curvature"
     _emit(args, summary, tables)
@@ -185,12 +188,9 @@ def _cmd_trotter_scan(args) -> int:
 def _cmd_spectrum(args) -> int:
     x = _parse_floats(args.x, "--x")
     _require_qubits(x.size, "spectrum")
-    grid = _parse_grid(args.zeeman, "--zeeman") if args.zeeman else None  # argv is checked before any build
-    spec = QiftParams(mu=args.mu, topology=args.topology).spec(x)
-    if args.zeeman:
-        profile, gaps, stability_score = _profile_and_zeeman(spec, grid)
-    else:
-        profile = spectral_profile(spec)
+    # argv is checked before any build; without --zeeman the grid is the reference 0 alone, which reuses the profile
+    grid = _parse_grid(args.zeeman, "--zeeman") if args.zeeman else [0.0]
+    profile, gaps, stability_score = _profile_and_zeeman(_qift_params(args).spec(x), grid)
     tables = [
         Table(
             "spectrum",
@@ -220,7 +220,7 @@ def _cmd_resonance(args) -> int:
     xa = _parse_floats(args.x_a, "--x-a")
     xb = _parse_floats(args.x_b, "--x-b")
     _require_qubits(max(xa.size, xb.size), "resonance")
-    params = QiftParams(mu=args.mu, topology=args.topology)
+    params = _qift_params(args)
     spec_a, spec_b = params.spec(xa), params.spec(xb)
     tol = args.tol if args.tol is not None else TOLS.resonance
     summary = asdict(resonance_similarity(spec_a, spec_b, tol))
@@ -261,9 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False, parents=[common])
     seeded.add_argument("--seed", type=int, default=0, help="RNG seed")
 
+    # None marks a QIFT flag not given, and QiftParams holds the defaults (see _qift_params)
     coupling_opts = argparse.ArgumentParser(add_help=False)
-    coupling_opts.add_argument("--mu", type=float, default=1.0, help="global coupling strength")
-    coupling_opts.add_argument("--topology", default="ring", help=f"coupling preset: one of {', '.join(COUPLINGS)}")
+    coupling_opts.add_argument("--mu", type=float, default=None, help="global coupling strength")
+    coupling_opts.add_argument("--topology", default=None, help=f"coupling preset: one of {', '.join(COUPLINGS)}")
 
     parser = argparse.ArgumentParser(
         prog="statekit",
@@ -272,15 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"statekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", parents=[common], help="encode a feature vector")
+    p = sub.add_parser("encode", parents=[common, coupling_opts], help="encode a feature vector")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--values", help="comma-separated feature values")
     group.add_argument("--input", help="JSON file containing a feature array")
     p.add_argument("--encoder", choices=ENCODER_IDS, required=True)
-    # only qift reads these three; None marks one not given, and QiftParams holds the defaults
-    p.add_argument("--mu", type=float, default=None, help="global coupling strength (qift only)")
-    p.add_argument("--tau", type=float, default=None, help="Trotter step (qift only)")
-    p.add_argument("--topology", default=None, help=f"coupling preset (qift only): one of {', '.join(COUPLINGS)}")
+    p.add_argument("--tau", type=float, default=None, help="Trotter step (qift only, as --mu and --topology)")
     p.add_argument("--tol", type=float, default=None, help="positive-orthant tolerance")
     p.set_defaults(func=_cmd_encode)
 
@@ -296,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trotter-scan", parents=[seeded, coupling_opts], help="Trotter error scaling scan")
     p.add_argument("--n", type=int, required=True, help="number of qubits")
     p.add_argument("--x", help="comma-separated field strengths (default: seeded uniform)")
-    p.add_argument("--tau-min", type=float, default=1e-3)
-    p.add_argument("--tau-max", type=float, default=1e-1)
-    p.add_argument("--points", type=int, default=13)
+    p.add_argument("--tau-min", type=float, default=float(DEFAULT_TAU_GRID[-1]))
+    p.add_argument("--tau-max", type=float, default=float(DEFAULT_TAU_GRID[0]))
+    p.add_argument("--points", type=int, default=len(DEFAULT_TAU_GRID))
     p.set_defaults(func=_cmd_trotter_scan)
 
     p = sub.add_parser("spectrum", parents=[common, coupling_opts], help="spectrum and mass gap")

@@ -34,7 +34,7 @@ from ._version import __version__
 from .encoders import ENCODER_IDS, ENCODERS
 from .errors import ConfigError, DimensionMismatchError, StatekitError
 from .interference import _decomposition_blocks, diagonal_trap_residual
-from .qift import CurvatureScan, QiftParams, information_curvature
+from .qift import QiftParams, information_curvature
 from .spectral import spectral_profile
 from .statevec import (
     DenseOperator,
@@ -571,26 +571,22 @@ def _distance(top: float) -> float:
 
 
 def _run_curvature(config: ExperimentConfig) -> tuple[dict, list[Table]]:
-    x = as_rng(config.seed).uniform(-math.pi, math.pi, config.n_features)
-    results, tables = _curvature_results(information_curvature(config.qift_params().spec(x)))
-    results["fields"] = x.tolist()
-    return results, tables
+    return _curvature(config.qift_params(), config.n_features, config.seed)
 
 
-def _curvature_results(scan: CurvatureScan) -> tuple[dict, list[Table]]:
-    """Summary fields and (tau, error) table of one scan, shared with ``statekit trotter-scan``."""
+def _curvature(params: QiftParams, n: int, seed: int, x=None, taus=None) -> tuple[dict, list[Table]]:
+    """Results and (tau, error) table of the scan of ``params.spec(x)`` over ``taus``, the n
+    fields ``x`` drawn from ``seed`` when not given; curvature-scan and ``statekit trotter-scan``."""
+    spec = params.spec(as_rng(seed).uniform(-math.pi, math.pi, n) if x is None else x)
+    scan = information_curvature(spec, taus)
     results = {
         "fitted_slope": scan.fitted_slope,
         "fit_residual": scan.fit_residual,
         "commuting": scan.commuting,
         "commutator_norm": scan.commutator_norm,
+        "fields": spec.fields.tolist(),
     }
-    table = Table(
-        name="curvature_scan",
-        header=("tau", "error"),
-        columns=(scan.taus, scan.errors),
-    )
-    return results, [table]
+    return results, [Table(name="curvature_scan", header=("tau", "error"), columns=(scan.taus, scan.errors))]
 
 
 def _run_resonance(config: ExperimentConfig) -> tuple[dict, list[Table]]:

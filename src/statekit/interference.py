@@ -191,6 +191,7 @@ def sign_lock_check(
     x, xp = pair if isinstance(pair, (Sequence, np.ndarray)) and len(pair) == 2 else (None, None)
     if _outcome_indices(u, (x, xp))[1] or x == xp:  # basis indices follow the outcome rule
         raise StatekitError(f"pair must be two distinct basis indices in [0, {u.dim}), got {pair}")
+    distributions, phases = list(distributions), None if phases is None else list(phases)  # a (k, N) array: k rows
     if not distributions:
         raise StatekitError("at least one distribution is required")
     if phases is not None and len(phases) != len(distributions):

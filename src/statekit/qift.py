@@ -286,7 +286,7 @@ def information_curvature(
     non-commuting spec the fitted log-log slope sits in the third-order
     window; a commuting spec is flagged instead of fitted.
     """
-    grid = _as_array(DEFAULT_TAU_GRID if taus is None else taus, "tau grid", np.float64)
+    grid = _as_array(DEFAULT_TAU_GRID if taus is None else taus, "tau grid", np.float64, flat=True)
     _require_finite("tau grid", grid)
     if grid.size < 5:
         raise StatekitError("tau grid needs at least 5 points")

@@ -1,13 +1,15 @@
-"""The golden cases: small `statekit run` configs and `statekit interfere` calls
-whose output bytes tests/test_golden.py holds.
+"""The golden cases: small `statekit run` configs and subcommand calls whose
+output bytes tests/test_golden.py holds.
 
     python tests/golden/make_goldens.py            # regenerate tests/golden/
     python tests/golden/make_goldens.py --out DIR  # write the outputs into DIR
 
 The cases run in this process, which pins the BLAS to one thread before numpy
-loads. Each config writes ``<case>/<table>.csv``, each interfere call writes
+loads. Each config writes ``<case>/<table>.csv``, each subcommand call writes
 ``<case>.txt`` with its stdout, and ``fingerprint.json`` records the
-``provenance.numerics`` of the run. A change that moves a number on purpose
+``provenance.numerics`` of the run. trotter-scan has no case: its CSV is the
+curvature cases' through the one runner they share, and its fitted slope moves
+between BLAS settings by more than the text tolerance. A change that moves a number on purpose
 regenerates the goldens with this script and says so in CHANGES.md.
 """
 import os
@@ -40,14 +42,23 @@ EXPERIMENTS = {
 SEEDS = (7, 1234)
 # case -> config without output_dir
 CONFIGS = {f"{name}_s{seed}": dict(base, seed=seed) for name, base in EXPERIMENTS.items() for seed in SEEDS}
-# case -> `statekit interfere` arguments
-INTERFERE = {
-    "interfere_hadamard_phased": ["--probs", "0.5,0.5", "--phases", "0,3.14159"],
-    "interfere_hadamard_dim2": ["--dim", "2"],
-    "interfere_haar_dim8": ["--dim", "8", "--unitary", "haar", "--seed", "3"],
-    "interfere_haar_dim16_json": ["--dim", "16", "--unitary", "haar", "--seed", "7", "--format", "json"],
-    "interfere_haar_dim64_outcome5": ["--dim", "64", "--unitary", "haar", "--seed", "1234", "--outcome", "5"],
-    "interfere_haar_phased": ["--probs", "0.1,0.2,0.3,0.4", "--unitary", "haar", "--seed", "99", "--phases", "0,1,2,3"],
+# case -> `statekit` argv; every number printed is O(1), inside test_golden's text tolerance
+COMMANDS = {
+    "interfere_hadamard_phased": ["interfere", "--probs", "0.5,0.5", "--phases", "0,3.14159"],
+    "interfere_hadamard_dim2": ["interfere", "--dim", "2"],
+    "interfere_haar_dim8": ["interfere", "--dim", "8", "--unitary", "haar", "--seed", "3"],
+    "interfere_haar_dim16_json": ["interfere", "--dim", "16", "--unitary", "haar", "--seed", "7", "--format", "json"],
+    "interfere_haar_dim64_outcome5": [
+        "interfere", "--dim", "64", "--unitary", "haar", "--seed", "1234", "--outcome", "5",
+    ],
+    "interfere_haar_phased": [
+        "interfere", "--probs", "0.1,0.2,0.3,0.4", "--unitary", "haar", "--seed", "99", "--phases", "0,1,2,3",
+    ],
+    "spectrum_ring": ["spectrum", "--x", "1.0,0.5,-0.3"],
+    "spectrum_zeeman": ["spectrum", "--x", "1.0,0.5,-0.3", "--zeeman=-0.1:0.1:11"],
+    "spectrum_complete_mu05": ["spectrum", "--x", "0.5,0.2", "--mu", "0.5", "--topology", "complete"],
+    "resonance": ["resonance", "--x-a", "1.0,0.2", "--x-b", "0.9,0.3"],
+    "encode_qift_json": ["encode", "--encoder", "qift", "--values", "0.5,-0.5,1,2", "--format", "json"],
 }
 
 
@@ -59,11 +70,11 @@ def write_cases(out: Path) -> None:
         report = run_experiment(ExperimentConfig.from_dict(dict(raw, output_dir=str(out / case))))
         (out / case / "report.json").unlink()  # it holds a timestamp
         numerics = report.provenance["numerics"]
-    for case, argv in INTERFERE.items():
+    for case, argv in COMMANDS.items():
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            if cli.main(["interfere", *argv]) != 0:
-                raise SystemExit(f"statekit interfere {' '.join(argv)} failed")
+            if cli.main(argv) != 0:
+                raise SystemExit(f"statekit {' '.join(argv)} failed")
         (out / f"{case}.txt").write_text(stdout.getvalue(), encoding="utf-8")
     (out / "fingerprint.json").write_text(json.dumps(numerics, indent=2) + "\n", encoding="utf-8")
 

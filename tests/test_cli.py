@@ -159,7 +159,7 @@ class TestSubcommands:
         assert parser.parse_args(["run", "y.json"]).seed is None
         assert parser.parse_args(["spectrum", "--x", "1", "--mu", "2", "--zeeman=0:0:1"]).mu == 2.0
         again = parser.parse_args(["spectrum", "--x", "1"])
-        assert (again.mu, again.zeeman) == (1.0, None)
+        assert (again.mu, again.zeeman) == (None, None)  # a QIFT flag not given keeps QiftParams' default
 
     @pytest.mark.parametrize("command", ["trotter-scan", "spectrum", "resonance"])
     def test_topology_help_names_the_coupling_presets(self, command):
@@ -224,6 +224,12 @@ class TestFlagsASubcommandDoesNotRead:
         _, spelled_out, _ = run_cli(capsys, *base, "--mu", "1.0", "--tau", "0.1", "--topology", "ring")
         assert default == spelled_out
         assert run_cli(capsys, *base, "--topology", "complete", "--mu", "0.5", "--tau", "0.2")[0] == 0
+        for argv in (
+            ["trotter-scan", "--n", "3", "--seed", "2"],
+            ["spectrum", "--x", "1.0,0.5,-0.3", "--zeeman=-0.1:0.1:3"],
+            ["resonance", "--x-a", "1.0,0.2", "--x-b", "0.9,0.3"],
+        ):
+            assert run_cli(capsys, *argv)[1] == run_cli(capsys, *argv, "--mu", "1.0", "--topology", "ring")[1]
 
 
 class TestInterfere:
@@ -277,6 +283,31 @@ class TestTrotterScan:
         summary, _ = parse_csv_tables(out)
         assert summary["commuting"] == "True"
         assert summary["note"] == "commuting: no curvature"
+
+    @pytest.mark.parametrize("topology", ["ring", "complete"])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_is_the_curvature_scan_experiment(self, capsys, tmp_path, n, topology):
+        argv = ["trotter-scan", "--n", str(n), "--seed", "5", "--topology", topology, "--out", str(tmp_path / "scan")]
+        assert run_cli(capsys, *argv)[0] == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "experiment": "curvature-scan", "n_features": n, "count": 1, "seed": 5,
+            "qift": {"mu": 1.0, "tau": 0.1, "topology": topology}, "output_dir": str(tmp_path / "run"),
+        }))
+        code, out, _ = run_cli(capsys, "run", str(config))
+        assert code == 0
+        csv_bytes = [(tmp_path / d / "curvature_scan.csv").read_bytes() for d in ("scan", "run")]
+        assert csv_bytes[0] == csv_bytes[1]
+        summary = json.loads((tmp_path / "scan" / "summary.json").read_text(encoding="utf-8"))
+        assert summary["fields"] == json.loads(out)["results"]["fields"]
+
+    def test_the_fields_it_prints_rerun_its_scan(self, capsys, tmp_path):
+        assert run_cli(capsys, "trotter-scan", "--n", "4", "--seed", "3", "--out", str(tmp_path / "drawn"))[0] == 0
+        drawn = json.loads((tmp_path / "drawn" / "summary.json").read_text(encoding="utf-8"))["fields"]
+        x = ",".join(repr(v) for v in drawn)  # the equals form: a field may start with a minus
+        assert run_cli(capsys, "trotter-scan", "--n", "4", f"--x={x}", "--out", str(tmp_path / "given"))[0] == 0
+        csv_bytes = [(tmp_path / d / "curvature_scan.csv").read_bytes() for d in ("drawn", "given")]
+        assert csv_bytes[0] == csv_bytes[1]
 
     def test_explicit_fields_mismatch(self, capsys):
         code, _, err = run_cli(capsys, "trotter-scan", "--n", "3", "--x", "1,2")
@@ -439,7 +470,7 @@ def tripwire(monkeypatch):
     for name in (
         "as_rng", "Distribution", "haar_random_unitary", "_hadamard_layer",
         "_decomposition_blocks", "QiftParams",
-        "information_curvature", "spectral_profile", "_profile_and_zeeman", "resonance_similarity",
+        "_curvature", "_profile_and_zeeman", "resonance_similarity",
     ):
         monkeypatch.setattr(cli, name, trip)
     monkeypatch.setattr(cli, "ENCODERS", {enc: trip for enc in ENCODER_IDS})

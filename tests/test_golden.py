@@ -37,7 +37,7 @@ TOLERANCES = {
     "gap_b": (1e-9, 1e-12),
     "delta": (1e-9, 1e-12),
 }
-TEXT_TOLERANCE = (0.0, 1e-10)  # every number of an interfere stdout: probabilities and residuals
+TEXT_TOLERANCE = (0.0, 1e-10)  # every number of a subcommand stdout: each O(1)
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 

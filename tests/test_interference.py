@@ -323,6 +323,27 @@ class TestSignLock:
         with pytest.raises(DimensionMismatchError):
             sk.sign_lock_check(u, 0, (0, 3), [[0.5, 0.5]])
 
+    def test_an_array_of_distributions_is_read_as_its_rows(self, rng):
+        u = haar(4, 5)
+        dists = rng.dirichlet(np.ones(4), size=3)
+        phases = rng.uniform(0.0, 2.0 * np.pi, (3, 4))
+        for phi in (None, phases):
+            got = sk.sign_lock_check(u, 0, (0, 1), dists, phi)
+            want = sk.sign_lock_check(u, 0, (0, 1), list(dists), None if phi is None else list(phi))
+            assert got.arguments.tobytes() == want.arguments.tobytes()
+            assert (got.locked, got.max_spread) == (want.locked, want.max_spread)
+
+    def test_an_empty_array_of_distributions_is_refused_with_the_rule(self):
+        with pytest.raises(StatekitError, match="^at least one distribution is required$"):
+            sk.sign_lock_check(haar(4, 5), 0, (0, 1), np.zeros((0, 4)))
+
+    def test_generators_of_distributions_and_phases_are_read(self, rng):
+        dists = [rng.dirichlet(np.ones(4)) for _ in range(3)]
+        phases = [rng.uniform(0.0, 2.0 * np.pi, 4) for _ in range(3)]
+        got = sk.sign_lock_check(haar(4, 5), 0, (0, 1), (d for d in dists), (p for p in phases))
+        want = sk.sign_lock_check(haar(4, 5), 0, (0, 1), dists, phases)
+        assert got.arguments.tobytes() == want.arguments.tobytes()
+
 
 class TestDiagonalTrap:
     def test_rz_rotation(self):

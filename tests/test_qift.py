@@ -439,6 +439,27 @@ class TestInformationCurvature:
         with pytest.raises(StatekitError):
             sk.information_curvature(spec, [0.1, 0.01, 0.0, -0.01, -0.1])  # not positive
 
+    def test_a_grid_of_one_row_scans_as_the_flat_grid(self, rng):
+        spec = seeded_spec(rng, 3)
+        flat = sk.information_curvature(spec, [0.1, 0.05, 0.01, 0.005, 0.001])
+        row = sk.information_curvature(spec, [[0.1, 0.05, 0.01, 0.005, 0.001]])
+        assert row.taus.tobytes() == flat.taus.tobytes() and row.errors.tobytes() == flat.errors.tobytes()
+        assert (row.fitted_slope, row.fit_residual) == (flat.fitted_slope, flat.fit_residual)
+
+    # rows-monotone: each row descends but the whole grid does not; checked by rows it would reach the tau loop
+    @pytest.mark.parametrize(
+        "taus, message",
+        [
+            ([[0.1, 0.01], [0.001, 0.0001]], "tau grid needs at least 5 points"),
+            ([[0.1, 0.01, 0.001], [0.1, 0.01, 0.001]], "tau grid must be strictly monotone"),
+        ],
+        ids=["short", "rows-monotone"],
+    )
+    def test_a_bad_grid_of_rows_is_refused_before_any_decomposition(self, rng, eigh_calls, taus, message):
+        with pytest.raises(StatekitError, match=f"^{message}$"):
+            sk.information_curvature(seeded_spec(rng, 3), taus)
+        assert eigh_calls == []
+
 
 class TestEvolveVacuum:
     def test_zero_field_leaves_vacuum(self, rng):
