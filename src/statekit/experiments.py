@@ -523,9 +523,9 @@ def _gram_scores(stack: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     checked ``labels``: ``nn_classify_loo`` of ``fidelity_gram`` and the smallest
     cross-class distance of the same Gram, scored from each tile as ``_gram_tiles``
     yields it, so the Gram is never held whole. Only ``_scored_rows`` enter the tiles, so
-    m copies of one state cost a tile of four rows at most, not m² entries: bit for bit the
-    stored Gram's scores where equal rows get equal entries wherever they sit, which the
-    BLAS does not promise but parity's only repeats, probability loading's uniform rows, get."""
+    m copies of one state, probability loading's parity stack, cost a tile of four rows,
+    not m² entries: bit for bit the stored Gram's scores where the copies' entries are
+    equal, which the BLAS does not promise but parity's uniform rows get."""
     _require_both_classes(labels)
     scored, stand_in = _scored_rows(stack, labels)
     nearest = _Nearest(scored.size)
@@ -540,22 +540,17 @@ def _gram_scores(stack: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
 
 def _scored_rows(stack: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of ``stack`` that ``_gram_scores`` scores, ascending, and for each row the
-    position among them of the row whose neighbours it has. Rows of equal bytes and label
-    form a group, whose lowest two rows are scored, so that the first meets its group in the
-    second; each other row has the second's neighbours, each at its lowest index."""
+    position among them of the row whose neighbours it has: every row, unless all rows hold
+    one state. Then the lowest two rows of each label are scored, so that the first meets
+    its label in the second, and each later row has the second's neighbours."""
     k = np.arange(labels.size)
-    # a stable sort by the rows' bytes, then label, puts each group side by side in index order
-    order = np.lexsort((labels, stack.view(np.dtype((np.void, stack.itemsize * stack.shape[1]))).ravel()))
-    same = np.append(False, labels[order[1:]] == labels[order[:-1]])  # sorted row j in row j - 1's group
-    for col in stack.view(np.uint64).T[::-1]:  # last first: sorted neighbours share their leading bytes
-        if not same.any():
-            return k, k
-        same[1:] &= col[order[1:]] == col[order[:-1]]
-    kept = ~same | np.append(True, ~same[:-1])  # the lowest two rows of each group
-    scored, stand_in = np.sort(order[kept]), np.empty_like(k)
-    second = np.maximum.accumulate(np.where(same, 0, k)) + 1  # sorted position of each group's second row
-    stand_in[order] = np.searchsorted(scored, order[np.where(kept, k, second)])
-    return scored, stand_in
+    if np.ptp(stack.view(np.uint64), axis=0).any():  # a word varies down the rows: two states at least
+        return k, k
+    for label in (-1, 1):
+        rows = np.flatnonzero(labels == label)
+        k[rows[2:]] = rows[1:2]
+    scored = np.unique(k)
+    return scored, np.searchsorted(scored, k)
 
 
 def _cross_top(rows: slice, cols: slice, blk: np.ndarray, labels: np.ndarray) -> float:

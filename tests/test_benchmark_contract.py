@@ -99,3 +99,17 @@ def test_benchmark_config_echo_loads_to_itself(config):
     echo = ExperimentConfig.from_dict(config).to_jsonable()
     assert ExperimentConfig.from_dict(echo).to_jsonable() == echo
     assert ("tolerance" in echo) == (config.get("tolerance") is not None)
+
+
+# parity scores a stack of one state through the lowest two rows of each label and any other
+# stack row by row; every parity stack that a benchmark pass or the golden gate scores is
+# one of the two: all rows distinct, or one state
+@pytest.mark.parametrize("config", [p for p in benchmark_configs() if p.values[0]["experiment"] == "parity"])
+def test_parity_stacks_are_distinct_or_one_state(config):
+    from statekit.experiments import encode_dataset, gen_parity_dataset
+
+    config = ExperimentConfig.from_dict(config)
+    ds = gen_parity_dataset(config.n_features, config.count, config.seed)
+    for enc in config.encoders:
+        stack = encode_dataset(ds, enc, config.qift_params() if enc == "qift" else None).amplitudes
+        assert len({row.tobytes() for row in stack}) in (1, len(ds)), enc

@@ -664,7 +664,7 @@ class TestGramScoreStream:
 
 # states of dimension 4 with entries in {0, +-1/2, +-1, +-i/2}: each overlap sums at most four
 # multiples of 1/4 exactly, so every Gram entry is the same on any kernel, in any order of
-# sums, wherever the two rows sit, and a scorer of the distinct states must give the scores
+# sums, wherever the two rows sit, and a scorer that skips repeated rows must give the scores
 # of the stored Gram bit for bit; fidelities are 0, 1/4, 1/2 and 1, and ties abound
 EXACT_STATES = np.vstack([
     np.eye(4), -np.eye(4)[:1],
@@ -674,8 +674,8 @@ EXACT_STATES = np.vstack([
 
 
 class TestDistinctStateScores:
-    """Parity scores each distinct state once: rows of equal bytes and label are scored
-    through their lowest two, and the scores must be those of the stored Gram."""
+    """Parity scores a stack of one state through the lowest two rows of each label, and
+    any other stack row by row; the scores must be those of the stored Gram."""
 
     def assert_stored_gram_scores(self, stack, labels):
         gram = sk.fidelity_gram(sk.StateStack(stack))  # bit for bit the untiled formula's, entries being exact
@@ -721,7 +721,28 @@ class TestDistinctStateScores:
         assert acc == 2 / 6  # samples 1 and 5
         assert dist == 0.0
 
-    # the faulty row is a group of its own, and its tile raises what the whole Gram's would
+    # repeats of inexact states among others: copies of a state in different tiles may get
+    # entries an ulp apart, so only scoring every row gives the stored Gram's scores
+    def test_partial_repeats_of_inexact_states(self):
+        rng = np.random.default_rng(50)
+        differ = []
+        for case in range(400):
+            m, d = rng.integers(3, 401), 2 ** rng.integers(1, 6)  # d = 2 to 32
+            pool = rng.normal(size=(rng.integers(2, m), d, 2)) @ np.array([1.0, 1j])  # fewer states than rows
+            pool /= np.linalg.norm(pool, axis=1, keepdims=True)
+            pick = rng.integers(len(pool), size=m)
+            pick[:2] = (0, 1)  # two distinct states at least
+            labels = rng.choice([-1, 1], m)
+            labels[:2] = (1, -1)
+            stack = pool[pick]
+            gram = sk.fidelity_gram(sk.StateStack(stack))
+            want = (sk.nn_classify_loo(gram, labels), cross_block_distinguishability(gram.entries, labels))
+            if sk.experiments._gram_scores(stack, labels) != want:
+                differ.append((case, m, d))
+        assert differ == []
+
+    # the faulty row is a state of its own, so every row is scored, and its tile raises what
+    # the whole Gram's would
     @pytest.mark.parametrize("fault", ["nan", "diagonal"])
     def test_a_faulty_row_among_repeats_is_checked(self, fault):
         stack = np.tile(EXACT_STATES[5], (300, 1))
@@ -733,10 +754,11 @@ class TestDistinctStateScores:
         with pytest.raises(StatekitError, match=f"^{GRAM_FAULTS[fault][1]}$"):
             sk.experiments._gram_scores(stack, np.tile([1, -1], 150))
 
-    # the work the grouping saves: probability loading sends every sign vector to one state
-    # (two groups, one per label, four rows, one tile), amplitude to 2,048 distinct ones
-    # (16 row blocks: 16 diagonal tiles and 120 tile pairs, each yielded with its mirror)
-    @pytest.mark.parametrize("enc, tiles", [("probability_loading", 1), ("amplitude", 256)])
+    # the work the one-state rule saves: probability loading sends every sign vector to one
+    # state (the lowest two rows of each label, one tile), amplitude to 2,048 distinct ones
+    # (16 row blocks: 16 diagonal tiles and 120 tile pairs, each yielded with its mirror);
+    # half of each, one state repeated among distinct ones, is scored row by row
+    @pytest.mark.parametrize("enc, tiles", [("probability_loading", 1), ("amplitude", 256), ("half-each", 256)])
     def test_tiles_per_parity_encoder(self, monkeypatch, enc, tiles):
         yielded = []
         gram_tiles = sk.experiments._gram_tiles
@@ -748,7 +770,9 @@ class TestDistinctStateScores:
 
         monkeypatch.setattr(sk.experiments, "_gram_tiles", counted)
         ds = sk.gen_parity_dataset(16, 2048, 0)
-        sk.experiments._gram_scores(sk.encode_dataset(ds, enc).amplitudes, ds.labels)
+        stack = {e: sk.encode_dataset(ds, e).amplitudes for e in ("probability_loading", "amplitude")}
+        stack["half-each"] = np.vstack([stack["probability_loading"][:1024], stack["amplitude"][1024:]])
+        sk.experiments._gram_scores(stack[enc], ds.labels)
         assert len(yielded) == tiles
 
 
