@@ -8,13 +8,13 @@ zero-padded to the next power of two and the original length is recorded on
 the output. A data vector is scaled by a power of two before it is squared,
 so any finite row that is not all zeros encodes.
 
-Each map is written once, as the amplitude array of a stack of checked rows
-(``_loading_stack`` and its siblings). The encoder table ``ENCODERS`` wraps
-the array of a whole stack of feature rows in one ``StateStack``, and each
-single-state function wraps that of a one-row stack in one ``StateVector``,
-so every state is checked exactly once. The table's fourth entry, ``qift``,
-evolves the vacuum under the Hamiltonian each row drives
-(``qift.QiftParams``).
+Each map is written once, as a function that returns one checked
+``StateStack`` (``_loading_stack``, ``_amplitude_states``, ``_phase_stack``).
+The encoder table ``ENCODERS`` runs it on a whole stack of feature rows, and
+each single-state function runs it on a one-row stack and returns row 0, so
+every state statekit builds is checked once, as a row of one stack. The
+table's fourth entry, ``qift``, evolves the vacuum under the Hamiltonian each
+row drives (``qift.QiftParams``).
 """
 from __future__ import annotations
 
@@ -74,21 +74,16 @@ def _padding_of(original: int, dim: int) -> int | None:
     return original if original != dim else None
 
 
-def _loading_stack(probs: np.ndarray) -> np.ndarray:
-    """Amplitudes sqrt(p_i) for each checked distribution row of ``probs``."""
-    return _freeze(np.sqrt(probs).astype(np.complex128))
+def _loading_stack(probs: np.ndarray, width: int) -> StateStack:
+    """The states sqrt(p_i), one for each checked distribution row of ``probs``
+    padded from ``width`` entries."""
+    return StateStack(_freeze(np.sqrt(probs).astype(np.complex128)), _padding_of(width, probs.shape[1]))
 
 
-def _amplitude_stack(rows: np.ndarray) -> np.ndarray:
-    """Each scaled data row of ``rows``, zero-padded to 2^n, divided by its norm."""
-    values = _pad_pow2(rows)
-    return _freeze((values / _row_norms(values)[:, None]).astype(np.complex128))
-
-
-def _phase_stack(probs: np.ndarray, phases: np.ndarray) -> np.ndarray:
-    """Amplitudes sqrt(p_i) exp(i phi_i) row by row; ``probs`` may be one row
-    shared by every row of ``phases``."""
-    return _freeze(np.sqrt(probs) * np.exp(1j * phases))
+def _phase_stack(probs: np.ndarray, phases: np.ndarray, width: int) -> StateStack:
+    """The states sqrt(p_i) exp(i phi_i) row by row, padded from ``width`` entries;
+    ``probs`` may be one row shared by every row of ``phases``."""
+    return StateStack(_freeze(np.sqrt(probs) * np.exp(1j * phases)), _padding_of(width, phases.shape[1]))
 
 
 def probability_loading(p: DistributionLike) -> StateVector:
@@ -98,15 +93,12 @@ def probability_loading(p: DistributionLike) -> StateVector:
     lies in the positive orthant and its Born statistics reproduce ``p``.
     """
     dist = _as_distribution(p)
-    amps = _loading_stack(dist.probabilities[None])
-    return StateVector(amps, _padding_of(dist.original_length, dist.dim))
+    return _loading_stack(dist.probabilities[None], dist.original_length)[0]
 
 
 def amplitude_encoding(x: Sequence[float] | np.ndarray) -> StateVector:
     """Normalize a nonzero real data vector into amplitudes, preserving component signs."""
-    row = _as_array(x, "data vector", np.float64, flat=True)[None]
-    amps = _amplitude_stack(_data_rows(row))
-    return StateVector(amps, _padding_of(row.shape[1], amps.shape[1]))
+    return _amplitude_states(_as_array(x, "data vector", np.float64, flat=True)[None], None)[0]
 
 
 def phase_encoding(p: DistributionLike, phi: PhaseLike) -> StateVector:
@@ -117,18 +109,18 @@ def phase_encoding(p: DistributionLike, phi: PhaseLike) -> StateVector:
         raise DimensionMismatchError(
             f"phase profile length {phases.shape[1]} != distribution length {dist.dim}"
         )
-    amps = _phase_stack(dist.probabilities[None], phases)
-    return StateVector(amps, _padding_of(dist.original_length, dist.dim))
+    return _phase_stack(dist.probabilities[None], phases, dist.original_length)[0]
 
 
 def _probability_loading_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
     scaled = _data_rows(rows)
-    probs = _distribution_rows(scaled**2 / np.sum(scaled**2, axis=1, keepdims=True))
-    return StateStack(_loading_stack(probs), _padding_of(rows.shape[1], probs.shape[1]))
+    return _loading_stack(_distribution_rows(scaled**2 / np.sum(scaled**2, axis=1, keepdims=True)), rows.shape[1])
 
 
 def _amplitude_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
-    amps = _amplitude_stack(_data_rows(rows))
+    """Each data row of ``rows``, scaled, zero-padded to 2^n and divided by its norm."""
+    values = _pad_pow2(_data_rows(rows))
+    amps = _freeze((values / _row_norms(values)[:, None]).astype(np.complex128))
     return StateStack(amps, _padding_of(rows.shape[1], amps.shape[1]))
 
 
@@ -136,7 +128,7 @@ def _phase_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
     phases = _phase_rows(rows)
     n = phases.shape[1]
     # 1/n sums to exactly 1 at a power of 2 n: the uniform row needs no renormalising
-    return StateStack(_phase_stack(np.full((1, n), 1.0 / n), phases), _padding_of(rows.shape[1], n))
+    return _phase_stack(np.full((1, n), 1.0 / n), phases, rows.shape[1])
 
 
 def _qift_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
@@ -145,7 +137,7 @@ def _qift_states(rows: np.ndarray, params: QiftParams | None) -> StateStack:
     # fields are never read, so the rows need only be finite
     spec = params.spec(np.zeros(rows.shape[1]))
     _require_finite("fields, mu or tau", rows)
-    return StateStack(_vacuum_stack(spec, rows))
+    return _vacuum_stack(spec, rows)
 
 
 # encoder id -> states of a stack of feature rows v, one per row, shared by

@@ -34,6 +34,7 @@ from .errors import ConfigError, StatekitError
 from .statevec import (
     DenseOperator,
     HermitianOperator,
+    StateStack,
     StateVector,
     _as_array,
     _as_int,
@@ -327,10 +328,9 @@ def information_curvature(
     )
 
 
-def _vacuum_stack(spec: HamiltonianSpec, fields: np.ndarray) -> np.ndarray:
-    """Amplitudes (m, 2^n) of ``evolve_vacuum`` of ``spec`` with each row of
-    ``fields`` (m, n) in turn as its fields; the caller wraps them in one
-    checked ``StateStack`` or ``StateVector``.
+def _vacuum_stack(spec: HamiltonianSpec, fields: np.ndarray) -> StateStack:
+    """The checked states ``evolve_vacuum`` gives for ``spec`` with each row of
+    ``fields`` (m, n) in turn as its fields.
 
     The m vacua evolve as the columns of one (2^n, m) stack, rotated and phased
     in place, so it is the only stack held: they share the diagonal phase, and
@@ -342,7 +342,7 @@ def _vacuum_stack(spec: HamiltonianSpec, fields: np.ndarray) -> np.ndarray:
     _kernels._ry_layer_in_place(amps, half_angles)
     amps *= _diagonal_phase(spec)[:, None]
     _kernels._ry_layer_in_place(amps, half_angles)
-    return _freeze(amps).T
+    return StateStack(_freeze(amps).T)
 
 
 def evolve_vacuum(spec: HamiltonianSpec) -> StateVector:
@@ -352,4 +352,4 @@ def evolve_vacuum(spec: HamiltonianSpec) -> StateVector:
     rotation layer) without materializing the dense operator, on the same
     path that encodes whole datasets.
     """
-    return StateVector(_vacuum_stack(spec, spec.fields[None]))
+    return _vacuum_stack(spec, spec.fields[None])[0]

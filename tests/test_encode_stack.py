@@ -251,6 +251,44 @@ def test_single_state_is_checked_once(monkeypatch, encode):
     assert len(checks) == 1
 
 
+def count_constructions(monkeypatch, cls):
+    """List of the instances of ``cls`` constructed, through ``__post_init__``, while the test runs."""
+    built = []
+    original = cls.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counting)
+    return built
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sk.probability_loading([0.5, 0.25, 0.25]),
+        lambda: sk.amplitude_encoding([1.0, -2.0, 3.0]),
+        lambda: sk.phase_encoding([0.5, 0.25, 0.25], [0.0, 1.0, 2.0]),
+        lambda: sk.evolve_vacuum(sk.HamiltonianSpec([0.3, -0.4], sk.ring_coupling(2))),
+        *(
+            lambda encoder=encoder: cli.main(["encode", "--encoder", encoder, "--values", "0.3,-0.7,1.1"])
+            for encoder in sk.ENCODER_IDS
+        ),
+    ],
+    ids=["probability_loading", "amplitude_encoding", "phase_encoding", "evolve_vacuum"]
+    + [f"cli-encode-{encoder}" for encoder in sk.ENCODER_IDS],
+)
+def test_single_state_is_built_as_a_row_of_one_stack(monkeypatch, capsys, build):
+    # a state statekit builds enters through the stack's intake only; StateVector's
+    # own intake is left to states a caller supplies
+    vectors = count_constructions(monkeypatch, sk.StateVector)
+    stacks = count_constructions(monkeypatch, sk.StateStack)
+    build()
+    assert vectors == []
+    assert len(stacks) == 1
+
+
 @pytest.mark.parametrize("encoder", sk.ENCODER_IDS)
 def test_stack_is_checked_once(monkeypatch, encoder):
     params = sk.QiftParams() if encoder == "qift" else None
